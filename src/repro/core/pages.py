@@ -36,7 +36,7 @@ class Page:
 
     Attributes:
         page_id: Globally unique identifier of the page (the paper numbers
-            pages 1..n; any hashable integer id works here).
+            pages 1..n; any non-negative integer id works here).
         group_index: 1-based index ``i`` of the group the page belongs to.
         expected_time: The group's expected time ``t_i`` in slot units.
     """
@@ -46,6 +46,12 @@ class Page:
     expected_time: int
 
     def __post_init__(self) -> None:
+        if self.page_id < 0:
+            # -1 is the free-cell marker of the packed program grid, so a
+            # negative id could not survive the packed round trip.
+            raise InvalidInstanceError(
+                f"page {self.page_id}: page_id must be >= 0"
+            )
         if self.expected_time <= 0:
             raise InvalidInstanceError(
                 f"page {self.page_id}: expected_time must be positive, "

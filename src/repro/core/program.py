@@ -366,15 +366,27 @@ class BroadcastProgram:
         arr = np.asarray(array)
         if arr.ndim != 2 or arr.size == 0:
             raise InvalidInstanceError("grid must be a non-empty 2-D array")
-        cells = arr.astype(object)
-        cells[arr < 0] = None
         program = cls(
             num_channels=arr.shape[0], cycle_length=arr.shape[1]
         )
-        program._grid = cells.tolist()
-        program._appearances = None
-        program._packed = arr.astype(np.int64)
+        program._load_packed(arr.astype(np.int64))
         return program
+
+    def _load_packed(self, packed) -> None:
+        """Adopt an owned int64 ``packed`` grid; derived tables deferred.
+
+        Shape, list grid and packed mirror all come from ``packed``; the
+        appearance table is left to be derived on first demand and the
+        slot/gap memos start empty.  :attr:`version` is the caller's.
+        """
+        cells = packed.astype(object)
+        cells[packed < 0] = None
+        self._num_channels, self._cycle_length = packed.shape
+        self._grid = cells.tolist()
+        self._appearances = None
+        self._slots_cache = {}
+        self._gaps_cache = {}
+        self._packed = packed
 
     def copy(self) -> "BroadcastProgram":
         """An independent copy of this program (grid and appearances).
@@ -472,6 +484,25 @@ class BroadcastProgram:
                 if page_id is not None:
                     program.assign(channel, slot, int(page_id))
         return program
+
+    def __getstate__(self) -> dict:
+        """Pickle as the packed int64 grid plus :attr:`version`.
+
+        Every other attribute is derived from the grid: the nested-list
+        grid, the appearance table and the slot/gap memos together
+        outweigh the packed grid several times over and cost far more
+        to pickle.  Sweep results cross the process pool this way, so
+        the wire carries one contiguous array per program and the
+        receiving side rebuilds the derived tables lazily on first use.
+        """
+        return {"packed": self.packed_grid(), "version": self._version}
+
+    def __setstate__(self, state: dict) -> None:
+        """Rebuild a pickled program the way :meth:`from_array` does."""
+        import numpy as np
+
+        self._load_packed(state["packed"].astype(np.int64))
+        self._version = state["version"]
 
     def to_json(self, indent: int | None = None) -> str:
         """Serialise to a JSON string."""

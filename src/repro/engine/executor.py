@@ -34,9 +34,17 @@ without burning pool work.  On process pools the shared instance is
 *posted once per run* into a :mod:`multiprocessing.shared_memory` block
 (:attr:`ExecutionPolicy.transport` ``"shm"``, the default); chunk
 payloads then carry only the block's name and each worker attaches and
-unpickles it once, caching by name — large grids stop re-shipping the
-instance entirely.  ``"pickle"`` restores the per-chunk copy, and any
+unpickles it once, caching by name — so chunk *specs* stop re-shipping
+the instance.  Schedules still carry theirs: every fresh cell's
+:class:`CellResult` and every cache hit's :class:`CachedSchedule`
+pickles its schedule's ``instance`` (~24 KB at the paper's n=1000).
+``"pickle"`` restores the per-chunk copy, and any
 shared-memory failure degrades to it silently (recorded in the report).
+Programs cross the pool as packed int64 grids
+(:meth:`~repro.core.program.BroadcastProgram.__getstate__`): the
+appearance table and slot/gap memos stay behind and rebuild lazily on
+first use, so a result's wire size is about its packed grid plus the
+instance.
 When a timeout is set, workers also post each finished cell into a
 shared progress map, so a timed-out chunk *harvests* the cells that did
 complete — only the genuinely unfinished cells burn retries.  Cells can

@@ -294,6 +294,53 @@ class TestEngineSweep:
         assert self._measured(shm.points) == self._measured(serial.points)
         assert shm.manifest.executor["transport"] == "shm"
 
+    def test_pooled_cache_hit_resweep_matches_serial(self, fig2_instance):
+        # Fresh programs come back from the pool as packed grids and the
+        # cache-hit re-sweep ships them out again; neither trip may move
+        # a single point.
+        serial = BroadcastEngine().sweep(
+            fig2_instance, workers=1, **SWEEP_KWARGS
+        )
+        engine = BroadcastEngine(workers=2, executor="process")
+        first = engine.sweep(fig2_instance, **SWEEP_KWARGS)
+        second = engine.sweep(fig2_instance, **SWEEP_KWARGS)
+        assert first.manifest.executor["mode"] == "process"
+        assert second.manifest.executor["mode"] == "process"
+        assert second.manifest.cache_run.hits == len(second.points)
+        assert second.manifest.cache_run.misses == 0
+        assert second.points == first.points
+        assert self._measured(first.points) == self._measured(serial.points)
+
+    def test_cell_result_pickles_as_packed_grid(self):
+        # Guard on the pool's wire size: a fresh n=1000 PAMAD cell must
+        # ship about its packed grid plus the instance, never the
+        # derived tables (appearance SlotRefs, slot/gap memos).
+        import pickle
+
+        from repro.core.bounds import minimum_channels
+        from repro.engine.executor import CellSpec, execute_cell
+        from repro.workload.generator import paper_instance
+
+        instance = paper_instance("uniform")
+        cell = execute_cell(
+            CellSpec(
+                algorithm="pamad",
+                scheduler=schedule_pamad,
+                channels=minimum_channels(instance),
+                instance=instance,
+                num_requests=100,
+                seed=1,
+            )
+        )
+        program = cell.schedule.program
+        program.page_counts()  # warm the appearance table
+        wire = len(pickle.dumps(cell, protocol=pickle.HIGHEST_PROTOCOL))
+        budget = 1.25 * program.packed_grid().nbytes + len(
+            pickle.dumps(instance, protocol=pickle.HIGHEST_PROTOCOL)
+        )
+        assert wire <= budget
+        assert pickle.loads(pickle.dumps(cell)).schedule.program == program
+
     def test_pickle_transport_matches_serial_bit_identically(
         self, fig2_instance
     ):

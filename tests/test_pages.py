@@ -32,6 +32,15 @@ class TestPage:
         with pytest.raises(InvalidInstanceError):
             Page(page_id=1, group_index=0, expected_time=2)
 
+    def test_rejects_negative_page_id(self):
+        # -1 marks a free cell in the packed program grid.
+        with pytest.raises(InvalidInstanceError, match="page -1"):
+            Page(page_id=-1, group_index=1, expected_time=2)
+
+    def test_negative_ids_rejected_before_scheduling(self):
+        with pytest.raises(InvalidInstanceError, match="page -2"):
+            instance_from_counts([2, 2], [2, 4], first_page_id=-2)
+
     def test_is_hashable_and_immutable(self):
         page = Page(page_id=1, group_index=1, expected_time=2)
         assert hash(page) == hash(Page(page_id=1, group_index=1, expected_time=2))

@@ -316,6 +316,127 @@ class TestSerialisationProperties:
         )
 
 
+@st.composite
+def built_programs(draw):
+    """A program built by one of the construction paths, caches maybe warm.
+
+    ``assign``, ``from_grid`` and ``from_array`` fill the same random
+    grid; ``copy`` clones an assigned program and ``clear`` frees some
+    of its cells afterwards, so every path that can leave derived
+    tables, the packed mirror or :attr:`version` in a distinct state
+    is represented.
+    """
+    import numpy as np
+
+    from repro.core.program import BroadcastProgram
+
+    channels = draw(st.integers(1, 4))
+    cycle = draw(st.integers(1, 12))
+    grid = [
+        draw(
+            st.lists(
+                st.none() | st.integers(0, 20),
+                min_size=cycle,
+                max_size=cycle,
+            )
+        )
+        for _ in range(channels)
+    ]
+    path = draw(
+        st.sampled_from(("assign", "from_grid", "from_array", "copy", "clear"))
+    )
+    if path == "from_grid":
+        program = BroadcastProgram.from_grid(grid)
+    elif path == "from_array":
+        program = BroadcastProgram.from_array(
+            np.array(
+                [[-1 if cell is None else cell for cell in row] for row in grid]
+            )
+        )
+    else:
+        program = BroadcastProgram(channels, cycle)
+        for channel, row in enumerate(grid):
+            for slot, page_id in enumerate(row):
+                if page_id is not None:
+                    program.assign(channel, slot, page_id)
+        if path == "copy":
+            program = program.copy()
+        elif path == "clear":
+            for channel, row in enumerate(grid):
+                for slot in range(cycle):
+                    if draw(st.booleans()):
+                        program.clear(channel, slot)
+    if draw(st.booleans()):
+        # Warm every derived table before pickling.
+        program.packed_grid()
+        for page_id in program.page_ids():
+            program.cyclic_gaps(page_id)
+    return program
+
+
+def _program_view(program):
+    """Every table a program derives from its grid, for comparison."""
+    return (
+        program.num_channels,
+        program.cycle_length,
+        program.grid_rows(),
+        program.packed_grid().tolist(),
+        program.page_counts(),
+        {
+            page_id: (
+                program.appearances(page_id),
+                program.appearance_slots(page_id),
+                program.cyclic_gaps(page_id),
+            )
+            for page_id in program.page_ids()
+        },
+    )
+
+
+class TestPickleProperties:
+    @given(program=built_programs())
+    @settings(max_examples=80, deadline=None)
+    def test_pickle_roundtrip_preserves_every_table(self, program):
+        import pickle
+
+        version = program.version
+        rows = program.grid_rows()
+        loaded = pickle.loads(pickle.dumps(program))
+        # Pickling leaves the source untouched.
+        assert program.version == version
+        assert program.grid_rows() == rows
+        assert loaded == program
+        assert loaded.version == version
+        assert _program_view(loaded) == _program_view(program)
+
+    @given(program=built_programs(), page_id=st.integers(0, 20))
+    @settings(max_examples=60, deadline=None)
+    def test_loaded_program_stays_mutable(self, program, page_id):
+        import pickle
+
+        from repro.core.program import BroadcastProgram
+
+        before = (program.version, _program_view(program))
+        loaded = pickle.loads(pickle.dumps(program))
+        cells = [
+            (channel, slot)
+            for channel in range(loaded.num_channels)
+            for slot in range(loaded.cycle_length)
+        ]
+        free = [cell for cell in cells if loaded.is_free(*cell)]
+        taken = [cell for cell in cells if not loaded.is_free(*cell)]
+        if free:
+            loaded.assign(*free[0], page_id)
+        if taken:
+            assert loaded.clear(*taken[-1]) is not None
+        assert loaded.version == program.version + bool(free) + bool(taken)
+        # The mutated clone's tables agree with a fresh build of its grid,
+        # and the source never sees the clone's edits.
+        rebuilt = BroadcastProgram.from_grid(loaded.grid_rows())
+        assert _program_view(loaded) == _program_view(rebuilt)
+        assert (program.version, _program_view(program)) == before
+
+
 # ----------------------------------------------------------------------
 # Indexing invariants
 # ----------------------------------------------------------------------
