@@ -37,25 +37,29 @@ deterministic phases:
    per-shard engine (kept module-global, so bench repetitions and
    repeated ``run()`` calls in one process reuse each shard's program
    cache; results are unchanged because schedulers are deterministic
-   and cached programs are copied before use).  Sub-traces are built by
-   a stable merge of the listener columns and the catalog events on
-   ``(time, kind, page_id)`` through
+   and cached programs are copied before use).  Sub-traces are
+   *columnar*: one stable argsort of the shard column groups the
+   listener rows by shard, and each shard's slice is stably merged
+   with its catalog events on ``(time, kind, page_id)`` through
    :meth:`~repro.live.mutations.MutationTrace.presorted` — no re-sort,
-   no duplicate scan, no JSON fingerprint; the content digest comes
-   from :func:`~repro.live.mutations.fingerprint_columns`.
+   no duplicate scan, no JSON fingerprint (the content digest comes
+   from :func:`~repro.live.mutations.fingerprint_columns`), and no
+   listener event object: the batched replay reads only the columns
+   and the catalog events, and ``events`` materialises only when
+   something asks for it.
 
    Fan-out transports (recorded as ``federation.transport``, manifest
    schema v9):
 
-   * ``inline`` — serial/thread replay: sub-trace events *reference*
-     the parent trace's event objects (zero copies, zero construction).
-   * ``shm`` — process pools: the listener columns and their shard
-     assignment are posted once into ``multiprocessing.shared_memory``;
-     each worker attaches, masks out its shard's rows and rebuilds only
-     its own listener events.  Falls back to ``pickle`` when shared
-     memory is unavailable.
-   * ``pickle`` — the legacy path: a full sub-trace pickled per
-     :class:`ShardPlan`.
+   * ``inline`` — serial/thread replay: the columnar sub-traces pass
+     by reference.
+   * ``shm`` — process pools: the shard-grouped listener columns are
+     posted once into ``multiprocessing.shared_memory``; each worker
+     attaches, slices its shard's rows and rebuilds the same columnar
+     sub-trace.  Falls back to ``pickle`` when shared memory is
+     unavailable.
+   * ``pickle`` — a columnar sub-trace (arrays plus catalog events)
+     pickled per :class:`ShardPlan`.
 
    Pass a persistent :class:`~repro.engine.executor.TaskPool` to
    :meth:`FederatedBroadcastService.run` to keep pool workers (and the
@@ -87,11 +91,7 @@ from repro.federation.admission import (
 )
 from repro.federation.ring import ShardRing, partition_catalog
 from repro.live.catalog import LiveCatalog
-from repro.live.mutations import (
-    MutationEvent,
-    MutationTrace,
-    fingerprint_columns,
-)
+from repro.live.mutations import MutationEvent, MutationTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.facade import BroadcastEngine
@@ -148,11 +148,11 @@ def _event_sort_key(event: MutationEvent) -> tuple:
 class ShardPlan:
     """One shard's routed workload — the unit the fan-out executes.
 
-    Picklable by construction (plain ints and a
-    :class:`~repro.live.mutations.MutationTrace` of frozen events), so
-    it crosses the process-pool boundary as cheaply as a sweep chunk.
-    ``inline`` transport ships the same object by reference, with the
-    sub-trace's events *aliasing* the parent trace's event objects.
+    Picklable by construction (plain ints and a columnar
+    :class:`~repro.live.mutations.MutationTrace`: four arrays plus the
+    catalog events), so it crosses the process-pool boundary at about
+    its column bytes.  ``inline`` transport ships the same object by
+    reference.
     """
 
     shard: int
@@ -175,11 +175,10 @@ class ColumnarShardPlan:
     The zero-copy sibling of :class:`ShardPlan`: catalog events (a few
     hundred at most) pickle normally, while the listener columns — the
     millions of rows — are posted *once* for the whole federation (see
-    ``shm_name``) together with a per-listener shard assignment.  The
-    worker attaches, selects its shard's rows, rebuilds its listener
-    events and merges them with the catalog events; ``fingerprint`` is
-    stamped rather than recomputed so the rebuilt sub-trace reports
-    identically to an inline replay.
+    ``shm_name``), grouped by shard.  The worker attaches, slices its
+    shard's rows and merges them with the catalog events into a
+    columnar sub-trace; ``fingerprint`` is stamped rather than
+    recomputed so it reports identically to an inline replay.
     """
 
     shard: int
@@ -205,22 +204,31 @@ class ColumnarShardPlan:
 # ----------------------------------------------------------------------
 
 
-def _merge_columns(lt, lp, le, catalog_events: Sequence[MutationEvent]):
-    """Stable-merge listener columns with sorted catalog events.
+def _assemble_subtrace(
+    horizon: int,
+    meta: Mapping[str, object],
+    catalog_events: Sequence[MutationEvent],
+    lt,
+    lp,
+    le,
+    *,
+    fingerprint: str | None = None,
+) -> MutationTrace:
+    """Build one shard's columnar sub-trace without re-validating.
 
     ``lt``/``lp``/``le`` are the shard's listener times, page ids and
     expected times in trace order; ``catalog_events`` must already be
-    sorted by ``(time, kind, page_id)``.  Returns the merged columnar
-    arrays plus the catalog-position mask.  The merge reproduces the
-    ``(time, kind, page_id)`` sort order the validating constructor
-    would compute: at a shared timestamp ``"listener"`` sorts before
-    every catalog kind, so each catalog event lands *after* all
-    listeners at or before its time (``searchsorted`` side ``right``).
+    sorted by ``(time, kind, page_id)``.  The stable merge reproduces
+    the order the validating constructor would compute: at a shared
+    timestamp ``"listener"`` sorts before every catalog kind, so each
+    catalog event lands *after* all listeners at or before its time
+    (``searchsorted`` side ``right``).  The merged columns go through
+    :meth:`~repro.live.mutations.MutationTrace.presorted`, which builds
+    no listener event and stamps ``fingerprint`` (or computes it).
     """
     lc = len(catalog_events)
-    ll = int(lt.shape[0])
-    n = ll + lc
-    mask = np.zeros(n, dtype=bool)
+    n = int(lt.shape[0]) + lc
+    is_listener = np.ones(n, dtype=bool)
     m_times = np.empty(n, dtype=np.float64)
     m_pages = np.empty(n, dtype=np.int64)
     m_expected = np.empty(n, dtype=np.int64)
@@ -229,13 +237,13 @@ def _merge_columns(lt, lp, le, catalog_events: Sequence[MutationEvent]):
             (event.time for event in catalog_events), np.float64, lc
         )
         positions = np.searchsorted(lt, ct, side="right")
-        positions = positions + np.arange(lc, dtype=np.int64)
-        mask[positions] = True
-        m_times[mask] = ct
-        m_pages[mask] = np.fromiter(
+        positions += np.arange(lc, dtype=positions.dtype)
+        is_listener[positions] = False
+        m_times[positions] = ct
+        m_pages[positions] = np.fromiter(
             (event.page_id for event in catalog_events), np.int64, lc
         )
-        m_expected[mask] = np.fromiter(
+        m_expected[positions] = np.fromiter(
             (
                 -1 if event.expected_time is None else event.expected_time
                 for event in catalog_events
@@ -243,69 +251,14 @@ def _merge_columns(lt, lp, le, catalog_events: Sequence[MutationEvent]):
             np.int64,
             lc,
         )
-    is_listener = ~mask
     m_times[is_listener] = lt
     m_pages[is_listener] = lp
     m_expected[is_listener] = le
-    return m_times, is_listener, m_pages, m_expected, mask
-
-
-def _assemble_subtrace(
-    horizon: int,
-    meta: Mapping[str, object],
-    catalog_events: Sequence[MutationEvent],
-    lt,
-    lp,
-    le,
-    listener_objects,
-    *,
-    fingerprint: str | None = None,
-    with_columns: bool = True,
-) -> MutationTrace:
-    """Build one shard's sub-trace without re-validating anything.
-
-    ``listener_objects`` is a sequence (or object ndarray) of the
-    shard's listener events aligned with ``lt`` order — parent event
-    objects on the inline path, worker-rebuilt events on the shm path.
-    The merged trace goes through
-    :meth:`~repro.live.mutations.MutationTrace.presorted` with its
-    columns pre-seeded (unless ``with_columns`` is off, for pickle
-    transport, where shipping the arrays would double the payload) and
-    its fingerprint stamped — computed via
-    :func:`~repro.live.mutations.fingerprint_columns` when not given.
-    """
-    m_times, is_listener, m_pages, m_expected, mask = _merge_columns(
-        lt, lp, le, catalog_events
-    )
-    n = int(m_times.shape[0])
-    events = np.empty(n, dtype=object)
-    lc = len(catalog_events)
-    if lc:
-        cat_arr = np.empty(lc, dtype=object)
-        cat_arr[:] = list(catalog_events)
-        events[mask] = cat_arr
-    if n - lc:
-        if isinstance(listener_objects, np.ndarray):
-            lis_arr = listener_objects
-        else:
-            lis_arr = np.empty(n - lc, dtype=object)
-            lis_arr[:] = list(listener_objects)
-        events[is_listener] = lis_arr
-    if fingerprint is None:
-        fingerprint = fingerprint_columns(
-            horizon, meta, m_times, is_listener, m_pages, m_expected,
-            catalog_events,
-        )
-    columns = (
-        (m_times, is_listener, m_pages, m_expected)
-        if with_columns
-        else None
-    )
     return MutationTrace.presorted(
         horizon,
-        tuple(events.tolist()),
+        (m_times, is_listener, m_pages, m_expected),
+        catalog_events,
         meta,
-        columns=columns,
         fingerprint=fingerprint,
     )
 
@@ -313,10 +266,11 @@ def _assemble_subtrace(
 class _FedShmPost:
     """The federation's listener columns, posted once into shared memory.
 
-    One pickle of ``(times, page_ids, expected, shard)`` listener
-    arrays crosses the process boundary once per :meth:`run`, instead
-    of a million listener events pickling per shard plan.  The parent
-    owns the block: :meth:`close` unlinks it after the fan-out drains.
+    One pickle of the shard-grouped ``(times, page_ids, expected,
+    bounds)`` listener columns crosses the process boundary once per
+    :meth:`run`, instead of a sub-trace pickling per shard plan.  The
+    parent owns the block: :meth:`close` unlinks it after the fan-out
+    drains.
     """
 
     def __init__(self, arrays: tuple) -> None:
@@ -361,33 +315,18 @@ def _listener_columns_from_shm(name: str, size: int) -> tuple:
 
 
 def _subtrace_from_plan(plan: ColumnarShardPlan) -> MutationTrace:
-    """Rebuild one shard's sub-trace from the shared-memory post."""
-    lt, lp, le, ls = _listener_columns_from_shm(
+    """Rebuild one shard's columnar sub-trace from the shared post."""
+    lt, lp, le, bounds = _listener_columns_from_shm(
         plan.shm_name, plan.shm_size
     )
-    select = ls == plan.shard
-    lt = np.ascontiguousarray(lt[select])
-    lp = np.ascontiguousarray(lp[select])
-    le = np.ascontiguousarray(le[select])
-    listeners = [
-        MutationEvent(
-            time=time,
-            kind="listener",
-            page_id=page,
-            expected_time=None if exp < 0 else exp,
-        )
-        for time, page, exp in zip(
-            lt.tolist(), lp.tolist(), le.tolist()
-        )
-    ]
+    lo, hi = bounds[plan.shard], bounds[plan.shard + 1]
     return _assemble_subtrace(
         plan.horizon,
         plan.meta,
         plan.catalog_events,
-        lt,
-        lp,
-        le,
-        listeners,
+        lt[lo:hi],
+        lp[lo:hi],
+        le[lo:hi],
         fingerprint=plan.fingerprint,
     )
 
@@ -1089,20 +1028,6 @@ class FederatedBroadcastService:
     # Phase 2: shard replay
     # ------------------------------------------------------------------
 
-    def _events_object_array(self) -> "np.ndarray":
-        """The parent events as an object ndarray, memoised on the trace.
-
-        Fancy-indexing this array is how inline sub-traces alias parent
-        event objects: selecting 125k listeners costs one C-level take
-        instead of 125k constructor calls.
-        """
-        cached = getattr(self.trace, "_object_array", None)
-        if cached is None:
-            cached = np.empty(len(self.trace.events), dtype=object)
-            cached[:] = self.trace.events
-            object.__setattr__(self.trace, "_object_array", cached)
-        return cached
-
     def _subtrace_meta(self, shard: int) -> dict:
         return {
             "generator": "federation.router",
@@ -1125,77 +1050,66 @@ class FederatedBroadcastService:
             "warm_engine": self.warm_shard_pool,
         }
 
-    def _shard_plans(
-        self, routed: RoutedTrace, transport: str
-    ) -> list[ShardPlan]:
-        """Inline/pickle plans: sub-traces assembled in the parent."""
+    def _subtraces(
+        self, routed: RoutedTrace
+    ) -> tuple[tuple, list[MutationTrace]]:
+        """Split the listeners by shard once; assemble every sub-trace.
+
+        One stable argsort of the shard column groups the parent's
+        listener rows by shard (trace order kept within a shard), so
+        each shard's listeners are one contiguous slice of a single
+        gather per column.  Returns the grouped columns ``(times,
+        page_ids, expected, bounds)`` — shard ``s`` owns rows
+        ``bounds[s]:bounds[s + 1]`` — and the columnar sub-traces in
+        shard order.
+        """
         times, _, page_ids, expected = self.trace.columns()
-        objects = self._events_object_array()
-        plans = []
-        for shard in self.ring.shards:
-            catalog_events = sorted(
-                routed.catalog_events[shard], key=_event_sort_key
-            )
-            lis_idx = np.flatnonzero(routed.listener_shard == shard)
-            trace = _assemble_subtrace(
+        shard_col = routed.listener_shard
+        # Catalog rows carry shard -1: they sort first and are dropped.
+        counts = np.bincount(shard_col + 1, minlength=self.shards + 1)
+        order = np.argsort(shard_col.astype(np.int16), kind="stable")
+        order = order[counts[0]:]
+        bounds = [0, *np.cumsum(counts[1:]).tolist()]
+        lt, lp, le = times[order], page_ids[order], expected[order]
+        traces = [
+            _assemble_subtrace(
                 self.trace.horizon,
                 self._subtrace_meta(shard),
-                catalog_events,
-                np.ascontiguousarray(times[lis_idx]),
-                np.ascontiguousarray(page_ids[lis_idx]),
-                np.ascontiguousarray(expected[lis_idx]),
-                objects[lis_idx],
-                with_columns=transport != "pickle",
+                sorted(routed.catalog_events[shard], key=_event_sort_key),
+                lt[bounds[shard]:bounds[shard + 1]],
+                lp[bounds[shard]:bounds[shard + 1]],
+                le[bounds[shard]:bounds[shard + 1]],
             )
-            plans.append(ShardPlan(trace=trace, **self._plan_args(shard)))
-        return plans
+            for shard in self.ring.shards
+        ]
+        return (lt, lp, le, bounds), traces
+
+    def _shard_plans(self, routed: RoutedTrace) -> list[ShardPlan]:
+        """Inline/pickle plans: columnar sub-traces built in the parent."""
+        _, traces = self._subtraces(routed)
+        return [
+            ShardPlan(trace=trace, **self._plan_args(shard))
+            for shard, trace in zip(self.ring.shards, traces)
+        ]
 
     def _columnar_plans(
         self, routed: RoutedTrace
     ) -> tuple[list[ColumnarShardPlan], _FedShmPost]:
-        """Zero-copy plans: listeners posted once into shared memory."""
-        times, is_listener, page_ids, expected = self.trace.columns()
-        lis_pos = np.flatnonzero(is_listener)
-        lt = np.ascontiguousarray(times[lis_pos])
-        lp = np.ascontiguousarray(page_ids[lis_pos])
-        le = np.ascontiguousarray(expected[lis_pos])
-        ls = np.ascontiguousarray(routed.listener_shard[lis_pos])
-        post = _FedShmPost((lt, lp, le, ls))
-        plans = []
-        try:
-            for shard in self.ring.shards:
-                catalog_events = tuple(
-                    sorted(
-                        routed.catalog_events[shard], key=_event_sort_key
-                    )
-                )
-                select = ls == shard
-                meta = self._subtrace_meta(shard)
-                fingerprint = fingerprint_columns(
-                    self.trace.horizon,
-                    meta,
-                    *_merge_columns(
-                        np.ascontiguousarray(lt[select]),
-                        np.ascontiguousarray(lp[select]),
-                        np.ascontiguousarray(le[select]),
-                        catalog_events,
-                    )[:4],
-                    catalog_events,
-                )
-                plans.append(
-                    ColumnarShardPlan(
-                        horizon=self.trace.horizon,
-                        meta=meta,
-                        catalog_events=catalog_events,
-                        fingerprint=fingerprint,
-                        shm_name=post.name,
-                        shm_size=post.size,
-                        **self._plan_args(shard),
-                    )
-                )
-        except Exception:
-            post.close()
-            raise
+        """Zero-copy plans: grouped listeners posted once into shm."""
+        grouped, traces = self._subtraces(routed)
+        post = _FedShmPost(grouped)
+        plans = [
+            ColumnarShardPlan(
+                horizon=trace.horizon,
+                meta=trace.meta,
+                catalog_events=trace.mutations(),
+                fingerprint=trace.fingerprint(),
+                shm_name=post.name,
+                shm_size=post.size,
+                **self._plan_args(shard),
+            )
+            for shard, trace in zip(self.ring.shards, traces)
+        ]
         return plans, post
 
     def run(
@@ -1218,9 +1132,9 @@ class FederatedBroadcastService:
 
         Transport: process fan-out ships listeners through one
         shared-memory post (``policy.transport == "shm"``, the default)
-        or per-plan pickles; serial and thread replay pass sub-traces
-        inline, aliasing the parent trace's event objects.  The
-        transport that actually ran is recorded in the report.
+        or per-plan pickles; serial and thread replay pass the columnar
+        sub-traces inline.  The transport that actually ran is recorded
+        in the report.
         """
         if self._report is not None:
             raise SimulationError(
@@ -1249,7 +1163,7 @@ class FederatedBroadcastService:
                 except OSError:
                     transport = "pickle"
             if post is None:
-                plans = self._shard_plans(routed, transport)
+                plans = self._shard_plans(routed)
             if pool is not None:
                 outcomes, report = pool.run(
                     replay_shard_task,

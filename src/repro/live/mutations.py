@@ -140,7 +140,8 @@ class MutationTrace:
     Attributes:
         horizon: Timeline length in slots; every event happens at
             ``time < horizon``.
-        events: The sorted events.
+        events: The sorted events (built on first access for a
+            columnar trace, see :meth:`presorted`).
         meta: Free-form provenance (generator name, seed, rates) carried
             through serialisation so a saved trace is self-describing.
     """
@@ -180,6 +181,30 @@ class MutationTrace:
     # Queries
     # ------------------------------------------------------------------
 
+    def __getattr__(self, name: str) -> tuple[MutationEvent, ...]:
+        # Reached only when normal lookup fails.  A columnar trace (see
+        # :meth:`presorted`) holds no ``events`` until something asks.
+        state = self.__dict__
+        if name != "events" or "_columns" not in state:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        times, is_listener, page_ids, expected = state["_columns"]
+        catalog = iter(state["_mutations"])
+        events = tuple(
+            MutationEvent(time, "listener", page, deadline)
+            if listener
+            else next(catalog)
+            for time, listener, page, deadline in zip(
+                times.tolist(),
+                is_listener.tolist(),
+                page_ids.tolist(),
+                expected.tolist(),
+            )
+        )
+        object.__setattr__(self, "events", events)
+        return events
+
     def __iter__(self) -> Iterator[MutationEvent]:
         return iter(self.events)
 
@@ -187,8 +212,18 @@ class MutationTrace:
         return len(self.events)
 
     def mutations(self) -> tuple[MutationEvent, ...]:
-        """The catalog-changing events (inserts, removes, retunes)."""
-        return tuple(e for e in self.events if e.kind in CATALOG_KINDS)
+        """The catalog-changing events (inserts, removes, retunes).
+
+        Memoised, and stored outright on a columnar trace, so the
+        batched replay reads them without touching the listener events.
+        """
+        cached = getattr(self, "_mutations", None)
+        if cached is None:
+            cached = tuple(
+                e for e in self.events if e.kind in CATALOG_KINDS
+            )
+            object.__setattr__(self, "_mutations", cached)
+        return cached
 
     def listeners(self) -> tuple[MutationEvent, ...]:
         """The client-arrival events."""
@@ -293,24 +328,27 @@ class MutationTrace:
     def presorted(
         cls,
         horizon: int,
-        events: Sequence["MutationEvent"],
+        columns: tuple,
+        catalog_events: Sequence[MutationEvent],
         meta: Mapping[str, object] | None = None,
         *,
-        columns: tuple | None = None,
         fingerprint: str | None = None,
     ) -> "MutationTrace":
-        """Trusted constructor for events already sorted and validated.
+        """Trusted columnar constructor for a subset of a validated trace.
 
         The federation router derives per-shard sub-traces from a parent
         trace that has already paid :meth:`__post_init__`'s sort and
-        duplicate scan; re-validating a million routed listeners per
-        shard would dominate the replay.  The caller *guarantees* the
-        events are in ``(time, kind, page_id)`` order, unique, and
-        inside the horizon — subsets and stable merges of a validated
-        trace preserve all three.  ``columns`` pre-seeds the
-        :meth:`columns` cache (same ``(times, is_listener, page_ids,
-        expected)`` layout) and ``fingerprint`` pre-seeds
-        :meth:`fingerprint`; both must describe exactly ``events``.
+        duplicate scan.  ``columns`` is the sub-trace's :meth:`columns`
+        layout ``(times, is_listener, page_ids, expected)`` and
+        ``catalog_events`` its non-listener events, both in
+        ``(time, kind, page_id)`` order; the caller *guarantees* they
+        are unique and inside the horizon — subsets and stable merges
+        of a validated trace preserve all three.  No listener event is
+        built: ``events`` materialises from the columns on first access
+        and is memoised, so the batched replay, which reads only
+        :meth:`columns` and :meth:`mutations`, never pays for it.  The
+        fingerprint is stamped (``fingerprint``) or computed with
+        :func:`fingerprint_columns`.
         """
         if horizon < 1:
             raise SimulationError(
@@ -318,14 +356,16 @@ class MutationTrace:
             )
         trace = object.__new__(cls)
         object.__setattr__(trace, "horizon", int(horizon))
-        object.__setattr__(trace, "events", tuple(events))
         object.__setattr__(
             trace, "meta", dict(sorted(dict(meta or {}).items()))
         )
-        if columns is not None:
-            object.__setattr__(trace, "_columns", columns)
-        if fingerprint is not None:
-            object.__setattr__(trace, "_fingerprint", fingerprint)
+        object.__setattr__(trace, "_columns", tuple(columns))
+        object.__setattr__(trace, "_mutations", tuple(catalog_events))
+        if fingerprint is None:
+            fingerprint = fingerprint_columns(
+                horizon, trace.meta, *columns, catalog_events
+            )
+        object.__setattr__(trace, "_fingerprint", fingerprint)
         return trace
 
 
@@ -364,12 +404,10 @@ def fingerprint_columns(
     digest.update(b"\n")
     import numpy as np
 
-    digest.update(np.ascontiguousarray(times, dtype=np.float64).tobytes())
-    digest.update(
-        np.ascontiguousarray(is_listener, dtype=np.bool_).tobytes()
-    )
-    digest.update(np.ascontiguousarray(page_ids, dtype=np.int64).tobytes())
-    digest.update(np.ascontiguousarray(expected, dtype=np.int64).tobytes())
+    digest.update(np.ascontiguousarray(times, dtype=np.float64))
+    digest.update(np.ascontiguousarray(is_listener, dtype=np.bool_))
+    digest.update(np.ascontiguousarray(page_ids, dtype=np.int64))
+    digest.update(np.ascontiguousarray(expected, dtype=np.int64))
     digest.update(
         json.dumps(
             [event.to_dict() for event in catalog_events], sort_keys=True

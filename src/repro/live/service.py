@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 import json
 from typing import TYPE_CHECKING, Mapping
 
@@ -587,9 +588,7 @@ class LiveBroadcastService:
             return []
         times: list[float] = []
         window_end: float | None = None
-        for event in self.trace:
-            if event.kind == "listener":
-                continue
+        for event in self.trace.mutations():
             if window_end is None or event.time > window_end:
                 window_end = event.time + self.coalesce_window
                 times.append(window_end)
@@ -812,7 +811,10 @@ class LiveBroadcastService:
         schedule: listener runs between catalog mutations are located by
         a mask diff, split at coalescing flush boundaries with one
         ``searchsorted`` per run, and dispatched to the vectorised
-        engine as array slices — no per-event Python work.  A listener
+        engine as array slices — no per-event Python work.  Catalog
+        events come from :meth:`~repro.live.mutations.MutationTrace.
+        mutations`, walked in step with the runs, so a columnar trace
+        never builds its listener events.  A listener
         at exactly a flush time still precedes the flush (trace events
         are scheduled before the dynamically-scheduled flush callback,
         and the loop breaks ties FIFO), so runs are cut only after
@@ -827,10 +829,9 @@ class LiveBroadcastService:
         self._loop = EventLoop()
         self._full_replan("initial")
         self._self_check("initial")
-        events = self.trace.events
         flush_times = self._planned_flush_times()
         if not self.batch_listeners:
-            for event in events:
+            for event in self.trace.events:
                 handler = (
                     self._on_listener
                     if event.kind == "listener"
@@ -850,11 +851,12 @@ class LiveBroadcastService:
         )
         runs = edges.reshape(-1, 2)  # [start, stop) listener runs
         flushes = np.asarray(flush_times, dtype=np.float64)
+        mutations = iter(self.trace.mutations())
         cursor = 0
         for lo, hi in runs.tolist():
-            for k in range(cursor, lo):
+            for event in islice(mutations, lo - cursor):
                 self._loop.schedule_at(
-                    events[k].time, partial(self._on_mutation, events[k])
+                    event.time, partial(self._on_mutation, event)
                 )
             cuts = np.unique(
                 np.searchsorted(all_times[lo:hi], flushes, side="right")
@@ -872,9 +874,9 @@ class LiveBroadcastService:
                     ),
                 )
             cursor = hi
-        for k in range(cursor, len(events)):
+        for event in mutations:
             self._loop.schedule_at(
-                events[k].time, partial(self._on_mutation, events[k])
+                event.time, partial(self._on_mutation, event)
             )
         self._loop.run(until=float(self.trace.horizon))
         return self._build_report()
