@@ -196,15 +196,25 @@ def _build_delay_cache(quick: bool):
         channels = 8
     frequencies = pamad_frequencies(instance, channels).frequencies
     program = place_by_frequency(instance, frequencies, channels).program
-    program_average_delay(program, instance)  # warm the caches
+    program_average_delay(program, instance)  # build the index
+    cycle = program.cycle_length
+    probability = 1.0 / instance.n
 
     def cold() -> float:
-        # Reach into the program's private memo tables to reproduce the
-        # pre-cache behaviour exactly: same program, same evaluation,
-        # appearance tables rebuilt from the raw refs every call.
-        program._slots_cache.clear()
-        program._gaps_cache.clear()
-        return program_average_delay(program, instance)
+        # The evaluation before slots and gaps were cached: every call
+        # re-derives each page's sorted slots and cyclic gaps from its
+        # appearance cells, then applies the same uniform-access model.
+        total = 0.0
+        for page in instance.pages():
+            refs = program.appearances(page.page_id)
+            slots = sorted({ref.slot for ref in refs})
+            ends = slots[1:] + [slots[0] + cycle]
+            excess = [
+                max(b - a - page.expected_time, 0)
+                for a, b in zip(slots, ends)
+            ]
+            total += probability * (sum(e * e for e in excess) / (2 * cycle))
+        return total
 
     config = {"pages": instance.n, "channels": channels}
     return (

@@ -43,7 +43,7 @@ from repro.core.backend import active_backend
 from repro.core.errors import InvalidInstanceError, SimulationError
 from repro.core.intmath import ceil_div
 from repro.core.pages import ProblemInstance
-from repro.core.program import BroadcastProgram
+from repro.core.program import AppearanceIndex, BroadcastProgram
 
 __all__ = [
     "page_average_delay",
@@ -118,29 +118,20 @@ def page_miss_probability(
 def _packed_cyclic_gaps(
     program: BroadcastProgram, page_ids: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """All pages' cyclic gaps back to back, plus row starts.
+    """All pages' int64 cyclic gaps back to back, plus row offsets.
 
-    Returns ``(gaps, starts)`` where ``gaps`` is int64 and
-    ``starts[i]`` indexes page ``i``'s first gap; ``starts`` has one
-    trailing entry equal to ``gaps.size`` so rows are
-    ``gaps[starts[i]:starts[i + 1]]``.  Gap counts equal appearance
-    counts, which are always >= 1 for broadcast pages; a page with no
-    appearances raises, matching the scalar models' division semantics.
+    Page ``i``'s gaps are ``gaps[starts[i]:starts[i + 1]]`` (the
+    program's appearance index re-rowed to ``page_ids``); a page with
+    no appearances raises, matching the scalar models.
     """
-    gap_lists = []
-    for page_id in page_ids:
-        gaps = program.cyclic_gaps(page_id)
-        if not gaps:
-            raise SimulationError(
-                f"page {page_id} does not appear in the program"
-            )
-        gap_lists.append(gaps)
-    counts = np.asarray([len(gaps) for gaps in gap_lists], dtype=np.int64)
-    starts = np.concatenate(([0], np.cumsum(counts)))
-    flat = np.asarray(
-        [gap for gaps in gap_lists for gap in gaps], dtype=np.int64
-    )
-    return flat, starts
+    index = AppearanceIndex.from_program(program, page_ids)
+    off_air = np.flatnonzero(np.diff(index.offsets) == 0)
+    if off_air.size:
+        raise SimulationError(
+            f"page {page_ids[int(off_air[0])]} does not appear in the "
+            "program"
+        )
+    return index.gaps, index.offsets
 
 
 def page_average_delay_batch(

@@ -47,8 +47,8 @@ class Page:
 
     def __post_init__(self) -> None:
         if self.page_id < 0:
-            # -1 is the free-cell marker of the packed program grid, so a
-            # negative id could not survive the packed round trip.
+            # Negative ids are reserved for program-level markers: -1 is
+            # the packed grid's free cell, -2 an air-index segment.
             raise InvalidInstanceError(
                 f"page {self.page_id}: page_id must be >= 0"
             )

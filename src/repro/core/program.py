@@ -11,19 +11,35 @@ so its output can be compared against the paper's Figure 2 directly).
 
 The grid is deliberately a plain list-of-lists rather than a numpy array:
 cells hold optional page ids, programs are small (``N x t_major``), and the
-schedulers probe single cells far more often than they scan rows.
+schedulers probe single cells far more often than they scan rows.  An
+int64 mirror of it (:meth:`BroadcastProgram.packed_grid`, :data:`FREE`
+marking empty cells) serves the array consumers.
+
+Every question a client asks of a program — when does page ``p`` next
+air, how often, on which channels — is answered by one
+:class:`AppearanceIndex`, built from the packed grid by a single stable
+argsort.  The program builds it on first demand, drops it on every
+:meth:`~BroadcastProgram.assign`/:meth:`~BroadcastProgram.clear` and
+shares it with its copies; the index itself never changes.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from repro.core.errors import InvalidInstanceError, SlotConflictError
 
-__all__ = ["SlotRef", "BroadcastProgram"]
+__all__ = ["FREE", "SlotRef", "AppearanceIndex", "BroadcastProgram"]
+
+FREE = -1
+"""The packed grid's free-cell marker; no page may use this id."""
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -39,6 +55,265 @@ class SlotRef:
 
     def __str__(self) -> str:
         return f"(ch={self.channel}, slot={self.slot})"
+
+
+def _cyclic_gaps(
+    slots: np.ndarray, offsets: np.ndarray, cycle: int
+) -> np.ndarray:
+    """Gap from each slot to its row's next one, the last wrapping."""
+    last = offsets[1:] - 1
+    following = np.arange(1, slots.shape[0] + 1)
+    following[last] = offsets[:-1]
+    gaps = slots[following] - slots
+    gaps[last] += cycle
+    return gaps
+
+
+def _gather(
+    offsets: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets and flat positions of ``rows`` (``-1``: empty) re-packed."""
+    present = rows >= 0
+    starts = np.where(present, offsets[rows], 0)
+    counts = np.where(present, offsets[rows + 1] - starts, 0)
+    packed = np.zeros(rows.shape[0] + 1, dtype=np.int64)
+    np.cumsum(counts, out=packed[1:])
+    take = np.repeat(starts - packed[:-1], counts) + np.arange(packed[-1])
+    return packed, take
+
+
+@dataclass(frozen=True, eq=False)
+class AppearanceIndex:
+    """Every page's appearances in one program, as flat int64 arrays.
+
+    Row ``r`` is page ``page_ids[r]``: its ascending distinct slots are
+    ``slots[offsets[r]:offsets[r + 1]]``, with the cyclic gap from each
+    to the next at the same positions of ``gaps`` (a row's gaps sum to
+    ``cycle_length``); its cells, in airtime ``(slot, channel)`` order,
+    are ``cell_slots``/``cell_channels[cell_offsets[r]:cell_offsets[r +
+    1]]``.  A program's own index has its pages sorted by id and no
+    empty row.  Derived tables (the scalar queries' Python-list views,
+    the row lookups, the wait kernels' keys and table) are built on
+    first use and cached on the instance, so they die with it.
+    """
+
+    cycle_length: int
+    page_ids: np.ndarray
+    offsets: np.ndarray
+    slots: np.ndarray
+    gaps: np.ndarray
+    cell_offsets: np.ndarray
+    cell_slots: np.ndarray
+    cell_channels: np.ndarray
+    _counts: dict[int, int] | None = field(init=False, repr=False)
+    _slot_rows: dict[int, list[int]] | None = field(init=False, repr=False)
+    _gap_rows: dict[int, list[int]] | None = field(init=False, repr=False)
+
+    @classmethod
+    def from_packed(cls, packed: np.ndarray) -> "AppearanceIndex":
+        """Index a packed int64 grid (:data:`FREE` marks empty cells)."""
+        num_channels, cycle = packed.shape
+        # Column-major order numbers the cells by airtime (slot, then
+        # channel); a stable sort by page id keeps that order per page.
+        flat = packed.T.ravel()
+        cells = np.flatnonzero(flat != FREE)
+        cells = cells[np.argsort(flat[cells], kind="stable")]
+        pids = flat[cells]
+        cell_slots, cell_channels = np.divmod(cells, num_channels)
+        first_cell = np.ones(pids.shape[0], dtype=bool)
+        first_cell[1:] = pids[1:] != pids[:-1]
+        distinct = first_cell.copy()
+        distinct[1:] |= cell_slots[1:] != cell_slots[:-1]
+        slots = cell_slots[distinct]
+        offsets = np.append(
+            np.flatnonzero(first_cell[distinct]), slots.shape[0]
+        )
+        return cls(
+            cycle_length=cycle,
+            page_ids=pids[first_cell],
+            offsets=offsets,
+            slots=slots,
+            gaps=_cyclic_gaps(slots, offsets, cycle),
+            cell_offsets=np.append(
+                np.flatnonzero(first_cell), pids.shape[0]
+            ),
+            cell_slots=cell_slots,
+            cell_channels=cell_channels,
+        )
+
+    @classmethod
+    def from_program(
+        cls,
+        program: "BroadcastProgram",
+        page_ids: Iterable[int] | None = None,
+    ) -> "AppearanceIndex":
+        """``program``'s own index, or with rows for ``page_ids`` in order.
+
+        Re-rowing is a gather; pages absent from the program get empty
+        rows (callers decide whether that is an error or an off-air
+        observation).
+        """
+        index = program._appearance_index()
+        if page_ids is None:
+            return index
+        ids = np.asarray(list(page_ids), dtype=np.int64)
+        rows = index.rows_for(ids)
+        offsets, take = _gather(index.offsets, rows)
+        cell_offsets, cell_take = _gather(index.cell_offsets, rows)
+        return cls(
+            cycle_length=index.cycle_length,
+            page_ids=ids,
+            offsets=offsets,
+            slots=index.slots[take],
+            gaps=index.gaps[take],
+            cell_offsets=cell_offsets,
+            cell_slots=index.cell_slots[cell_take],
+            cell_channels=index.cell_channels[cell_take],
+        )
+
+    # ------------------------------------------------------------------
+    # Lazy views for the program's scalar queries
+    # ------------------------------------------------------------------
+
+    def __post_init__(self) -> None:
+        # Filled on first use.  Plain attributes, not cached properties,
+        # which read markedly slower: the scalar queries read these once
+        # per page per metric and once per simulated request.
+        object.__setattr__(self, "_counts", None)
+        object.__setattr__(self, "_slot_rows", None)
+        object.__setattr__(self, "_gap_rows", None)
+
+    def _build_counts(self) -> dict[int, int]:
+        """``_counts``: page id -> appearance cells, in row order."""
+        counts = dict(
+            zip(self.page_ids.tolist(), np.diff(self.cell_offsets).tolist())
+        )
+        object.__setattr__(self, "_counts", counts)
+        return counts
+
+    def _split(self, name: str, values: np.ndarray) -> dict[int, list[int]]:
+        flat = values.tolist()
+        bounds = self.offsets.tolist()
+        rows = dict(
+            zip(
+                self.page_ids.tolist(),
+                [flat[a:b] for a, b in zip(bounds, bounds[1:])],
+            )
+        )
+        object.__setattr__(self, name, rows)
+        return rows
+
+    def _build_slot_rows(self) -> dict[int, list[int]]:
+        """``_slot_rows``: page id -> ascending distinct slots."""
+        return self._split("_slot_rows", self.slots)
+
+    def _build_gap_rows(self) -> dict[int, list[int]]:
+        """``_gap_rows``: page id -> cyclic gaps."""
+        return self._split("_gap_rows", self.gaps)
+
+    # ------------------------------------------------------------------
+    # Batch lookups for the wait kernels
+    # ------------------------------------------------------------------
+
+    @cached_property
+    def _row_lut(self) -> np.ndarray | None:
+        """Dense ``id -> row`` table, or ``None`` for sparse id spaces."""
+        if not self.page_ids.size:
+            return None
+        top = int(self.page_ids.max())
+        if (
+            int(self.page_ids.min()) < 0
+            or top > 4 * self.page_ids.size + 1024
+        ):
+            return None
+        lut = np.full(top + 2, -1, dtype=np.int64)
+        lut[self.page_ids] = np.arange(
+            self.page_ids.shape[0], dtype=np.int64
+        )
+        return lut
+
+    def rows_for(self, page_ids: np.ndarray) -> np.ndarray:
+        """Resolve many page ids to row indices (``-1`` = not indexed).
+
+        A cached ``id -> row`` lookup table turns resolution into one
+        gather when the id space is dense (the common case: page ids
+        grow by insertion); sparse id spaces fall back to a
+        ``searchsorted`` over the sorted ``page_ids``.
+        """
+        lut = self._row_lut
+        page_ids = np.asarray(page_ids, dtype=np.int64)
+        if lut is not None:
+            top = lut.shape[0] - 2
+            safe = np.where(
+                (page_ids >= 0) & (page_ids <= top), page_ids, top + 1
+            )
+            return lut[safe]
+        if not self.page_ids.size:
+            return np.full(page_ids.shape[0], -1, dtype=np.int64)
+        pos = np.searchsorted(self.page_ids, page_ids)
+        pos = np.minimum(pos, self.page_ids.shape[0] - 1)
+        return np.where(self.page_ids[pos] == page_ids, pos, -1)
+
+    @cached_property
+    def _row_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-slot integer sort keys and each row's first position.
+
+        ``keys[k] = slot + row * cycle`` is globally sorted because each
+        row's slots are sorted within ``[0, cycle)``, which lets
+        :func:`~repro.analysis.vectorized.batch_waits` resolve a whole
+        mixed-page batch with one ``searchsorted`` instead of a Python
+        loop per distinct page.  ``firsts[row]`` is the flat position of
+        the row's first slot (``-1`` for off-air rows).  Integer keys,
+        not biased floats: ``arrival + row * cycle`` can round across a
+        slot boundary, breaking bit-identity with the scalar kernel.
+        """
+        counts = np.diff(self.offsets)
+        row_of_slot = np.repeat(
+            np.arange(counts.shape[0], dtype=np.int64), counts
+        )
+        keys = self.slots + row_of_slot * self.cycle_length
+        firsts = np.where(counts > 0, self.offsets[:-1], -1)
+        return keys, firsts
+
+    #: Dense wait tables are only worth their memory for the small
+    #: serving programs the live replay loop indexes; past this many
+    #: row x arrival cells the wait kernel binary-searches instead.
+    _WAIT_LUT_MAX_CELLS = 1 << 16
+
+    @cached_property
+    def _wait_lut(self) -> np.ndarray | None:
+        """Dense next-appearance table.
+
+        ``lut[row * (cycle + 1) + c]`` is the slot a request arriving at
+        any time with ``ceil(arrival) == c`` waits for — the row's first
+        slot ``>= c``, or its first slot plus one cycle when the arrival
+        is past the row's last appearance.  This turns the whole wait
+        search into one gather; ``None`` when the table would be large
+        (fall back to ``searchsorted``) or any row is empty (the search
+        path owns the off-air error).
+        """
+        counts = np.diff(self.offsets)
+        cycle = self.cycle_length
+        if (
+            counts.size == 0
+            or counts.shape[0] * (cycle + 1) > self._WAIT_LUT_MAX_CELLS
+            or bool((counts == 0).any())
+        ):
+            return None
+        # One searchsorted over the whole row x arrival grid, reusing
+        # the global integer keys (a Python per-row loop here would eat
+        # the gain on mutation-heavy traces).
+        keys, firsts = self._row_keys
+        rows_arange = np.arange(counts.shape[0], dtype=np.int64)
+        cells = (
+            rows_arange[:, None] * cycle
+            + np.arange(cycle + 1, dtype=np.int64)[None, :]
+        ).ravel()
+        pos = np.searchsorted(keys, cells, side="left")
+        row_of_cell = np.repeat(rows_arange, cycle + 1)
+        wrapped = pos == self.offsets[row_of_cell + 1]
+        nxt = self.slots[np.where(wrapped, firsts[row_of_cell], pos)]
+        return np.where(wrapped, nxt + cycle, nxt)
 
 
 class BroadcastProgram:
@@ -63,22 +338,10 @@ class BroadcastProgram:
         self._grid: list[list[int | None]] = [
             [None] * cycle_length for _ in range(num_channels)
         ]
-        # page_id -> sorted-on-demand list of SlotRef; the source of
-        # truth for appearance queries.  ``None`` means "not built yet":
-        # bulk constructors (:meth:`from_grid` / :meth:`from_array`)
-        # defer the table and the first appearance query derives it from
-        # the grid in one row-major pass — so building a program costs
-        # O(rows copied) and consumers that never ask for appearances
-        # (placement benchmarks, grid diffs) never pay for SlotRefs.
-        self._appearances: dict[int, list[SlotRef]] | None = {}
-        # Memoised derived tables, invalidated per page on any mutation
-        # of that page's cells.  Delay evaluation calls appearance_slots/
-        # cyclic_gaps once per page per metric, so repeated evaluation of
-        # a finished program (the common analysis pattern) pays the sort
-        # exactly once.
-        self._slots_cache: dict[int, list[int]] = {}
-        self._gaps_cache: dict[int, list[int]] = {}
-        # Packed int64 mirror of the grid (-1 = free), built lazily by
+        # Appearance index of the grid; None until queried, and again
+        # after any mutation.
+        self._index: AppearanceIndex | None = None
+        # Packed int64 mirror of the grid (FREE = empty), built lazily by
         # :meth:`packed_grid` and kept in sync cell-by-cell on mutation.
         # The array-kernel constructors seed it for free, so consumers
         # like the live re-plan patcher never pay an O(grid) conversion.
@@ -111,8 +374,7 @@ class BroadcastProgram:
 
         External caches keyed on ``(id(program), program.version)`` stay
         coherent across in-place repairs without subscribing to every
-        mutation (the appearance-index memo in
-        :mod:`repro.analysis.vectorized` is the canonical consumer).
+        mutation.
         """
         return self._version
 
@@ -139,41 +401,27 @@ class BroadcastProgram:
         """True if the cell holds no page."""
         return self.get(channel, slot) is None
 
-    def _appearance_table(self) -> dict[int, list[SlotRef]]:
-        """The appearance table, derived from the grid on first demand."""
-        table = self._appearances
-        if table is None:
-            table = {}
-            for channel, row in enumerate(self._grid):
-                for slot, page_id in enumerate(row):
-                    if page_id is not None:
-                        refs = table.get(page_id)
-                        if refs is None:
-                            table[page_id] = refs = []
-                        refs.append(SlotRef(slot=slot, channel=channel))
-            self._appearances = table
-        return table
-
     def assign(self, channel: int, slot: int, page_id: int) -> None:
         """Place ``page_id`` at ``(channel, slot)``.
 
         Raises:
+            InvalidInstanceError: If ``page_id`` is the reserved
+                :data:`FREE` marker.
             SlotConflictError: If the cell is already occupied.
         """
         self._check_cell(channel, slot)
+        if page_id == FREE:
+            raise InvalidInstanceError(
+                f"page id {FREE} is reserved for free cells"
+            )
         occupant = self._grid[channel][slot]
         if occupant is not None:
             raise SlotConflictError(
                 f"slot (ch={channel}, slot={slot}) already holds page "
                 f"{occupant}; cannot place page {page_id}"
             )
-        appearances = self._appearance_table()
         self._grid[channel][slot] = page_id
-        appearances.setdefault(page_id, []).append(
-            SlotRef(slot=slot, channel=channel)
-        )
-        self._slots_cache.pop(page_id, None)
-        self._gaps_cache.pop(page_id, None)
+        self._index = None
         if self._packed is not None:
             self._packed[channel, slot] = page_id
         self._version += 1
@@ -183,16 +431,10 @@ class BroadcastProgram:
         self._check_cell(channel, slot)
         occupant = self._grid[channel][slot]
         if occupant is not None:
-            appearances = self._appearance_table()
             self._grid[channel][slot] = None
-            refs = appearances[occupant]
-            refs.remove(SlotRef(slot=slot, channel=channel))
-            if not refs:
-                del appearances[occupant]
-            self._slots_cache.pop(occupant, None)
-            self._gaps_cache.pop(occupant, None)
+            self._index = None
             if self._packed is not None:
-                self._packed[channel, slot] = -1
+                self._packed[channel, slot] = FREE
             self._version += 1
         return occupant
 
@@ -241,13 +483,37 @@ class BroadcastProgram:
     # Appearance queries (the client's view)
     # ------------------------------------------------------------------
 
+    def _appearance_index(self) -> AppearanceIndex:
+        if self._index is None:
+            self._index = AppearanceIndex.from_packed(self.packed_grid())
+        return self._index
+
+    # The scalar queries below inline ``self._index or ...`` and the
+    # index's ``view or build`` reads: they run once per page per metric
+    # and once per simulated request, so every extra call shows.
+
+    def _count_view(self) -> dict[int, int]:
+        index = self._index or self._appearance_index()
+        return index._counts or index._build_counts()
+
     def page_ids(self) -> set[int]:
         """All page ids appearing at least once in the program."""
-        return set(self._appearance_table())
+        return set(self._count_view())
 
     def appearances(self, page_id: int) -> list[SlotRef]:
         """All cells holding ``page_id``, sorted by airtime."""
-        return sorted(self._appearance_table().get(page_id, []))
+        index = self._appearance_index()
+        row = int(np.searchsorted(index.page_ids, page_id))
+        if row == index.page_ids.shape[0] or index.page_ids[row] != page_id:
+            return []
+        start, stop = index.cell_offsets[row:row + 2].tolist()
+        return [
+            SlotRef(slot=slot, channel=channel)
+            for slot, channel in zip(
+                index.cell_slots[start:stop].tolist(),
+                index.cell_channels[start:stop].tolist(),
+            )
+        ]
 
     def appearance_slots(self, page_id: int) -> list[int]:
         """Sorted slot indices at which ``page_id`` is broadcast.
@@ -256,29 +522,18 @@ class BroadcastProgram:
         tunes to whichever channel carries the next appearance, so only the
         slot (column) matters for waiting time.
         """
-        cached = self._slots_cache.get(page_id)
-        if cached is None:
-            cached = sorted(
-                {
-                    ref.slot
-                    for ref in self._appearance_table().get(page_id, [])
-                }
-            )
-            self._slots_cache[page_id] = cached
-        return list(cached)
+        index = self._index or self._appearance_index()
+        rows = index._slot_rows or index._build_slot_rows()
+        return [*rows.get(page_id, ())]
 
     def broadcast_count(self, page_id: int) -> int:
         """Number of appearances of ``page_id`` in one cycle (``s_{i,j}``)."""
-        return len(self._appearance_table().get(page_id, []))
+        index = self._index or self._appearance_index()
+        return (index._counts or index._build_counts()).get(page_id, 0)
 
     def page_counts(self) -> Counter[int]:
         """Appearance count per page id."""
-        return Counter(
-            {
-                page_id: len(refs)
-                for page_id, refs in self._appearance_table().items()
-            }
-        )
+        return Counter(self._count_view())
 
     def cyclic_gaps(self, page_id: int) -> list[int]:
         """Cyclic gaps between consecutive appearances of ``page_id``.
@@ -286,20 +541,13 @@ class BroadcastProgram:
         The gaps partition the cycle: they always sum to ``cycle_length``.
         A page appearing once has a single gap equal to the whole cycle.
         """
-        cached = self._gaps_cache.get(page_id)
-        if cached is None:
-            slots = self.appearance_slots(page_id)
-            if not slots:
-                raise InvalidInstanceError(
-                    f"page {page_id} does not appear in the program"
-                )
-            if len(slots) == 1:
-                cached = [self._cycle_length]
-            else:
-                cached = [b - a for a, b in zip(slots, slots[1:])]
-                cached.append(self._cycle_length - slots[-1] + slots[0])
-            self._gaps_cache[page_id] = cached
-        return list(cached)
+        index = self._index or self._appearance_index()
+        try:
+            return [*(index._gap_rows or index._build_gap_rows())[page_id]]
+        except KeyError:
+            raise InvalidInstanceError(
+                f"page {page_id} does not appear in the program"
+            ) from None
 
     def wait_time(self, page_id: int, arrival: float) -> float:
         """Time from ``arrival`` until the next broadcast start of ``page_id``.
@@ -307,16 +555,18 @@ class BroadcastProgram:
         ``arrival`` is a (possibly fractional) time in ``[0, cycle_length)``;
         a client arriving exactly when the page starts waits zero.
         """
-        slots = self.appearance_slots(page_id)
-        if not slots:
+        index = self._index or self._appearance_index()
+        slots = (index._slot_rows or index._build_slot_rows()).get(page_id)
+        if slots is None:
             raise InvalidInstanceError(
                 f"page {page_id} does not appear in the program"
             )
         if not 0 <= arrival < self._cycle_length:
             arrival %= self._cycle_length
-        for slot in slots:
-            if slot >= arrival:
-                return slot - arrival
+        # The first slot >= arrival, found by bisection.
+        at = bisect_left(slots, arrival)
+        if at < len(slots):
+            return slots[at] - arrival
         return slots[0] + self._cycle_length - arrival
 
     # ------------------------------------------------------------------
@@ -333,9 +583,7 @@ class BroadcastProgram:
         every non-``None`` cell in row-major order, but without per-cell
         bounds and conflict checks (each cell is written exactly once by
         construction).  Fast placement kernels materialise their result
-        through this path.  The appearance table is deferred: building it
-        per cell would dominate large constructions, and the first
-        appearance query derives the identical table from the grid.
+        through this path.
         """
         if not grid or not grid[0]:
             raise InvalidInstanceError("grid must be non-empty")
@@ -349,20 +597,21 @@ class BroadcastProgram:
                     f"{cycle_length}"
                 )
             rows[channel] = list(row)
-        program._appearances = None
+            if FREE in rows[channel]:
+                raise InvalidInstanceError(
+                    f"grid row {channel} holds page id {FREE}, which is "
+                    "reserved for free cells"
+                )
         return program
 
     @classmethod
     def from_array(cls, array) -> "BroadcastProgram":
-        """Build a program from an int array grid (``-1`` marks empty).
+        """Build a program from an int array grid (:data:`FREE` marks empty).
 
         The vectorised placement kernels finish holding a numpy
         ``(num_channels, cycle_length)`` int grid; this converts it in
-        bulk (one C-level pass per row, no per-cell Python loop) and
-        defers the appearance table exactly like :meth:`from_grid`.
+        bulk (one C-level pass per row, no per-cell Python loop).
         """
-        import numpy as np
-
         arr = np.asarray(array)
         if arr.ndim != 2 or arr.size == 0:
             raise InvalidInstanceError("grid must be a non-empty 2-D array")
@@ -373,52 +622,32 @@ class BroadcastProgram:
         return program
 
     def _load_packed(self, packed) -> None:
-        """Adopt an owned int64 ``packed`` grid; derived tables deferred.
+        """Adopt an owned int64 ``packed`` grid; the index is deferred.
 
-        Shape, list grid and packed mirror all come from ``packed``; the
-        appearance table is left to be derived on first demand and the
-        slot/gap memos start empty.  :attr:`version` is the caller's.
+        Shape, list grid and packed mirror all come from ``packed``.
+        :attr:`version` is the caller's.
         """
         cells = packed.astype(object)
-        cells[packed < 0] = None
+        cells[packed == FREE] = None
         self._num_channels, self._cycle_length = packed.shape
         self._grid = cells.tolist()
-        self._appearances = None
-        self._slots_cache = {}
-        self._gaps_cache = {}
+        self._index = None
         self._packed = packed
 
     def copy(self) -> "BroadcastProgram":
-        """An independent copy of this program (grid and appearances).
+        """An independent copy of this program.
 
-        A structural copy, not a rebuild: the per-cell containers are
-        duplicated but the :class:`SlotRef` objects (immutable) and the
-        memoised appearance tables are shared/copied as-is, so copying
-        costs list duplication rather than re-deriving every reference.
-        A deferred appearance table stays deferred in the clone.
-        The live re-plan patcher copies the on-air program this way
-        before editing one group's cells.
+        The grid rows and the packed mirror are duplicated; the
+        appearance index is immutable, so the clone shares it until
+        either side mutates.  The live re-plan patcher copies the on-air
+        program this way before editing one group's cells.
         """
         clone = BroadcastProgram(
             num_channels=self._num_channels,
             cycle_length=self._cycle_length,
         )
         clone._grid = [list(row) for row in self._grid]
-        if self._appearances is None:
-            clone._appearances = None
-        else:
-            clone._appearances = {
-                page_id: list(refs)
-                for page_id, refs in self._appearances.items()
-            }
-        clone._slots_cache = {
-            page_id: list(slots)
-            for page_id, slots in self._slots_cache.items()
-        }
-        clone._gaps_cache = {
-            page_id: list(gaps)
-            for page_id, gaps in self._gaps_cache.items()
-        }
+        clone._index = self._index
         if self._packed is not None:
             clone._packed = self._packed.copy()
         return clone
@@ -428,7 +657,7 @@ class BroadcastProgram:
         return [list(row) for row in self._grid]
 
     def packed_grid(self):
-        """The grid as an int64 numpy array, ``-1`` marking free cells.
+        """The grid as an int64 numpy array, :data:`FREE` marking free cells.
 
         The array is the program's internal mirror — treat it as
         read-only and ``.copy()`` before editing.  Programs built by the
@@ -439,11 +668,9 @@ class BroadcastProgram:
         makes its taut-budget patches microsecond-scale.
         """
         if self._packed is None:
-            import numpy as np
-
             self._packed = np.asarray(
                 [
-                    [-1 if cell is None else cell for cell in row]
+                    [FREE if cell is None else cell for cell in row]
                     for row in self._grid
                 ],
                 dtype=np.int64,
@@ -488,19 +715,16 @@ class BroadcastProgram:
     def __getstate__(self) -> dict:
         """Pickle as the packed int64 grid plus :attr:`version`.
 
-        Every other attribute is derived from the grid: the nested-list
-        grid, the appearance table and the slot/gap memos together
-        outweigh the packed grid several times over and cost far more
-        to pickle.  Sweep results cross the process pool this way, so
-        the wire carries one contiguous array per program and the
-        receiving side rebuilds the derived tables lazily on first use.
+        Everything else — the nested-list grid and the appearance index —
+        is derived from the grid, outweighs it several times over and
+        costs far more to pickle.  Sweep results cross the process pool
+        this way, so the wire carries one contiguous array per program
+        and the receiving side rebuilds the rest lazily on first use.
         """
         return {"packed": self.packed_grid(), "version": self._version}
 
     def __setstate__(self, state: dict) -> None:
         """Rebuild a pickled program the way :meth:`from_array` does."""
-        import numpy as np
-
         self._load_packed(state["packed"].astype(np.int64))
         self._version = state["version"]
 
@@ -521,7 +745,7 @@ class BroadcastProgram:
         """
         if cell_width is None:
             widest = max(
-                (len(str(pid)) for pid in self._appearance_table()),
+                (len(str(pid)) for pid in self._count_view()),
                 default=1,
             )
             cell_width = max(widest, len(str(self._cycle_length))) + 1
@@ -548,6 +772,6 @@ class BroadcastProgram:
         return (
             f"BroadcastProgram(channels={self._num_channels}, "
             f"cycle={self._cycle_length}, "
-            f"pages={len(self._appearance_table())}, "
+            f"pages={self._appearance_index().page_ids.shape[0]}, "
             f"occupancy={self.occupancy():.2f})"
         )

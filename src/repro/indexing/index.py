@@ -23,10 +23,12 @@ trade-off this substrate lets the benchmarks reproduce:
 * **tuning time** (slots spent actively listening) shrinks, because the
   next index is at most ``cycle/m`` away.
 
-Index slots are materialised in the expanded program with reserved
-negative ids (:data:`INDEX_SLOT`), so the expanded grid remains an
-ordinary :class:`BroadcastProgram` and all existing tooling (rendering,
-serialisation, occupancy) keeps working.
+Index slots are materialised in the expanded program under the reserved
+page id :data:`INDEX_SLOT` (``-2``; ``-1`` is the packed grid's free-cell
+marker :data:`~repro.core.program.FREE`, which no page may use), so the
+expanded grid remains an ordinary :class:`BroadcastProgram` and all
+existing tooling (appearance queries, rendering, serialisation,
+pickling, occupancy) keeps working.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from repro.core.program import BroadcastProgram
 
 __all__ = ["INDEX_SLOT", "AccessResult", "IndexedProgram", "build_indexed_program"]
 
-INDEX_SLOT = -1
+INDEX_SLOT = -2
 """Reserved page id marking an index segment slot in the expanded grid."""
 
 
@@ -220,19 +222,10 @@ class IndexedProgram:
         next_index = _slot_of_next(index_starts, arrival, cycle)
         index_done = next_index + self._index_slots
 
-        data_slots = self._expanded.appearance_slots(page_id)
-        if not data_slots:
-            raise InvalidInstanceError(
-                f"page {page_id} does not appear in the program"
-            )
-        page_slot = _slot_of_next(data_slots, index_done % cycle, cycle)
-        # Re-express relative to arrival (may wrap one extra cycle).
-        absolute_page_slot = (
-            page_slot
-            if page_slot >= index_done % cycle
-            else page_slot + cycle
+        # Raises InvalidInstanceError when the page is not on air.
+        wait_after_index = self._expanded.wait_time(
+            page_id, index_done % cycle
         )
-        wait_after_index = absolute_page_slot - (index_done % cycle)
         access_time = (index_done - arrival) + wait_after_index + 1
         pre_index_wait = next_index - arrival
         if self._pointer_packets:

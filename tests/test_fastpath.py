@@ -213,7 +213,7 @@ class TestCeilDiv:
 
 
 # ----------------------------------------------------------------------
-# Appearance-table caches on BroadcastProgram
+# The appearance index on BroadcastProgram
 # ----------------------------------------------------------------------
 
 
@@ -235,8 +235,7 @@ class TestAppearanceCaches:
             page_id: program.cyclic_gaps(page_id)
             for page_id in program.page_ids()
         }
-        program._slots_cache.clear()
-        program._gaps_cache.clear()
+        program._index = None  # drop the index; the next query rebuilds it
         for page_id in program.page_ids():
             assert program.appearance_slots(page_id) == warm_slots[page_id]
             assert program.cyclic_gaps(page_id) == warm_gaps[page_id]
@@ -247,11 +246,11 @@ class TestAppearanceCaches:
         page_id = max(counts, key=counts.get)  # keeps >=1 copy on air
         assert counts[page_id] > 1
         before = program.appearance_slots(page_id)
-        program.cyclic_gaps(page_id)  # populate both memo tables
+        program.cyclic_gaps(page_id)  # build the index and its views
         ref = program.appearances(page_id)[0]
         program.clear(ref.channel, ref.slot)
-        # The memoised answers must match a ground-truth recompute from
-        # the raw references, not the stale pre-mutation tables.
+        # The answers must match a ground-truth recompute from the raw
+        # references, not the stale pre-mutation index.
         truth = sorted({r.slot for r in program.appearances(page_id)})
         assert truth != before
         assert program.appearance_slots(page_id) == truth

@@ -68,6 +68,24 @@ class TestExpandedGrid:
         index_cells = expanded.broadcast_count(INDEX_SLOT)
         assert index_cells == 3 * 2 * expanded.num_channels
 
+    def test_index_cells_survive_a_pickle_round_trip(self, data_program):
+        # INDEX_SLOT must not collide with the packed grid's free-cell
+        # marker, which unpickling (like from_array) turns into None.
+        import pickle
+
+        from repro.core.program import FREE
+
+        assert INDEX_SLOT != FREE
+        expanded = IndexedProgram(data_program, m=3).expanded_program
+        loaded = pickle.loads(pickle.dumps(expanded))
+        assert loaded == expanded
+        assert loaded.broadcast_count(INDEX_SLOT) == (
+            expanded.broadcast_count(INDEX_SLOT)
+        ) == 3 * expanded.num_channels
+        assert loaded.appearance_slots(INDEX_SLOT) == (
+            expanded.appearance_slots(INDEX_SLOT)
+        )
+
     def test_data_preserved_in_order(self, data_program, fig2_instance):
         indexed = IndexedProgram(data_program, m=2)
         expanded = indexed.expanded_program

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import InvalidInstanceError, SlotConflictError
-from repro.core.program import BroadcastProgram, SlotRef
+from repro.core.program import FREE, BroadcastProgram, SlotRef
 
 
 @pytest.fixture
@@ -60,6 +60,30 @@ class TestCellAccess:
             empty_program.get(0, 4)
         with pytest.raises(InvalidInstanceError):
             empty_program.get(-1, 0)
+
+    def test_free_marker_is_not_a_page_id(self, empty_program):
+        with pytest.raises(InvalidInstanceError, match="reserved"):
+            empty_program.assign(0, 0, FREE)
+        assert empty_program.is_free(0, 0)
+        assert empty_program.version == 0
+        with pytest.raises(InvalidInstanceError, match="reserved"):
+            BroadcastProgram.from_grid([[1, FREE], [None, 2]])
+        with pytest.raises(InvalidInstanceError, match="reserved"):
+            BroadcastProgram.from_dict(
+                {"num_channels": 1, "cycle_length": 2, "grid": [[FREE, 3]]}
+            )
+
+    def test_other_negative_ids_are_pages(self):
+        # Only FREE marks a free cell; every other id is a page, through
+        # the packed grid and a pickle round trip alike.
+        import pickle
+
+        program = BroadcastProgram.from_array([[-2, FREE], [FREE, -3]])
+        assert program.grid_rows() == [[-2, None], [None, -3]]
+        assert program.page_ids() == {-2, -3}
+        loaded = pickle.loads(pickle.dumps(program))
+        assert loaded == program
+        assert loaded.broadcast_count(-2) == 1
 
     def test_clear_returns_occupant(self, filled_program):
         assert filled_program.clear(0, 0) == 1

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -318,24 +319,28 @@ class TestSerialisationProperties:
 
 @st.composite
 def built_programs(draw):
-    """A program built by one of the construction paths, caches maybe warm.
+    """A program built by one of the construction paths, index maybe warm.
 
     ``assign``, ``from_grid`` and ``from_array`` fill the same random
-    grid; ``copy`` clones an assigned program and ``clear`` frees some
-    of its cells afterwards, so every path that can leave derived
-    tables, the packed mirror or :attr:`version` in a distinct state
-    is represented.
+    grid; ``copy`` clones an assigned program, ``clear`` frees some of
+    its cells afterwards and ``ops`` applies a random run of
+    ``assign``/``clear`` calls, querying the index between some of them,
+    so every path that can leave the appearance index, the packed
+    mirror or :attr:`version` in a distinct state is represented.  Cells
+    may hold negative page ids other than the free marker (the indexing
+    layer's ``INDEX_SLOT`` is one).
     """
     import numpy as np
 
-    from repro.core.program import BroadcastProgram
+    from repro.core.program import FREE, BroadcastProgram
 
     channels = draw(st.integers(1, 4))
     cycle = draw(st.integers(1, 12))
+    page_ids = st.integers(-3, 20).filter(lambda pid: pid != FREE)
     grid = [
         draw(
             st.lists(
-                st.none() | st.integers(0, 20),
+                st.none() | page_ids,
                 min_size=cycle,
                 max_size=cycle,
             )
@@ -343,16 +348,33 @@ def built_programs(draw):
         for _ in range(channels)
     ]
     path = draw(
-        st.sampled_from(("assign", "from_grid", "from_array", "copy", "clear"))
+        st.sampled_from(
+            ("assign", "from_grid", "from_array", "copy", "clear", "ops")
+        )
     )
     if path == "from_grid":
         program = BroadcastProgram.from_grid(grid)
     elif path == "from_array":
         program = BroadcastProgram.from_array(
             np.array(
-                [[-1 if cell is None else cell for cell in row] for row in grid]
+                [
+                    [FREE if cell is None else cell for cell in row]
+                    for row in grid
+                ]
             )
         )
+    elif path == "ops":
+        program = BroadcastProgram(channels, cycle)
+        cells = st.tuples(
+            st.integers(0, channels - 1), st.integers(0, cycle - 1)
+        )
+        for channel, slot in draw(st.lists(cells, max_size=30)):
+            if draw(st.booleans()):
+                program.page_ids()  # build the index mid-run
+            if program.is_free(channel, slot):
+                program.assign(channel, slot, draw(page_ids))
+            else:
+                program.clear(channel, slot)
     else:
         program = BroadcastProgram(channels, cycle)
         for channel, row in enumerate(grid):
@@ -435,6 +457,153 @@ class TestPickleProperties:
         rebuilt = BroadcastProgram.from_grid(loaded.grid_rows())
         assert _program_view(loaded) == _program_view(rebuilt)
         assert (program.version, _program_view(program)) == before
+
+
+def _oracle_table(program):
+    """The per-page appearance table, built the obvious way.
+
+    A row-major double loop over the grid collecting each page's cells,
+    then per page its airtime-sorted cells, distinct slots and cyclic
+    gaps — the dict of ``SlotRef`` lists ``BroadcastProgram`` kept before
+    its appearance index.
+    """
+    from repro.core.program import SlotRef
+
+    cells = {}
+    for channel, row in enumerate(program.grid_rows()):
+        for slot, page_id in enumerate(row):
+            if page_id is not None:
+                cells.setdefault(page_id, []).append(SlotRef(slot, channel))
+    table = {}
+    for page_id, refs in cells.items():
+        slots = sorted({ref.slot for ref in refs})
+        gaps = [b - a for a, b in zip(slots, slots[1:])]
+        gaps.append(program.cycle_length - slots[-1] + slots[0])
+        table[page_id] = (sorted(refs), slots, gaps)
+    return table
+
+
+def _oracle_wait(slots, arrival, cycle):
+    """The linear next-appearance scan ``wait_time`` must reproduce."""
+    if not 0 <= arrival < cycle:
+        arrival %= cycle
+    for slot in slots:
+        if slot >= arrival:
+            return slot - arrival
+    return slots[0] + cycle - arrival
+
+
+def _check_against_oracle(program, absent=(-1, 21)):
+    from collections import Counter
+
+    table = _oracle_table(program)
+    assert program.page_ids() == set(table)
+    assert program.page_counts() == Counter(
+        {page_id: len(refs) for page_id, (refs, _, _) in table.items()}
+    )
+    for page_id, (refs, slots, gaps) in table.items():
+        assert program.appearances(page_id) == refs
+        assert program.appearance_slots(page_id) == slots
+        assert program.broadcast_count(page_id) == len(refs)
+        assert program.cyclic_gaps(page_id) == gaps
+    for page_id in absent:
+        assert page_id not in table
+        assert program.appearances(page_id) == []
+        assert program.appearance_slots(page_id) == []
+        assert program.broadcast_count(page_id) == 0
+    assert f"pages={len(table)}," in repr(program)
+    return table
+
+
+class TestAppearanceIndexOracle:
+    @given(program=built_programs())
+    @settings(max_examples=120, deadline=None)
+    def test_every_view_matches_the_oracle(self, program):
+        import pickle
+
+        table = _check_against_oracle(program)
+        # The same answers after a pickle round trip (packed grid only).
+        assert _oracle_table(pickle.loads(pickle.dumps(program))) == table
+        _check_against_oracle(pickle.loads(pickle.dumps(program)))
+
+    @given(program=built_programs(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_copy_then_mutate_leaves_the_original(self, program, data):
+        import pickle
+
+        before = _oracle_table(program)
+        program.page_ids()  # the clone shares a built index
+        clone = program.copy()
+        cells = st.tuples(
+            st.integers(0, program.num_channels - 1),
+            st.integers(0, program.cycle_length - 1),
+        )
+        for channel, slot in data.draw(st.lists(cells, max_size=8)):
+            if clone.is_free(channel, slot):
+                clone.assign(channel, slot, data.draw(st.integers(0, 20)))
+            else:
+                clone.clear(channel, slot)
+            _check_against_oracle(clone)
+        assert _check_against_oracle(program) == before
+        # The original's packed grid (what pickling ships) is untouched.
+        restored = pickle.loads(pickle.dumps(program))
+        assert _check_against_oracle(restored) == before
+
+    @given(program=built_programs())
+    @settings(max_examples=80, deadline=None)
+    def test_wait_time_is_bit_identical_to_the_scan(self, program):
+        import math
+
+        from repro.core.errors import InvalidInstanceError
+
+        cycle = program.cycle_length
+        for page_id, (_, slots, _) in _oracle_table(program).items():
+            arrivals = [0.0, cycle - 1e-9, float(cycle), cycle + 0.25, -0.5]
+            for slot in slots:
+                arrivals += [
+                    float(slot),
+                    math.nextafter(slot, -math.inf),
+                    math.nextafter(slot, math.inf),
+                    slot + 0.5,
+                    slot + 3 * cycle,
+                    -slot - 1e-12,
+                ]
+            for arrival in arrivals:
+                got = program.wait_time(page_id, arrival)
+                want = _oracle_wait(slots, arrival, cycle)
+                # repr round-trips floats exactly and tells -0.0 from 0.0.
+                assert type(got) is type(want)
+                assert repr(got) == repr(want), (page_id, arrival)
+        with pytest.raises(InvalidInstanceError):
+            program.wait_time(21, 0.0)
+
+    @given(
+        program=built_programs(),
+        order=st.lists(st.integers(-3, 22), max_size=12),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_reordered_index_matches_the_oracle(self, program, order):
+        from repro.core.program import AppearanceIndex
+
+        table = _oracle_table(program)
+        index = AppearanceIndex.from_program(program, order)
+        assert index.page_ids.tolist() == order
+        assert index.cycle_length == program.cycle_length
+        for row, page_id in enumerate(order):
+            refs, slots, gaps = table.get(page_id, ([], [], []))
+            start, stop = index.offsets[row:row + 2].tolist()
+            assert index.slots[start:stop].tolist() == slots
+            assert index.gaps[start:stop].tolist() == gaps
+            start, stop = index.cell_offsets[row:row + 2].tolist()
+            assert index.cell_slots[start:stop].tolist() == [
+                ref.slot for ref in refs
+            ]
+            assert index.cell_channels[start:stop].tolist() == [
+                ref.channel for ref in refs
+            ]
+        own = AppearanceIndex.from_program(program)
+        assert own is AppearanceIndex.from_program(program)
+        assert own.page_ids.tolist() == sorted(table)
 
 
 # ----------------------------------------------------------------------
