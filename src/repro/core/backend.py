@@ -1,99 +1,27 @@
-"""Compute-backend selection for the placement and delay kernels.
+"""The compute backend the placement and delay kernels run on.
 
-The array kernels in :mod:`repro.core.fastpath` and
-:mod:`repro.core.delay` have an optional numba-compiled variant
-(:mod:`repro.core._numba_kernels`).  This module owns the switch:
-
-* ``"python"`` — the numpy reference kernels (always available);
-* ``"numba"`` — the ``@njit``-compiled kernels (requires numba);
-* ``"auto"`` — numba when importable, numpy otherwise.
-
-The active backend is resolved once per process from the
-``REPRO_AIR_BACKEND`` environment variable (overridable at runtime with
-:func:`set_backend`, which sweeps/policies use via
-:attr:`~repro.engine.executor.ExecutionPolicy.compute_backend`).  numba
-is an *optional* dependency: every code path falls back to the numpy
-kernels cleanly when it is absent, and the equality tests in
-:mod:`tests.test_fastpath` pin both backends to byte-identical outputs.
+There is one: the numpy kernels of :mod:`repro.core.fastpath` and
+:mod:`repro.core.delay`.  :func:`resolve_backend` names it for run
+provenance (the ``executor.compute_backend`` manifest field and the
+benchmark header), so a recorded run says which kernels produced it.
 """
 
 from __future__ import annotations
 
-import os
-
 from repro.core.errors import ReproError
 
-__all__ = [
-    "COMPILED_BACKENDS",
-    "COMPUTE_BACKENDS",
-    "numba_available",
-    "resolve_backend",
-    "active_backend",
-    "set_backend",
-]
-
-#: Backends a kernel call can actually run on.
-COMPILED_BACKENDS = ("python", "numba")
-
-#: Values accepted by policies / the environment switch.
-COMPUTE_BACKENDS = ("auto",) + COMPILED_BACKENDS
-
-_NUMBA_AVAILABLE: bool | None = None
-_ACTIVE: str | None = None
-
-
-def numba_available() -> bool:
-    """True when numba imports (probed once, cached for the process)."""
-    global _NUMBA_AVAILABLE
-    if _NUMBA_AVAILABLE is None:
-        try:
-            import numba  # noqa: F401
-        except Exception:  # pragma: no cover - import guard
-            _NUMBA_AVAILABLE = False
-        else:
-            _NUMBA_AVAILABLE = True
-    return _NUMBA_AVAILABLE
+__all__ = ["resolve_backend"]
 
 
 def resolve_backend(requested: str = "auto") -> str:
-    """Map a requested backend to the one that will actually run.
+    """Map a requested backend to the one that runs: always ``"python"``.
 
-    ``"auto"`` resolves to ``"numba"`` when numba is importable and
-    ``"python"`` otherwise; explicit requests are validated.  Asking for
-    ``"numba"`` without numba installed raises — silent degradation on
-    an explicit request would make benchmark numbers lie.
+    ``"auto"`` and ``"python"`` resolve to ``"python"``; any other name
+    raises :class:`ReproError`.
     """
-    if requested not in COMPUTE_BACKENDS:
+    if requested not in ("auto", "python"):
         raise ReproError(
-            f"unknown compute backend {requested!r}; choose from "
-            f"{', '.join(COMPUTE_BACKENDS)}"
+            f"unknown compute backend {requested!r}; the numpy kernels "
+            f"('python', or 'auto') are the only backend"
         )
-    if requested == "auto":
-        return "numba" if numba_available() else "python"
-    if requested == "numba" and not numba_available():
-        raise ReproError(
-            "compute backend 'numba' requested but numba is not "
-            "installed; install numba or use 'auto'/'python'"
-        )
-    return requested
-
-
-def active_backend() -> str:
-    """The backend kernels dispatch on (``"python"`` or ``"numba"``).
-
-    Resolved once per process from ``REPRO_AIR_BACKEND`` (default
-    ``"auto"``); :func:`set_backend` overrides it afterwards.
-    """
-    global _ACTIVE
-    if _ACTIVE is None:
-        _ACTIVE = resolve_backend(
-            os.environ.get("REPRO_AIR_BACKEND", "auto")
-        )
-    return _ACTIVE
-
-
-def set_backend(backend: str) -> str:
-    """Switch the process-wide active backend; returns the resolved name."""
-    global _ACTIVE
-    _ACTIVE = resolve_backend(backend)
-    return _ACTIVE
+    return "python"

@@ -30,6 +30,8 @@ many pages or many frequency vectors in one numpy pass, bit-identical to
 looping the scalar form.  The frequency searches (Algorithm 3's staged
 scan, the OPT branch-and-bound) and the sweep analysis call the batch
 kernels so no hot path pays a per-candidate Python objective call.
+The batch kernels are plain numpy, and the only implementation the
+searches and the serving layer run.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.backend import active_backend
 from repro.core.errors import InvalidInstanceError, SimulationError
 from repro.core.intmath import ceil_div
 from repro.core.pages import ProblemInstance
@@ -415,15 +416,6 @@ def paper_group_delay_batch(
     """
     rows = np.asarray(frequency_rows, dtype=np.int64)
     _check_batch_rows(rows, sizes, times)
-    if active_backend() == "numba":
-        from repro.core import _numba_kernels
-
-        return _numba_kernels.group_delay_rows_kernel(
-            rows,
-            np.asarray(sizes, dtype=np.int64),
-            np.asarray(times, dtype=np.int64),
-            num_channels,
-        )
     h = rows.shape[1]
     sizes_arr = np.asarray(sizes, dtype=np.int64)
     slots = rows @ sizes_arr  # exact int64
@@ -458,15 +450,6 @@ def normalized_group_delay_batch(
     """
     rows = np.asarray(frequency_rows, dtype=np.int64)
     _check_batch_rows(rows, sizes, times)
-    if active_backend() == "numba":
-        from repro.core import _numba_kernels
-
-        return _numba_kernels.normalized_group_delay_rows_kernel(
-            rows,
-            np.asarray(sizes, dtype=np.int64),
-            np.asarray(times, dtype=np.int64),
-            num_channels,
-        )
     h = rows.shape[1]
     sizes_arr = np.asarray(sizes, dtype=np.int64)
     slots = rows @ sizes_arr

@@ -44,9 +44,7 @@ Why the outputs are provably identical:
 
 Property tests (:mod:`tests.test_fastpath`) pin the equality: for every
 instance the fast kernels produce grid-identical programs, identical
-``window_misses`` counts and identical error behaviour.  The kernels
-also have an optional numba-compiled variant (:mod:`repro.core.backend`)
-gated by the same tests.
+``window_misses`` counts and identical error behaviour.
 """
 
 from __future__ import annotations
@@ -55,7 +53,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.backend import active_backend
 from repro.core.errors import SchedulingError, SearchSpaceError
 from repro.core.intmath import ceil_div
 from repro.core.pages import ProblemInstance
@@ -94,26 +91,6 @@ def _make_find(next_free: list[int]):
         return root
 
     return find
-
-
-def _flat_placement_order(
-    instance: ProblemInstance,
-    frequencies: Sequence[int],
-    order: list[int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pages flattened in descending-frequency group order, with S_i."""
-    page_ids: list[int] = []
-    page_freqs: list[int] = []
-    for group_position in order:
-        group = instance.groups[group_position]
-        s_i = int(frequencies[group_position])
-        for page in group.pages:
-            page_ids.append(page.page_id)
-            page_freqs.append(s_i)
-    return (
-        np.asarray(page_ids, dtype=np.int64),
-        np.asarray(page_freqs, dtype=np.int64),
-    )
 
 
 def _place_group_fallback(
@@ -189,25 +166,6 @@ def place_by_frequency_fast(
     order = sorted(
         range(instance.h), key=lambda i: frequencies[i], reverse=True
     )
-    if active_backend() == "numba":
-        from repro.core import _numba_kernels
-
-        page_ids, page_freqs = _flat_placement_order(
-            instance, frequencies, order
-        )
-        misses, fail_pos, fail_k = (
-            _numba_kernels.place_by_frequency_kernel(
-                grid, fill, page_ids, page_freqs, cycle, num_channels
-            )
-        )
-        if fail_pos >= 0:
-            s_i = int(page_freqs[fail_pos])
-            raise SchedulingError(
-                f"no free slot anywhere in the cycle for page "
-                f"{int(page_ids[fail_pos])} copy {fail_k + 1}/{s_i}; "
-                f"cycle length {cycle} cannot hold {total_slots} slots"
-            )
-        return BroadcastProgram.from_array(grid), int(misses)
     window_misses = 0
     for group_position in order:
         group = instance.groups[group_position]
@@ -268,22 +226,6 @@ def place_sequential_fast(
     order = sorted(
         range(instance.h), key=lambda i: frequencies[i], reverse=True
     )
-    if active_backend() == "numba":
-        from repro.core import _numba_kernels
-
-        grid = np.full((num_channels, cycle), -1, dtype=np.int64)
-        fill = np.zeros(cycle, dtype=np.int64)
-        page_ids, page_freqs = _flat_placement_order(
-            instance, frequencies, order
-        )
-        fail_pos = _numba_kernels.place_sequential_kernel(
-            grid, fill, page_ids, page_freqs, cycle, num_channels
-        )
-        if fail_pos >= 0:
-            raise SchedulingError(
-                f"grid full before placing page {int(page_ids[fail_pos])}"
-            )
-        return BroadcastProgram.from_array(grid), 0
     parts = []
     for group_position in order:
         group = instance.groups[group_position]
@@ -311,39 +253,6 @@ def susc_fill_fast(
     """
     cycle = instance.max_expected_time
     grid = np.full((num_channels, cycle), -1, dtype=np.int64)
-    if active_backend() == "numba":
-        from repro.core import _numba_kernels
-
-        pages = list(instance.pages())
-        page_ids = np.asarray(
-            [page.page_id for page in pages], dtype=np.int64
-        )
-        windows = np.asarray(
-            [page.expected_time for page in pages], dtype=np.int64
-        )
-        anchors = np.full((len(pages), 2), -1, dtype=np.int64)
-        status, pos, channel, slot = _numba_kernels.susc_fill_kernel(
-            grid, page_ids, windows, anchors, cycle, num_channels
-        )
-        if status == 2:
-            raise SchedulingError(
-                f"Theorem 3.3 violated: periodic slot "
-                f"(ch={channel}, slot={slot}) for {pages[pos]} is "
-                f"already occupied"
-            )
-        if status == 1:
-            raise SchedulingError(
-                f"GetAvailableSlot found no free slot for {pages[pos]} "
-                f"in the first {int(windows[pos])} slots of any of "
-                f"{num_channels} channels — Theorem 3.2 violated "
-                "(channel count below the bound, or a placement bug)"
-            )
-        return BroadcastProgram.from_array(grid), {
-            page.page_id: SlotRef(
-                slot=int(anchors[i, 0]), channel=int(anchors[i, 1])
-            )
-            for i, page in enumerate(pages)
-        }
     # First truly-free slot per channel (== the reference cursor);
     # ``cursor < window`` is exactly GetAvailableSlot's acceptance test.
     cursors = np.zeros(num_channels, dtype=np.int64)

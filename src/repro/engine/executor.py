@@ -42,9 +42,9 @@ pickles its schedule's ``instance`` (~24 KB at the paper's n=1000).
 shared-memory failure degrades to it silently (recorded in the report).
 Programs cross the pool as packed int64 grids
 (:meth:`~repro.core.program.BroadcastProgram.__getstate__`): the
-appearance table and slot/gap memos stay behind and rebuild lazily on
-first use, so a result's wire size is about its packed grid plus the
-instance.
+nested-list grid and the appearance index stay behind and rebuild
+lazily on first use, so a result's wire size is about its packed grid
+plus the instance.
 When a timeout is set, workers also post each finished cell into a
 shared progress map, so a timed-out chunk *harvests* the cells that did
 complete — only the genuinely unfinished cells burn retries.  Cells can
@@ -53,6 +53,13 @@ also opt into the vectorised ``batch`` measurement backend via
 :func:`repro.sim.clients.measure_with_backend`).  Chunking, waves,
 transport and backend never change *which* results come back: outcomes
 are bit-identical to a ``workers=1`` serial run of the same policy.
+
+:func:`run_tasks` is the generic sibling for pure functions of one
+payload (the federation's shard replays): a one-shot :class:`TaskPool`,
+which callers can also hold open so warm workers survive across runs.
+The placement and delay kernels have one implementation (numpy), so
+workers need no per-process setup; manifests record it as
+``compute_backend: "python"``.
 """
 
 from __future__ import annotations
@@ -72,12 +79,7 @@ from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field, replace
 from multiprocessing import shared_memory
 
-from repro.core.backend import (
-    COMPUTE_BACKENDS,
-    active_backend,
-    resolve_backend,
-    set_backend,
-)
+from repro.core.backend import resolve_backend
 from repro.core.errors import ReproError
 from repro.core.pages import ProblemInstance
 from repro.engine.cache import CachedSchedule
@@ -262,10 +264,6 @@ class ExecutionPolicy:
             ships a pickled copy per chunk.  Ignored outside process
             mode; shared-memory failures degrade to ``"pickle"``
             silently (the report records what actually ran).
-        compute_backend: Kernel backend for placement/delay math:
-            ``"auto"`` (numba when installed, else numpy), ``"python"``,
-            or ``"numba"`` (see :mod:`repro.core.backend`).  Workers
-            resolve it per process; manifests record the resolution.
     """
 
     timeout: float | None = None
@@ -275,7 +273,6 @@ class ExecutionPolicy:
     chunk_size: int = 1
     measure_backend: str = "scalar"
     transport: str = "shm"
-    compute_backend: str = "auto"
 
     def __post_init__(self) -> None:
         if self.timeout is not None and self.timeout <= 0:
@@ -305,11 +302,6 @@ class ExecutionPolicy:
                 f"unknown transport {self.transport!r}; choose from "
                 f"{', '.join(EXECUTOR_TRANSPORTS)}"
             )
-        if self.compute_backend not in COMPUTE_BACKENDS:
-            raise ReproError(
-                f"unknown compute_backend {self.compute_backend!r}; "
-                f"choose from {', '.join(COMPUTE_BACKENDS)}"
-            )
 
 
 @dataclass
@@ -332,7 +324,6 @@ class ExecutionReport:
     short_circuited: int = 0
     transport: str = "inline"
     harvested: int = 0
-    compute_backend: str = "python"
 
     def as_dict(self) -> dict:
         return {
@@ -347,7 +338,7 @@ class ExecutionReport:
             "short_circuited": self.short_circuited,
             "transport": self.transport,
             "harvested": self.harvested,
-            "compute_backend": self.compute_backend,
+            "compute_backend": resolve_backend(),
         }
 
 
@@ -400,12 +391,10 @@ def execute_cell(spec: CellSpec, backend: str = "scalar") -> CellResult:
 
 
 def _guarded_execute(
-    spec: CellSpec, backend: str = "scalar", compute: str | None = None
+    spec: CellSpec, backend: str = "scalar"
 ) -> CellResult | _CellError:
     """Worker entry point: cell exceptions become picklable values."""
     try:
-        if compute is not None and compute != active_backend():
-            set_backend(compute)
         return execute_cell(spec, backend)
     except Exception as error:  # noqa: BLE001 - the guard is the point
         return _CellError(
@@ -446,20 +435,21 @@ class _ChunkSpec:
     shm_name: str | None = None
     shm_size: int = 0
     progress: object | None = None
-    compute_backend: str = "python"
 
 
 class _ShmPost:
-    """One ``ProblemInstance`` pickled once into a shared-memory block.
+    """One object pickled once into a shared-memory block.
 
-    Workers attach by name and unpickle straight out of the mapped
-    buffer — the payload crosses the process boundary exactly once per
-    worker instead of once per chunk.  The parent owns the block's
-    lifetime: :meth:`close` unlinks it after the pool has drained.
+    Workers attach by name (:func:`_from_shm`) and unpickle straight out
+    of the mapped buffer — the payload crosses the process boundary once
+    per worker instead of once per task.  The parent owns the block's
+    lifetime: :meth:`close` unlinks it after the pool has drained.  The
+    sweep posts its shared ``ProblemInstance``; the federation posts its
+    shard-grouped listener columns.
     """
 
-    def __init__(self, instance: ProblemInstance) -> None:
-        payload = pickle.dumps(instance, protocol=pickle.HIGHEST_PROTOCOL)
+    def __init__(self, obj: object) -> None:
+        payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
         self.size = len(payload)
         self.block = shared_memory.SharedMemory(
             create=True, size=max(1, self.size)
@@ -478,26 +468,26 @@ class _ShmPost:
             pass
 
 
-#: Worker-side cache of instances unpickled from shared memory, keyed
-#: by block name.  Pools (and their workers, and this cache) live for
-#: one ``run_cells`` call; names are unique per post, so entries can
-#: never go stale.
-_SHM_INSTANCES: dict[str, ProblemInstance] = {}
+#: Worker-side cache of the last object unpickled from shared memory,
+#: keyed by block name.  A new name evicts the previous attachment:
+#: warm :class:`TaskPool` workers outlive runs, and every post is
+#: unlinked when its run ends.
+_SHM_ATTACHED: dict[str, object] = {}
 
 
-def _instance_from_shm(name: str, size: int) -> ProblemInstance:
-    """Attach, unpickle and cache the posted instance (once per worker)."""
-    instance = _SHM_INSTANCES.get(name)
-    if instance is None:
+def _from_shm(name: str, size: int):
+    """Attach, unpickle and cache a posted object (once per worker)."""
+    if name not in _SHM_ATTACHED:
         block = shared_memory.SharedMemory(name=name)
         view = block.buf[:size]
         try:
-            instance = pickle.loads(view)
+            obj = pickle.loads(view)
         finally:
             view.release()
             block.close()
-        _SHM_INSTANCES[name] = instance
-    return instance
+        _SHM_ATTACHED.clear()
+        _SHM_ATTACHED[name] = obj
+    return _SHM_ATTACHED[name]
 
 
 def _chunk_cell(spec: CellSpec) -> _ChunkCell:
@@ -532,10 +522,8 @@ def _guarded_execute_chunk(
     (when the parent supplied one) so that a chunk whose *later* cells
     blow the timeout budget does not forfeit the earlier results.
     """
-    if chunk.compute_backend != active_backend():
-        set_backend(chunk.compute_backend)
     if chunk.shm_name is not None:
-        instance = _instance_from_shm(chunk.shm_name, chunk.shm_size)
+        instance = _from_shm(chunk.shm_name, chunk.shm_size)
     else:
         instance = chunk.instance
     progress = chunk.progress
@@ -805,7 +793,6 @@ def _run_pool(
                             ),
                             shm_size=post.size if post is not None else 0,
                             progress=progress,
-                            compute_backend=report.compute_backend,
                         )
                         in_flight.append(
                             (
@@ -867,10 +854,7 @@ def _run_pool(
                         _note(telemetry, "executor.retries")
                         _backoff_sleep(policy, attempts)
                         retry = pool.submit(
-                            _guarded_execute,
-                            spec,
-                            policy.measure_backend,
-                            report.compute_backend,
+                            _guarded_execute, spec, policy.measure_backend
                         )
                         value = _await_value(
                             retry, policy, report, telemetry, "cell"
@@ -1002,40 +986,24 @@ def _drain_task_futures(
     return outcomes
 
 
-def _run_tasks_pool(
-    fn,
-    payloads: list,
-    workers: int,
-    mode: str,
-    policy: ExecutionPolicy,
-    report: ExecutionReport,
-    telemetry,
-) -> list:
-    pool_cls = ProcessPoolExecutor if mode == "process" else ThreadPoolExecutor
-    with pool_cls(max_workers=min(workers, len(payloads))) as pool:
-        return _drain_task_futures(
-            pool, fn, payloads, policy, report, telemetry
-        )
-
-
 class TaskPool:
-    """A persistent :func:`run_tasks` executor pool.
+    """A :func:`run_tasks` executor pool that lives across calls.
 
-    :func:`run_tasks` builds and tears down its worker pool per call;
-    callers that fan out repeatedly over the same task family (the
-    federation's warm shard pool, bench repetitions) instead hold one
-    ``TaskPool`` so workers — and whatever warm per-process state they
-    have accumulated (attached shared-memory posts, per-shard engines
-    and their program caches) — survive across calls.  Dispatch shares
-    the :func:`run_tasks` hardening verbatim: worker exceptions come
-    back as :class:`TaskFailure` values in payload order, retries follow
-    :attr:`ExecutionPolicy.retries` with exponential backoff, waits
-    honour :attr:`ExecutionPolicy.timeout`, and pool-infrastructure
-    failures rebuild the pool once, then fall back to a serial rerun of
-    the batch (the report records the fallback).  Results are
-    bit-identical to :func:`run_tasks` for pure ``fn``.
+    :func:`run_tasks` is a one-shot ``TaskPool``; callers that fan out
+    repeatedly over the same task family (the federation's warm shard
+    pool, bench repetitions) instead hold one so workers — and whatever
+    warm per-process state they have accumulated (attached shared-memory
+    posts, per-shard engines and their program caches) — survive across
+    calls.  Worker exceptions come back as :class:`TaskFailure` values
+    in payload order, retries follow :attr:`ExecutionPolicy.retries`
+    with exponential backoff, waits honour
+    :attr:`ExecutionPolicy.timeout`, and pool-infrastructure failures
+    rebuild the pool once, then fall back to a serial rerun of the batch
+    (the report records the fallback).  Results are bit-identical
+    across modes for pure ``fn``.
 
-    Usable as a context manager; :meth:`close` shuts the workers down.
+    Usable as a context manager; :meth:`close` shuts the workers down
+    and waits for them to exit.
     """
 
     def __init__(
@@ -1068,10 +1036,10 @@ class TaskPool:
             self._pool = pool_cls(max_workers=self.workers)
         return self._pool
 
-    def _discard_pool(self) -> None:
+    def _discard_pool(self, wait: bool = False) -> None:
         if self._pool is not None:
             try:
-                self._pool.shutdown(wait=False, cancel_futures=True)
+                self._pool.shutdown(wait=wait, cancel_futures=True)
             except Exception:  # pragma: no cover - teardown best effort
                 pass
             self._pool = None
@@ -1092,76 +1060,57 @@ class TaskPool:
         if self._closed:
             raise ReproError("TaskPool is closed")
         policy = policy or self.policy
-        compute_backend = resolve_backend(policy.compute_backend)
         payloads = list(payloads)
-        previous_backend = active_backend()
-        set_backend(compute_backend)
-        try:
-            if (
-                self.mode == "serial"
-                or self.workers <= 1
-                or len(payloads) <= 1
-            ):
-                report = ExecutionReport(
-                    mode="serial",
-                    requested_mode=self.mode,
-                    compute_backend=compute_backend,
-                )
-                return (
-                    _run_tasks_serial(
-                        fn, payloads, policy, report, telemetry
-                    ),
-                    report,
-                )
-            report = ExecutionReport(
-                mode=self.mode,
-                requested_mode=self.mode,
-                transport="pickle" if self.mode == "process" else "inline",
-                compute_backend=compute_backend,
-            )
-            for attempt in range(2):
-                try:
-                    return (
-                        _drain_task_futures(
-                            self._ensure_pool(),
-                            fn,
-                            payloads,
-                            policy,
-                            report,
-                            telemetry,
-                        ),
-                        report,
-                    )
-                except (
-                    pickle.PicklingError,
-                    AttributeError,
-                    TypeError,
-                    BrokenExecutor,
-                    OSError,
-                    RuntimeError,
-                ):
-                    # A broken pool is rebuilt once (workers may have
-                    # been killed); a second infrastructure failure
-                    # falls through to the serial rerun.
-                    self._discard_pool()
-                    if attempt == 1:
-                        break
-            report = ExecutionReport(
-                mode="serial",
-                requested_mode=self.mode,
-                fallback=True,
-                compute_backend=compute_backend,
-            )
+        if self.mode == "serial" or self.workers <= 1 or len(payloads) <= 1:
+            report = ExecutionReport(mode="serial", requested_mode=self.mode)
             return (
                 _run_tasks_serial(fn, payloads, policy, report, telemetry),
                 report,
             )
-        finally:
-            set_backend(previous_backend)
+        report = ExecutionReport(
+            mode=self.mode,
+            requested_mode=self.mode,
+            transport="pickle" if self.mode == "process" else "inline",
+        )
+        for attempt in range(2):
+            try:
+                return (
+                    _drain_task_futures(
+                        self._ensure_pool(),
+                        fn,
+                        payloads,
+                        policy,
+                        report,
+                        telemetry,
+                    ),
+                    report,
+                )
+            except (
+                pickle.PicklingError,
+                AttributeError,
+                TypeError,
+                BrokenExecutor,
+                OSError,
+                RuntimeError,
+            ):
+                # A broken pool is rebuilt once (workers may have been
+                # killed); a second infrastructure failure falls through
+                # to the serial rerun.  Task-level exceptions are
+                # already values and never land here.
+                self._discard_pool()
+                if attempt == 1:
+                    break
+        report = ExecutionReport(
+            mode="serial", requested_mode=self.mode, fallback=True
+        )
+        return (
+            _run_tasks_serial(fn, payloads, policy, report, telemetry),
+            report,
+        )
 
     def close(self) -> None:
         """Shut the workers down; the pool refuses further runs."""
-        self._discard_pool()
+        self._discard_pool(wait=True)
         self._closed = True
 
     def __enter__(self) -> "TaskPool":
@@ -1180,17 +1129,16 @@ def run_tasks(
     policy: ExecutionPolicy | None = None,
     telemetry=None,
 ) -> tuple[list, ExecutionReport]:
-    """Fan a pure function across payloads on the sweep-cell transport.
+    """Fan a pure function across payloads on a one-shot :class:`TaskPool`.
 
     The generic sibling of :func:`run_cells` — the federation layer
-    uses it to replay station shards in parallel — sharing the same
-    hardening: worker exceptions cross the pool boundary as values and
-    come back as structured :class:`TaskFailure` entries (in payload
-    order), retries follow :attr:`ExecutionPolicy.retries` with
-    exponential backoff, per-future waits honour
-    :attr:`ExecutionPolicy.timeout`, and pool-infrastructure failures
-    (unpicklable ``fn``/payloads, fork limits) fall back to a serial
-    rerun of the full batch.  Results are bit-identical across modes
+    uses it to replay station shards in parallel.  The pool is sized
+    ``min(workers, len(payloads))``, runs the batch once and is shut
+    down before this returns; everything else (failures as
+    :class:`TaskFailure` values in payload order, retries, timeouts,
+    rebuild-then-serial fallback on pool-infrastructure failures such
+    as unpicklable ``fn``/payloads or fork limits) is
+    :meth:`TaskPool.run`.  Results are bit-identical across modes
     whenever ``fn`` is pure.
 
     Args:
@@ -1206,63 +1154,11 @@ def run_tasks(
         ``(outcomes, report)`` — outcomes mix ``fn`` return values and
         :class:`TaskFailure` entries in payload order.
     """
-    if mode not in EXECUTOR_MODES:
-        raise ReproError(
-            f"unknown executor mode {mode!r}; choose from "
-            f"{', '.join(EXECUTOR_MODES)}"
-        )
-    policy = policy or ExecutionPolicy()
-    compute_backend = resolve_backend(policy.compute_backend)
     payloads = list(payloads)
-    previous_backend = active_backend()
-    set_backend(compute_backend)
-    try:
-        if mode == "serial" or workers <= 1 or len(payloads) <= 1:
-            report = ExecutionReport(
-                mode="serial",
-                requested_mode=mode,
-                compute_backend=compute_backend,
-            )
-            return (
-                _run_tasks_serial(fn, payloads, policy, report, telemetry),
-                report,
-            )
-        report = ExecutionReport(
-            mode=mode,
-            requested_mode=mode,
-            transport="pickle" if mode == "process" else "inline",
-            compute_backend=compute_backend,
-        )
-        try:
-            return (
-                _run_tasks_pool(
-                    fn, payloads, workers, mode, policy, report, telemetry
-                ),
-                report,
-            )
-        except (
-            pickle.PicklingError,
-            AttributeError,
-            TypeError,
-            BrokenExecutor,
-            OSError,
-            RuntimeError,
-        ):
-            # Same contract as run_cells: only pool infrastructure
-            # triggers the fallback; task-level exceptions are already
-            # values.
-            report = ExecutionReport(
-                mode="serial",
-                requested_mode=mode,
-                fallback=True,
-                compute_backend=compute_backend,
-            )
-            return (
-                _run_tasks_serial(fn, payloads, policy, report, telemetry),
-                report,
-            )
-    finally:
-        set_backend(previous_backend)
+    with TaskPool(
+        max(1, min(workers, len(payloads))), mode, policy=policy
+    ) as pool:
+        return pool.run(fn, payloads, telemetry=telemetry)
 
 
 def run_cells(
@@ -1304,54 +1200,42 @@ def run_cells(
             f"{', '.join(EXECUTOR_MODES)}"
         )
     policy = policy or ExecutionPolicy()
-    compute_backend = resolve_backend(policy.compute_backend)
-    # The kernels dispatch on the process-wide active backend; honour
-    # the policy for this run and restore afterwards (workers apply the
-    # same resolution per process via the chunk payload).
-    previous_backend = active_backend()
-    set_backend(compute_backend)
-    try:
-        if mode == "serial" or workers <= 1 or len(specs) <= 1:
-            report = ExecutionReport(
-                mode="serial",
-                requested_mode=mode,
-                chunk_size=policy.chunk_size,
-                measure_backend=policy.measure_backend,
-                compute_backend=compute_backend,
-            )
-            return _run_serial(specs, policy, report, telemetry), report
+    if mode == "serial" or workers <= 1 or len(specs) <= 1:
         report = ExecutionReport(
-            mode=mode,
+            mode="serial",
             requested_mode=mode,
             chunk_size=policy.chunk_size,
             measure_backend=policy.measure_backend,
-            compute_backend=compute_backend,
         )
-        try:
-            return (
-                _run_pool(specs, workers, mode, policy, report, telemetry),
-                report,
-            )
-        except (
-            pickle.PicklingError,
-            AttributeError,
-            TypeError,
-            BrokenExecutor,
-            OSError,
-            RuntimeError,
-        ):
-            # Pool infrastructure failed (unpicklable scheduler, fork
-            # limits, missing multiprocessing support); the cells
-            # themselves are pure, so rerun the full grid serially with
-            # fresh accounting.
-            report = ExecutionReport(
-                mode="serial",
-                requested_mode=mode,
-                fallback=True,
-                chunk_size=policy.chunk_size,
-                measure_backend=policy.measure_backend,
-                compute_backend=compute_backend,
-            )
-            return _run_serial(specs, policy, report, telemetry), report
-    finally:
-        set_backend(previous_backend)
+        return _run_serial(specs, policy, report, telemetry), report
+    report = ExecutionReport(
+        mode=mode,
+        requested_mode=mode,
+        chunk_size=policy.chunk_size,
+        measure_backend=policy.measure_backend,
+    )
+    try:
+        return (
+            _run_pool(specs, workers, mode, policy, report, telemetry),
+            report,
+        )
+    except (
+        pickle.PicklingError,
+        AttributeError,
+        TypeError,
+        BrokenExecutor,
+        OSError,
+        RuntimeError,
+    ):
+        # Pool infrastructure failed (unpicklable scheduler, fork
+        # limits, missing multiprocessing support); the cells
+        # themselves are pure, so rerun the full grid serially with
+        # fresh accounting.
+        report = ExecutionReport(
+            mode="serial",
+            requested_mode=mode,
+            fallback=True,
+            chunk_size=policy.chunk_size,
+            measure_backend=policy.measure_backend,
+        )
+        return _run_serial(specs, policy, report, telemetry), report

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from repro.core.backend import active_backend
+from repro.core.backend import resolve_backend
 from repro.core.bounds import ChannelPlan, minimum_channels, plan_channels
 from repro.core.errors import ReproError
 from repro.core.pages import ProblemInstance
@@ -125,7 +125,7 @@ def _serial_executor_block() -> dict:
         "short_circuited": 0,
         "transport": "inline",
         "harvested": 0,
-        "compute_backend": active_backend(),
+        "compute_backend": resolve_backend(),
     }
 
 

@@ -38,7 +38,7 @@ Manifest schema (``manifest_version`` 9)::
         "transport": "shm",             # shm | pickle | inline (v8)
         "harvested": 0,                 # cells saved from timed-out
                                         #   chunks (v8)
-        "compute_backend": "python"     # python | numba kernels (v8)
+        "compute_backend": "python"     # kernels that ran; always python (v8)
       },
       "cache": {"run": {...}, "total": {...}},   # CacheStats dicts
       "timings": {"schedule": {"seconds": 0.81, "calls": 6}, ...},

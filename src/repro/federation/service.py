@@ -75,16 +75,20 @@ the federation inherits the live layer's replay-determinism contract.
 from __future__ import annotations
 
 import math
-import pickle
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
 from typing import Mapping, Sequence, TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.errors import ReproError, SimulationError
 from repro.core.pages import ProblemInstance
-from repro.engine.executor import ExecutionPolicy, TaskPool, run_tasks
+from repro.engine.executor import (
+    ExecutionPolicy,
+    TaskPool,
+    _from_shm,
+    _ShmPost,
+    run_tasks,
+)
 from repro.federation.admission import (
     GlobalAdmissionController,
     GlobalAdmissionDecision,
@@ -263,62 +267,9 @@ def _assemble_subtrace(
     )
 
 
-class _FedShmPost:
-    """The federation's listener columns, posted once into shared memory.
-
-    One pickle of the shard-grouped ``(times, page_ids, expected,
-    bounds)`` listener columns crosses the process boundary once per
-    :meth:`run`, instead of a sub-trace pickling per shard plan.  The
-    parent owns the block: :meth:`close` unlinks it after the fan-out
-    drains.
-    """
-
-    def __init__(self, arrays: tuple) -> None:
-        payload = pickle.dumps(arrays, protocol=pickle.HIGHEST_PROTOCOL)
-        self.size = len(payload)
-        self.block = shared_memory.SharedMemory(
-            create=True, size=max(1, self.size)
-        )
-        self.block.buf[: self.size] = payload
-
-    @property
-    def name(self) -> str:
-        return self.block.name
-
-    def close(self) -> None:
-        try:
-            self.block.close()
-            self.block.unlink()
-        except OSError:  # pragma: no cover - already gone
-            pass
-
-
-#: Worker-side cache of the attached listener-column post.  A run posts
-#: exactly one block, so the cache keeps a single entry; a new name
-#: evicts the previous attachment (warm pool workers outlive runs).
-_FED_SHM_CACHE: dict[str, tuple] = {}
-
-
-def _listener_columns_from_shm(name: str, size: int) -> tuple:
-    cached = _FED_SHM_CACHE.get(name)
-    if cached is None:
-        block = shared_memory.SharedMemory(name=name)
-        view = block.buf[:size]
-        try:
-            cached = pickle.loads(view)
-        finally:
-            view.release()
-            block.close()
-        _FED_SHM_CACHE.clear()
-        _FED_SHM_CACHE[name] = cached
-    return cached
-
-
 def _subtrace_from_plan(plan: ColumnarShardPlan) -> MutationTrace:
     """Rebuild one shard's columnar sub-trace from the shared post."""
-    lt, lp, le, bounds = _listener_columns_from_shm(
-        plan.shm_name, plan.shm_size
-    )
+    lt, lp, le, bounds = _from_shm(plan.shm_name, plan.shm_size)
     lo, hi = bounds[plan.shard], bounds[plan.shard + 1]
     return _assemble_subtrace(
         plan.horizon,
@@ -1094,10 +1045,10 @@ class FederatedBroadcastService:
 
     def _columnar_plans(
         self, routed: RoutedTrace
-    ) -> tuple[list[ColumnarShardPlan], _FedShmPost]:
+    ) -> tuple[list[ColumnarShardPlan], _ShmPost]:
         """Zero-copy plans: grouped listeners posted once into shm."""
         grouped, traces = self._subtraces(routed)
-        post = _FedShmPost(grouped)
+        post = _ShmPost(grouped)
         plans = [
             ColumnarShardPlan(
                 horizon=trace.horizon,
@@ -1155,7 +1106,7 @@ class FederatedBroadcastService:
             and len(self.ring.shards) > 1
         )
         transport = effective_policy.transport if pooled else "inline"
-        post: _FedShmPost | None = None
+        post: _ShmPost | None = None
         try:
             if transport == "shm":
                 try:

@@ -1,110 +1,68 @@
-"""Compute-backend switch: resolution, env wiring, and fallbacks.
+"""The one compute backend, as run provenance.
 
-numba is optional, so these tests must pass both with and without it
-installed.  Cases that need a specific availability state force the
-cached probe (``backend._NUMBA_AVAILABLE``) and restore it afterwards;
-the numba-only equality legs live in :mod:`tests.test_fastpath` and
-:mod:`tests.test_delay` behind ``skipif`` guards.
+The placement and delay kernels have a single (numpy) implementation.
+:func:`repro.core.backend.resolve_backend` names it for the benchmark
+header, and every manifest's executor block records it as
+``compute_backend: "python"``.
 """
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from repro.core import backend
-from repro.core.backend import (
-    COMPILED_BACKENDS,
-    COMPUTE_BACKENDS,
-    active_backend,
-    numba_available,
-    resolve_backend,
-    set_backend,
-)
+from repro.core.backend import resolve_backend
 from repro.core.errors import ReproError
-
-
-@pytest.fixture(autouse=True)
-def _restore_backend_state():
-    """Reset the module's cached probe + active backend after each test."""
-    available = backend._NUMBA_AVAILABLE
-    active = backend._ACTIVE
-    yield
-    backend._NUMBA_AVAILABLE = available
-    backend._ACTIVE = active
-
-
-def _force_numba(available: bool) -> None:
-    backend._NUMBA_AVAILABLE = available
+from repro.core.pages import instance_from_counts
+from repro.engine import BroadcastEngine
+from repro.workload.mutations import generate_mutation_trace
 
 
 class TestResolution:
-    def test_taxonomy(self):
-        assert COMPILED_BACKENDS == ("python", "numba")
-        assert COMPUTE_BACKENDS == ("auto", "python", "numba")
-
     def test_unknown_backend_rejected(self):
         with pytest.raises(ReproError, match="unknown compute backend"):
             resolve_backend("fortran")
 
     def test_python_always_resolves(self):
-        for available in (False, True):
-            _force_numba(available)
-            assert resolve_backend("python") == "python"
+        assert resolve_backend("python") == "python"
 
     def test_auto_without_numba_degrades_to_python(self):
-        _force_numba(False)
         assert resolve_backend("auto") == "python"
-
-    def test_auto_with_numba_prefers_numba(self):
-        _force_numba(True)
-        assert resolve_backend("auto") == "numba"
+        assert resolve_backend() == "python"
 
     def test_explicit_numba_without_numba_raises(self):
-        # An explicit request must never silently degrade: benchmark
-        # numbers recorded as "numba" would otherwise be python timings.
-        _force_numba(False)
-        with pytest.raises(ReproError, match="numba is not installed"):
+        # There is no compiled backend; naming one must never silently
+        # degrade, or a recorded run would claim kernels that never ran.
+        with pytest.raises(ReproError, match="unknown compute backend"):
             resolve_backend("numba")
 
-    def test_probe_is_consistent_with_import(self):
-        try:
-            import numba  # noqa: F401
-        except ImportError:
-            assert numba_available() is False
-        else:
-            assert numba_available() is True
 
-
-class TestActiveBackend:
-    def test_env_variable_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AIR_BACKEND", "python")
-        backend._ACTIVE = None  # force re-resolution from the env
-        assert active_backend() == "python"
-
-    def test_env_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_AIR_BACKEND", raising=False)
-        _force_numba(False)
-        backend._ACTIVE = None
-        assert active_backend() == "python"
-
-    def test_bad_env_value_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AIR_BACKEND", "gpu")
-        backend._ACTIVE = None
-        with pytest.raises(ReproError, match="unknown compute backend"):
-            active_backend()
-
-    def test_set_backend_overrides_and_returns_resolved(self):
-        _force_numba(False)
-        assert set_backend("auto") == "python"
-        assert active_backend() == "python"
-        assert set_backend("python") == "python"
-
-    def test_set_backend_rejects_unknown(self):
-        with pytest.raises(ReproError):
-            set_backend("carrier-pigeon")
-        # A failed switch must not clobber a previously valid state.
-        _force_numba(False)
-        set_backend("python")
-        with pytest.raises(ReproError):
-            set_backend("fortran")
-        assert active_backend() == "python"
+class TestManifestProvenance:
+    def test_sweep_and_federation_manifests_record_python(
+        self, fig2_instance
+    ):
+        sweep_kwargs = dict(
+            algorithms=("pamad", "m-pb"),
+            channel_points=(1, 2, 3),
+            num_requests=100,
+        )
+        serial = BroadcastEngine().sweep(
+            fig2_instance, workers=1, **sweep_kwargs
+        )
+        pooled = BroadcastEngine().sweep(
+            fig2_instance, workers=2, executor="process", **sweep_kwargs
+        )
+        assert pooled.manifest.executor["mode"] == "process"
+        instance = instance_from_counts((4, 4, 4, 4), (4, 8, 16, 32))
+        trace = generate_mutation_trace(
+            instance, seed=2, horizon=96, mutations=24, listeners=120
+        )
+        federation = BroadcastEngine().federate(
+            instance, trace, shards=2, seed=0
+        )
+        for manifest in (
+            serial.manifest, pooled.manifest, federation.manifest
+        ):
+            executor = json.loads(manifest.to_json())["executor"]
+            assert executor["compute_backend"] == "python"

@@ -4,25 +4,16 @@ The frequency searches and the serving layer call the ``*_batch`` entry
 points in :mod:`repro.core.delay` on whole candidate/page batches; the
 pruned searches reproduce the reference argmin (tie-breaks included)
 only if every batched value is *bit-identical* to the scalar model, so
-these properties compare with ``==``, never ``approx``.  The objective
-kernels are additionally parametrised over both compute backends (the
-numba leg skips when numba is absent).
+these properties compare with ``==``, never ``approx``.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.backend import (
-    active_backend,
-    numba_available,
-    set_backend,
-)
 from repro.core.bounds import minimum_channels
 from repro.core.delay import (
     normalized_group_delay,
@@ -37,27 +28,6 @@ from repro.core.delay import (
 from repro.core.errors import ReproError, SimulationError
 from repro.core.pages import instance_from_counts
 from repro.core.pamad import schedule_pamad
-
-BACKENDS = [
-    "python",
-    pytest.param(
-        "numba",
-        marks=pytest.mark.skipif(
-            not numba_available(), reason="numba not installed"
-        ),
-    ),
-]
-
-
-@contextmanager
-def use_backend(name):
-    previous = active_backend()
-    set_backend(name)
-    try:
-        yield
-    finally:
-        set_backend(previous)
-
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -114,37 +84,29 @@ def scheduled_programs(draw):
 
 
 class TestObjectiveBatches:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @given(case=objective_cases())
     @settings(max_examples=60, deadline=None)
-    def test_paper_batch_matches_scalar_bitwise(self, backend, case):
+    def test_paper_batch_matches_scalar_bitwise(self, case):
         rows, sizes, times, num_channels = case
         expected = [
             paper_group_delay(row, sizes, times, num_channels)
             for row in rows
         ]
-        with use_backend(backend):
-            got = paper_group_delay_batch(
-                rows, sizes, times, num_channels
-            )
+        got = paper_group_delay_batch(rows, sizes, times, num_channels)
         assert got.dtype == np.float64
         assert list(got) == expected
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @given(case=objective_cases())
     @settings(max_examples=60, deadline=None)
-    def test_normalized_batch_matches_scalar_bitwise(
-        self, backend, case
-    ):
+    def test_normalized_batch_matches_scalar_bitwise(self, case):
         rows, sizes, times, num_channels = case
         expected = [
             normalized_group_delay(row, sizes, times, num_channels)
             for row in rows
         ]
-        with use_backend(backend):
-            got = normalized_group_delay_batch(
-                rows, sizes, times, num_channels
-            )
+        got = normalized_group_delay_batch(
+            rows, sizes, times, num_channels
+        )
         assert got.dtype == np.float64
         assert list(got) == expected
 

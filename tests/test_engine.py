@@ -392,8 +392,6 @@ class TestEngineSweep:
     def test_transport_and_backend_validation(self):
         with pytest.raises(ReproError, match="transport"):
             ExecutionPolicy(transport="carrier-pigeon")
-        with pytest.raises(ReproError, match="compute_backend"):
-            ExecutionPolicy(compute_backend="fortran")
 
     def test_channel_sweep_helper_delegates_to_engine(self, fig2_instance):
         from repro.analysis.sweep import channel_sweep

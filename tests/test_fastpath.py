@@ -10,7 +10,6 @@ for every generated input, not just the benchmark configs.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -23,11 +22,6 @@ from repro.analysis.perfsuite import (
     validate_payload,
 )
 from repro.baselines.opt import brute_force_frequencies, opt_frequencies
-from repro.core.backend import (
-    active_backend,
-    numba_available,
-    set_backend,
-)
 from repro.core.bounds import minimum_channels
 from repro.core.errors import SimulationError
 from repro.core.frequencies import (
@@ -45,34 +39,6 @@ from repro.core.program import BroadcastProgram
 from repro.core.susc import schedule_susc
 from repro.live.catalog import LiveCatalog
 from repro.live.replan import FastReplanner
-
-
-# ----------------------------------------------------------------------
-# Compute backends under test
-# ----------------------------------------------------------------------
-
-#: Both compiled backends; the numba leg skips when numba is absent so
-#: the suite stays green either way (CI runs a dedicated numba job).
-BACKENDS = [
-    "python",
-    pytest.param(
-        "numba",
-        marks=pytest.mark.skipif(
-            not numba_available(), reason="numba not installed"
-        ),
-    ),
-]
-
-
-@contextmanager
-def use_backend(name):
-    """Run a block on ``name``, restoring the process-wide backend."""
-    previous = active_backend()
-    set_backend(name)
-    try:
-        yield
-    finally:
-        set_backend(previous)
 
 
 # ----------------------------------------------------------------------
@@ -107,46 +73,34 @@ def degraded_instances(draw):
 
 
 class TestPlacementEquality:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @given(case=degraded_instances())
     @settings(max_examples=60, deadline=None)
-    def test_place_by_frequency_fast_matches_reference(
-        self, backend, case
-    ):
+    def test_place_by_frequency_fast_matches_reference(self, case):
         instance, channels = case
         frequencies = pamad_frequencies(instance, channels).frequencies
         slow = place_by_frequency(
             instance, frequencies, channels, fast=False
         )
-        with use_backend(backend):
-            fast = place_by_frequency(instance, frequencies, channels)
+        fast = place_by_frequency(instance, frequencies, channels)
         assert fast.program.grid_rows() == slow.program.grid_rows()
         assert fast.window_misses == slow.window_misses
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @given(case=degraded_instances())
     @settings(max_examples=60, deadline=None)
-    def test_place_sequential_fast_matches_reference(
-        self, backend, case
-    ):
+    def test_place_sequential_fast_matches_reference(self, case):
         instance, channels = case
         frequencies = pamad_frequencies(instance, channels).frequencies
         slow = place_sequential(
             instance, frequencies, channels, fast=False
         )
-        with use_backend(backend):
-            fast = place_sequential(instance, frequencies, channels)
+        fast = place_sequential(instance, frequencies, channels)
         assert fast.program.grid_rows() == slow.program.grid_rows()
         assert fast.window_misses == slow.window_misses
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @given(instance=instances())
     @settings(max_examples=40, deadline=None)
-    def test_susc_fast_matches_both_reference_probes(
-        self, backend, instance
-    ):
-        with use_backend(backend):
-            fast = schedule_susc(instance, validate=False)
+    def test_susc_fast_matches_both_reference_probes(self, instance):
+        fast = schedule_susc(instance, validate=False)
         for optimized in (False, True):
             slow = schedule_susc(
                 instance, validate=False, fast=False, optimized=optimized
