@@ -111,30 +111,6 @@ from repro.engine import (
 
 __version__ = "1.10.0"
 
-# Aliases removed after their deprecation period (they warned through
-# PR 1-5); each maps to the replacement named in the error.  Served by
-# ``__getattr__`` below as a loud AttributeError rather than silently
-# matching nothing, so stale call sites get a precise migration hint.
-_REMOVED_ALIASES = {
-    "SCHEDULERS": (
-        "repro.engine.available_schedulers() / register_scheduler()"
-    ),
-    "channel_sweep": "repro.BroadcastEngine.sweep()",
-}
-
-
-def __getattr__(name: str):
-    replacement = _REMOVED_ALIASES.get(name)
-    if replacement is not None:
-        raise AttributeError(
-            f"repro.{name} was deprecated and has been removed; use "
-            f"{replacement} instead"
-        )
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
-
-
 __all__ = [
     "BroadcastEngine",
     "BroadcastProgram",

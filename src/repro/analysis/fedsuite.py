@@ -18,11 +18,12 @@ module pins the *federation* win twice over:
   fixed global budget would either starve the 1-shard arm or slacken
   the N-shard arms.
 * ``fed_router_8`` — the hot-path win at fixed topology: the same
-  listener-heavy 8-shard federation routed by the ``sequential``
-  reference (one Python iteration per listener) versus the
-  ``columnar`` router (vectorised listener passes, presorted zero-copy
-  sub-trace assembly, columnar fingerprints).  In full mode the trace
-  carries one million listeners, the headline serving-scale workload.
+  listener-heavy 8-shard federation routed by the sequential reference
+  (:func:`repro.oracles.federate_sequential`, one Python iteration per
+  listener) versus the columnar router (vectorised listener passes,
+  presorted zero-copy sub-trace assembly, columnar fingerprints).  In
+  full mode the trace carries one million listeners, the headline
+  serving-scale workload.
 
 Every builder first replays its workload through *both* routers and
 asserts the two :class:`~repro.federation.service.FederationReport`
@@ -106,35 +107,45 @@ def _assert_byte_identical(columnar, sequential, entry: str) -> None:
         )
 
 
+def _federation(instance, trace, shards: int):
+    from repro.federation.service import FederatedBroadcastService
+
+    return FederatedBroadcastService(
+        instance,
+        trace,
+        shards=shards,
+        budget=None,
+        seed=0,
+        rebalance_threshold=1.5,
+        max_pages_moved=4,
+        batch_listeners=True,
+    )
+
+
 def _build_scale(shards: int) -> _Builder:
     def build(quick: bool):
-        from repro.federation.service import FederatedBroadcastService
+        from repro.federation import service as federation
+        from repro.oracles import federate_sequential
 
         instance, trace = _fed_workload(quick)
 
-        def replay(n: int, router: str = "columnar"):
+        def replay(n: int, reference: bool = False):
             # A fresh service per call: replay is once-only by design.
-            # The warm shard pool is OFF here — this entry pins the
-            # *partitioning* win on cold per-mutation re-planning, and
-            # warm program caches would hide exactly that cost (in both
-            # arms equally, collapsing the ratio to ~1).
-            return FederatedBroadcastService(
-                instance,
-                trace,
-                shards=n,
-                budget=None,
-                seed=0,
-                rebalance_threshold=1.5,
-                max_pages_moved=4,
-                batch_listeners=True,
-                router=router,
-                warm_shard_pool=False,
-            ).run()
+            # Every replay starts on cold shard engines — this entry
+            # pins the *partitioning* win on cold per-mutation
+            # re-planning, and warm program caches would hide exactly
+            # that cost (in both arms equally, collapsing the ratio to
+            # ~1).
+            federation._WARM_ENGINES.clear()
+            service = _federation(instance, trace, n)
+            if reference:
+                return federate_sequential(service)
+            return service.run()
 
         reference_probe = replay(1)
         fast_probe = replay(shards)
         _assert_byte_identical(
-            fast_probe, replay(shards, "sequential"), f"fed_scale_{shards}"
+            fast_probe, replay(shards, reference=True), f"fed_scale_{shards}"
         )
         listeners = reference_probe.listeners
         config = {
@@ -147,7 +158,7 @@ def _build_scale(shards: int) -> _Builder:
             "budget": "per-arm Theorem-3.1 minimum",
             "rebalance_threshold": 1.5,
             "max_pages_moved": 4,
-            "warm_shard_pool": False,
+            "shard_engines": "cold",
         }
 
         def stats(reference_s: float, fast_s: float) -> dict:
@@ -173,7 +184,7 @@ def _build_router(shards: int) -> _Builder:
     """Sequential-router reference vs columnar hot path, same topology."""
 
     def build(quick: bool):
-        from repro.federation.service import FederatedBroadcastService
+        from repro.oracles import federate_sequential
 
         # Listener-heavy, mutation-light: this entry isolates the
         # router, so per-mutation re-planning (already pinned by the
@@ -184,21 +195,14 @@ def _build_router(shards: int) -> _Builder:
             mutations=24 if quick else 96,
         )
 
-        def replay(router: str):
-            return FederatedBroadcastService(
-                instance,
-                trace,
-                shards=shards,
-                budget=None,
-                seed=0,
-                rebalance_threshold=1.5,
-                max_pages_moved=4,
-                batch_listeners=True,
-                router=router,
-            ).run()
+        def replay(reference: bool):
+            service = _federation(instance, trace, shards)
+            if reference:
+                return federate_sequential(service)
+            return service.run()
 
-        reference_probe = replay("sequential")
-        fast_probe = replay("columnar")
+        reference_probe = replay(True)
+        fast_probe = replay(False)
         _assert_byte_identical(
             fast_probe, reference_probe, f"fed_router_{shards}"
         )
@@ -213,7 +217,7 @@ def _build_router(shards: int) -> _Builder:
             "budget": "per-arm Theorem-3.1 minimum",
             "rebalance_threshold": 1.5,
             "max_pages_moved": 4,
-            "warm_shard_pool": True,
+            "shard_engines": "warm",
             "reference": "sequential router",
             "fast": "columnar router",
         }
@@ -233,8 +237,8 @@ def _build_router(shards: int) -> _Builder:
 
         return (
             config,
-            lambda: replay("sequential"),
-            lambda: replay("columnar"),
+            lambda: replay(True),
+            lambda: replay(False),
             stats,
         )
 

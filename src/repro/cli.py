@@ -393,7 +393,6 @@ def _cmd_federate(args: argparse.Namespace) -> int:
         admission=not args.no_admission,
         queue_limit=args.queue_limit,
         batch_listeners=args.batch_listeners,
-        router=args.router,
         workers=args.workers,
     )
     report = result.report
@@ -979,13 +978,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-listeners", action="store_true",
         help="replay consecutive listener arrivals per shard as one "
         "vectorised pass",
-    )
-    federate.add_argument(
-        "--router", choices=("columnar", "sequential"),
-        default="columnar",
-        help="listener-routing implementation: vectorised columnar "
-        "(default) or the per-event sequential reference; reports are "
-        "byte-identical either way",
     )
     federate.add_argument(
         "--workers", type=int, default=None,

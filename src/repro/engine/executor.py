@@ -47,12 +47,12 @@ lazily on first use, so a result's wire size is about its packed grid
 plus the instance.
 When a timeout is set, workers also post each finished cell into a
 shared progress map, so a timed-out chunk *harvests* the cells that did
-complete — only the genuinely unfinished cells burn retries.  Cells can
-also opt into the vectorised ``batch`` measurement backend via
-:attr:`ExecutionPolicy.measure_backend` (recorded in manifests; see
-:func:`repro.sim.clients.measure_with_backend`).  Chunking, waves,
-transport and backend never change *which* results come back: outcomes
-are bit-identical to a ``workers=1`` serial run of the same policy.
+complete — only the genuinely unfinished cells burn retries.  Every
+cell measures with :func:`repro.sim.clients.measure_program`, the
+per-request loop the paper methodology is pinned to (manifests record
+it as ``measure_backend: "scalar"``).  Chunking, waves and transport
+never change *which* results come back: outcomes are bit-identical to
+a ``workers=1`` serial run of the same policy.
 
 :func:`run_tasks` is the generic sibling for pure functions of one
 payload (the federation's shard replays): a one-shot :class:`TaskPool`,
@@ -84,7 +84,7 @@ from repro.core.errors import ReproError
 from repro.core.pages import ProblemInstance
 from repro.engine.cache import CachedSchedule
 from repro.engine.registry import Scheduler
-from repro.sim.clients import MEASUREMENT_BACKENDS, measure_with_backend
+from repro.sim.clients import measure_program
 
 __all__ = [
     "SweepPoint",
@@ -252,12 +252,6 @@ class ExecutionPolicy:
             cheap cells stop paying per-cell pickling; ``1`` restores
             the one-future-per-cell transport.  Results are identical
             for every value.
-        measure_backend: ``"scalar"`` (the reference
-            :func:`~repro.sim.clients.measure_program` loop) or
-            ``"batch"`` (the vectorised
-            :func:`~repro.analysis.vectorized.batch_measure` pass).
-            Backends draw different RNG streams, so manifests record
-            which one ran.
         transport: Chunk-payload transport for process pools.  ``"shm"``
             (default) posts the shared ``ProblemInstance`` once into a
             shared-memory block that workers attach by name; ``"pickle"``
@@ -271,7 +265,6 @@ class ExecutionPolicy:
     backoff: float = 0.05
     breaker_threshold: int = 3
     chunk_size: int = 1
-    measure_backend: str = "scalar"
     transport: str = "shm"
 
     def __post_init__(self) -> None:
@@ -291,11 +284,6 @@ class ExecutionPolicy:
         if self.chunk_size < 1:
             raise ReproError(
                 f"chunk_size must be >= 1, got {self.chunk_size}"
-            )
-        if self.measure_backend not in MEASUREMENT_BACKENDS:
-            raise ReproError(
-                f"unknown measure_backend {self.measure_backend!r}; "
-                f"choose from {', '.join(MEASUREMENT_BACKENDS)}"
             )
         if self.transport not in EXECUTOR_TRANSPORTS:
             raise ReproError(
@@ -320,7 +308,6 @@ class ExecutionReport:
     breaker_trips: int = 0
     timeouts: int = 0
     chunk_size: int = 1
-    measure_backend: str = "scalar"
     short_circuited: int = 0
     transport: str = "inline"
     harvested: int = 0
@@ -334,7 +321,7 @@ class ExecutionReport:
             "breaker_trips": self.breaker_trips,
             "timeouts": self.timeouts,
             "chunk_size": self.chunk_size,
-            "measure_backend": self.measure_backend,
+            "measure_backend": "scalar",
             "short_circuited": self.short_circuited,
             "transport": self.transport,
             "harvested": self.harvested,
@@ -356,7 +343,7 @@ class _CellError:
     trace: str = ""
 
 
-def execute_cell(spec: CellSpec, backend: str = "scalar") -> CellResult:
+def execute_cell(spec: CellSpec) -> CellResult:
     """Run one cell to completion (schedule unless cached, then measure)."""
     if spec.cached is not None:
         schedule = spec.cached.schedule
@@ -367,12 +354,11 @@ def execute_cell(spec: CellSpec, backend: str = "scalar") -> CellResult:
         schedule = spec.scheduler(spec.instance, spec.channels)
         elapsed = time.perf_counter() - started
         fresh = True
-    measurement = measure_with_backend(
+    measurement = measure_program(
         schedule.program,
         spec.instance,
         num_requests=spec.num_requests,
         seed=spec.seed,
-        backend=backend,
     )
     point = SweepPoint(
         algorithm=spec.algorithm,
@@ -390,12 +376,10 @@ def execute_cell(spec: CellSpec, backend: str = "scalar") -> CellResult:
     )
 
 
-def _guarded_execute(
-    spec: CellSpec, backend: str = "scalar"
-) -> CellResult | _CellError:
+def _guarded_execute(spec: CellSpec) -> CellResult | _CellError:
     """Worker entry point: cell exceptions become picklable values."""
     try:
-        return execute_cell(spec, backend)
+        return execute_cell(spec)
     except Exception as error:  # noqa: BLE001 - the guard is the point
         return _CellError(
             error_type=type(error).__name__,
@@ -429,7 +413,6 @@ class _ChunkSpec:
     """
 
     instance: ProblemInstance | None
-    backend: str
     cells: tuple[_ChunkCell, ...]
     indices: tuple[int, ...] = ()
     shm_name: str | None = None
@@ -529,7 +512,7 @@ def _guarded_execute_chunk(
     progress = chunk.progress
     values: list[CellResult | _CellError] = []
     for position, cell in enumerate(chunk.cells):
-        value = _guarded_execute(_cell_spec(cell, instance), chunk.backend)
+        value = _guarded_execute(_cell_spec(cell, instance))
         values.append(value)
         if progress is not None:
             try:
@@ -627,7 +610,7 @@ def _run_serial(
         attempts = 0
         while True:
             attempts += 1
-            value = _guarded_execute(spec, policy.measure_backend)
+            value = _guarded_execute(spec)
             if isinstance(value, CellResult):
                 breaker.record_success(spec.algorithm)
                 outcomes.append(replace(value, attempts=attempts))
@@ -783,7 +766,6 @@ def _run_pool(
                             report.transport = "shm"
                         payload = _ChunkSpec(
                             instance=None if post is not None else instance,
-                            backend=policy.measure_backend,
                             cells=tuple(
                                 _chunk_cell(spec) for _, spec in live
                             ),
@@ -853,9 +835,7 @@ def _run_pool(
                         report.retries += 1
                         _note(telemetry, "executor.retries")
                         _backoff_sleep(policy, attempts)
-                        retry = pool.submit(
-                            _guarded_execute, spec, policy.measure_backend
-                        )
+                        retry = pool.submit(_guarded_execute, spec)
                         value = _await_value(
                             retry, policy, report, telemetry, "cell"
                         )
@@ -1146,8 +1126,8 @@ def run_tasks(
         payloads: The inputs, in the order results must come back.
         workers: Pool width; ``<= 1`` runs serially.
         mode: ``"serial"`` (default), ``"thread"``, or ``"process"``.
-        policy: Hardening knobs; chunking/measure-backend fields are
-            ignored (tasks ship one per future).
+        policy: Hardening knobs; ``chunk_size`` is ignored (tasks ship
+            one per future).
         telemetry: Optional counter sink (``executor.*`` names).
 
     Returns:
@@ -1205,14 +1185,12 @@ def run_cells(
             mode="serial",
             requested_mode=mode,
             chunk_size=policy.chunk_size,
-            measure_backend=policy.measure_backend,
         )
         return _run_serial(specs, policy, report, telemetry), report
     report = ExecutionReport(
         mode=mode,
         requested_mode=mode,
         chunk_size=policy.chunk_size,
-        measure_backend=policy.measure_backend,
     )
     try:
         return (
@@ -1236,6 +1214,5 @@ def run_cells(
             requested_mode=mode,
             fallback=True,
             chunk_size=policy.chunk_size,
-            measure_backend=policy.measure_backend,
         )
         return _run_serial(specs, policy, report, telemetry), report

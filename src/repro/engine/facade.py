@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -75,28 +74,6 @@ __all__ = [
     "SweepResult",
     "default_engine",
 ]
-
-
-# Renamed keyword arguments (the PR-6 keyword unification: every
-# engine workflow takes ``trace=``, ``policy=`` and ``manifest_path=``).
-# Each legacy alias warns once per process, not once per call, so a
-# tight loop over an old call site stays readable.
-_WARNED_ALIASES: set[str] = set()
-_ALIAS_LOCK = threading.Lock()
-
-
-def _warn_alias(method: str, old: str, new: str) -> None:
-    key = f"{method}:{old}"
-    with _ALIAS_LOCK:
-        if key in _WARNED_ALIASES:
-            return
-        _WARNED_ALIASES.add(key)
-    warnings.warn(
-        f"BroadcastEngine.{method}({old}=...) is deprecated; "
-        f"pass {new}= instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 def _write_manifest_path(
@@ -518,7 +495,6 @@ class BroadcastEngine:
         executor: str | None = None,
         policy: ExecutionPolicy | None = None,
         manifest_path: str | Path | None = None,
-        execution: ExecutionPolicy | None = None,
     ) -> SweepResult:
         """Measure AvgD over a (scheduler × channel-count) grid.
 
@@ -541,16 +517,11 @@ class BroadcastEngine:
                 engine's ``execution`` attribute).
             manifest_path: When set, also write this call's manifest
                 JSON to the path.
-            execution: Deprecated alias for ``policy`` (warns once).
 
         Returns:
             A :class:`SweepResult` with points ordered by
             (channel count, algorithm order) and the run manifest.
         """
-        if execution is not None:
-            _warn_alias("sweep", "execution", "policy")
-            if policy is None:
-                policy = execution
         if channel_points is None:
             channel_points = default_channel_points(
                 minimum_channels(instance)
@@ -645,12 +616,11 @@ class BroadcastEngine:
     def resilience(
         self,
         instance: ProblemInstance,
-        trace=None,
+        trace,
         policies: Sequence[object] | None = None,
         num_listeners: int = 400,
         seed: int = 0,
         manifest_path: str | Path | None = None,
-        plan=None,
     ) -> ResilienceResult:
         """Replay a fault plan under recovery policies (manifested).
 
@@ -665,7 +635,6 @@ class BroadcastEngine:
             seed: Base RNG seed for the listener streams.
             manifest_path: When set, also write this call's manifest
                 JSON to the path.
-            plan: Deprecated keyword alias for ``trace`` (warns once).
 
         Returns:
             A :class:`ResilienceResult`; its manifest (operation
@@ -677,20 +646,6 @@ class BroadcastEngine:
             make_policy,
             replay_plan,
         )
-
-        if plan is not None:
-            if trace is not None:
-                raise ReproError(
-                    "pass the fault timeline as trace= only; plan= is "
-                    "its deprecated alias"
-                )
-            _warn_alias("resilience", "plan", "trace")
-            trace = plan
-        if trace is None:
-            raise ReproError(
-                "resilience() needs a fault timeline: pass trace="
-            )
-        plan = trace
 
         if policies is None:
             chosen = default_policies()
@@ -707,7 +662,7 @@ class BroadcastEngine:
                 outcomes.append(
                     replay_plan(
                         instance,
-                        plan,
+                        trace,
                         policy,
                         num_listeners=num_listeners,
                         seed=seed,
@@ -723,15 +678,15 @@ class BroadcastEngine:
                 "num_listeners": num_listeners,
                 "seed": seed,
                 "plan": {
-                    "fingerprint": plan.fingerprint(),
-                    "num_channels": plan.num_channels,
-                    "horizon": plan.horizon,
-                    "events": len(plan.events),
-                    "meta": dict(plan.meta),
+                    "fingerprint": trace.fingerprint(),
+                    "num_channels": trace.num_channels,
+                    "horizon": trace.horizon,
+                    "events": len(trace.events),
+                    "meta": dict(trace.meta),
                 },
             },
             schedulers=(),
-            channels=(plan.num_channels,),
+            channels=(trace.num_channels,),
             executor=_serial_executor_block(),
             cache_before=cache_before,
             telemetry_before=telemetry_before,
@@ -741,7 +696,7 @@ class BroadcastEngine:
         )
         _write_manifest_path(manifest, manifest_path)
         return ResilienceResult(
-            plan=plan, outcomes=tuple(outcomes), manifest=manifest
+            plan=trace, outcomes=tuple(outcomes), manifest=manifest
         )
 
     def control_manifest(
@@ -945,7 +900,6 @@ class BroadcastEngine:
         target_miss_rate: float = 0.05,
         replan_cooldown: int = 8,
         batch_listeners: bool = False,
-        router: str = "columnar",
         workers: int | None = None,
         mode: str | None = None,
         pool=None,
@@ -964,10 +918,10 @@ class BroadcastEngine:
         The manifest (operation ``"federate"``, schema v9 with the
         ``federation`` block and its ``transport`` field) is emitted
         deterministically, like :meth:`live`: fixed inputs produce
-        byte-identical documents.  The router is deliberately *not*
-        recorded anywhere in the manifest: the columnar and sequential
-        routers are required to produce byte-identical documents, and
-        CI diffs the two to prove it.
+        byte-identical documents.  The ``federation`` block must equal
+        the one :func:`repro.oracles.federate_sequential` (the
+        per-event reference router) produces; tests and the CI smoke
+        job compare the two.
 
         Args:
             initial: Catalog on air at ``t=0`` (instance or mapping);
@@ -986,9 +940,6 @@ class BroadcastEngine:
             queue_limit: Global FIFO insert-queue capacity.
             slo_window / target_miss_rate / replan_cooldown /
             batch_listeners: Forwarded to every shard's live service.
-            router: Listener-routing implementation — ``"columnar"``
-                (vectorised, the default) or ``"sequential"`` (the
-                per-event reference); reports are byte-identical.
             workers: Fan-out width; defaults to the engine's
                 ``workers`` attribute.
             mode: Executor mode; defaults to the engine's ``executor``
@@ -1029,7 +980,6 @@ class BroadcastEngine:
             target_miss_rate=target_miss_rate,
             replan_cooldown=replan_cooldown,
             batch_listeners=batch_listeners,
-            router=router,
         )
         with self.telemetry.timer("federate.replay"):
             report = service.run(

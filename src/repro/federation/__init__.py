@@ -17,9 +17,7 @@ from repro.federation.admission import (
 )
 from repro.federation.ring import ShardRing, partition_catalog
 from repro.federation.service import (
-    FEDERATION_ROUTERS,
     FEDERATION_TRANSPORTS,
-    ColumnarShardPlan,
     FederatedBroadcastService,
     FederationReport,
     RoutedTrace,
@@ -28,8 +26,6 @@ from repro.federation.service import (
 )
 
 __all__ = [
-    "ColumnarShardPlan",
-    "FEDERATION_ROUTERS",
     "FEDERATION_TRANSPORTS",
     "FederatedBroadcastService",
     "FederationReport",

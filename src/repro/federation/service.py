@@ -18,19 +18,17 @@ deterministic phases:
    emitted as a ``page_remove``/``page_insert`` pair at the next slot,
    the Farach-Colton-style reallocation budget.
 
-   Two router implementations share the catalog control path and are
-   byte-identical by construction (property-tested):
-
-   * ``sequential`` — the reference: every event, listener arrivals
-     included, walks the control loop one Python iteration at a time.
-   * ``columnar`` (default) — the hot path: catalog events (original
-     plus injected drains/moves) still take the sequential control
-     path, but the listener runs between them are routed in vectorised
-     passes over :meth:`~repro.live.mutations.MutationTrace.columns` —
-     a dense page→shard lookup table refreshed from the controller's
-     shadow state after each catalog event, orphans detected by mask
-     and resolved through the (memoised) ring.  Per-listener Python
-     work drops to zero.
+   The router is columnar: catalog events (original plus injected
+   drains/moves) walk the control loop one at a time, but the listener
+   runs between them are routed in vectorised passes over
+   :meth:`~repro.live.mutations.MutationTrace.columns` — a dense
+   page→shard lookup table refreshed from the controller's shadow state
+   after each catalog event, orphans detected by mask and resolved
+   through the (memoised) ring.  Per-listener Python work drops to
+   zero.  Its oracle, :func:`repro.oracles.route_sequential`, walks
+   every event, listener arrivals included, through the same control
+   loop; tests hold the two to identical routing and byte-identical
+   reports.
 
 2. **Shard replay** — every shard's routed sub-trace replays through a
    :class:`~repro.live.service.LiveBroadcastService` on a *warm*
@@ -39,8 +37,9 @@ deterministic phases:
    cache; results are unchanged because schedulers are deterministic
    and cached programs are copied before use).  Sub-traces are
    *columnar*: one stable argsort of the shard column groups the
-   listener rows by shard, and each shard's slice is stably merged
-   with its catalog events on ``(time, kind, page_id)`` through
+   listener rows by shard into one :class:`ShardPlan` per shard, and
+   the shard task stably merges its slice with its catalog events on
+   ``(time, kind, page_id)`` through
    :meth:`~repro.live.mutations.MutationTrace.presorted` — no re-sort,
    no duplicate scan, no JSON fingerprint (the content digest comes
    from :func:`~repro.live.mutations.fingerprint_columns`), and no
@@ -51,15 +50,14 @@ deterministic phases:
    Fan-out transports (recorded as ``federation.transport``, manifest
    schema v9):
 
-   * ``inline`` — serial/thread replay: the columnar sub-traces pass
+   * ``inline`` — serial/thread replay: each plan's column slices pass
      by reference.
    * ``shm`` — process pools: the shard-grouped listener columns are
      posted once into ``multiprocessing.shared_memory``; each worker
-     attaches, slices its shard's rows and rebuilds the same columnar
-     sub-trace.  Falls back to ``pickle`` when shared memory is
-     unavailable.
-   * ``pickle`` — a columnar sub-trace (arrays plus catalog events)
-     pickled per :class:`ShardPlan`.
+     attaches and slices its shard's rows.  Falls back to ``pickle``
+     when shared memory is unavailable.
+   * ``pickle`` — each plan's column slices and catalog events are
+     pickled with it.
 
    Pass a persistent :class:`~repro.engine.executor.TaskPool` to
    :meth:`FederatedBroadcastService.run` to keep pool workers (and the
@@ -101,19 +99,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.facade import BroadcastEngine
 
 __all__ = [
-    "FEDERATION_ROUTERS",
     "FEDERATION_TRANSPORTS",
-    "ColumnarShardPlan",
     "FederatedBroadcastService",
     "FederationReport",
     "RoutedTrace",
     "ShardPlan",
     "replay_shard_task",
 ]
-
-#: Router implementations (identical outputs; ``columnar`` is the fast
-#: default, ``sequential`` the per-event reference).
-FEDERATION_ROUTERS = ("columnar", "sequential")
 
 #: Shard fan-out transports recorded in ``federation.transport``.
 FEDERATION_TRANSPORTS = ("inline", "shm", "pickle")
@@ -152,16 +144,18 @@ def _event_sort_key(event: MutationEvent) -> tuple:
 class ShardPlan:
     """One shard's routed workload — the unit the fan-out executes.
 
-    Picklable by construction (plain ints and a columnar
-    :class:`~repro.live.mutations.MutationTrace`: four arrays plus the
-    catalog events), so it crosses the process-pool boundary at about
-    its column bytes.  ``inline`` transport ships the same object by
-    reference.
+    The shard's listener rows ride either inline as ``columns`` (its
+    ``(times, page_ids, expected)`` slices, passed by reference on
+    serial/thread replay and pickled at about their bytes on process
+    pools) or in a shared-memory post ``shm = (name, size)`` holding the
+    whole federation's shard-grouped columns.  ``catalog_events`` (a few
+    hundred at most) are sorted by ``(time, kind, page_id)``.  The
+    worker builds the columnar sub-trace with
+    :func:`_subtrace_from_plan`.
     """
 
     shard: int
     initial: tuple[tuple[int, int], ...]
-    trace: MutationTrace
     budget: int
     admission: bool
     queue_limit: int
@@ -169,42 +163,15 @@ class ShardPlan:
     target_miss_rate: float
     replan_cooldown: int
     batch_listeners: bool
-    warm_engine: bool = True
-
-
-@dataclass(frozen=True)
-class ColumnarShardPlan:
-    """A shard workload whose listeners live in a shared-memory post.
-
-    The zero-copy sibling of :class:`ShardPlan`: catalog events (a few
-    hundred at most) pickle normally, while the listener columns — the
-    millions of rows — are posted *once* for the whole federation (see
-    ``shm_name``), grouped by shard.  The worker attaches, slices its
-    shard's rows and merges them with the catalog events into a
-    columnar sub-trace; ``fingerprint`` is stamped rather than
-    recomputed so it reports identically to an inline replay.
-    """
-
-    shard: int
-    initial: tuple[tuple[int, int], ...]
     horizon: int
     meta: Mapping[str, object]
     catalog_events: tuple[MutationEvent, ...]
-    fingerprint: str
-    shm_name: str
-    shm_size: int
-    budget: int
-    admission: bool
-    queue_limit: int
-    slo_window: int
-    target_miss_rate: float
-    replan_cooldown: int
-    batch_listeners: bool
-    warm_engine: bool = True
+    columns: tuple | None = None
+    shm: tuple[str, int] | None = None
 
 
 # ----------------------------------------------------------------------
-# Sub-trace assembly (shared by parent and shm workers)
+# Sub-trace assembly (runs in the shard task)
 # ----------------------------------------------------------------------
 
 
@@ -215,8 +182,6 @@ def _assemble_subtrace(
     lt,
     lp,
     le,
-    *,
-    fingerprint: str | None = None,
 ) -> MutationTrace:
     """Build one shard's columnar sub-trace without re-validating.
 
@@ -228,7 +193,7 @@ def _assemble_subtrace(
     catalog event lands *after* all listeners at or before its time
     (``searchsorted`` side ``right``).  The merged columns go through
     :meth:`~repro.live.mutations.MutationTrace.presorted`, which builds
-    no listener event and stamps ``fingerprint`` (or computes it).
+    no listener event and computes the fingerprint from the columns.
     """
     lc = len(catalog_events)
     n = int(lt.shape[0]) + lc
@@ -263,22 +228,19 @@ def _assemble_subtrace(
         (m_times, is_listener, m_pages, m_expected),
         catalog_events,
         meta,
-        fingerprint=fingerprint,
     )
 
 
-def _subtrace_from_plan(plan: ColumnarShardPlan) -> MutationTrace:
-    """Rebuild one shard's columnar sub-trace from the shared post."""
-    lt, lp, le, bounds = _from_shm(plan.shm_name, plan.shm_size)
-    lo, hi = bounds[plan.shard], bounds[plan.shard + 1]
+def _subtrace_from_plan(plan: ShardPlan) -> MutationTrace:
+    """Build one shard's columnar sub-trace from its plan."""
+    if plan.shm is None:
+        lt, lp, le = plan.columns
+    else:
+        times, pages, expected, bounds = _from_shm(*plan.shm)
+        lo, hi = bounds[plan.shard], bounds[plan.shard + 1]
+        lt, lp, le = times[lo:hi], pages[lo:hi], expected[lo:hi]
     return _assemble_subtrace(
-        plan.horizon,
-        plan.meta,
-        plan.catalog_events,
-        lt[lo:hi],
-        lp[lo:hi],
-        le[lo:hi],
-        fingerprint=plan.fingerprint,
+        plan.horizon, plan.meta, plan.catalog_events, lt, lp, le
     )
 
 
@@ -304,28 +266,19 @@ def _warm_engine(shard: int) -> "BroadcastEngine":
     return engine
 
 
-def replay_shard_task(plan: ShardPlan | ColumnarShardPlan) -> dict:
+def replay_shard_task(plan: ShardPlan) -> dict:
     """Replay one shard to completion (the executor task entry point).
 
-    Builds the shard's :class:`~repro.live.service.LiveBroadcastService`
-    on the shard's warm engine and returns the report's manifest-ready
-    dict (plus the shard id) — never the live objects, so the return
-    value pickles back across the pool without dragging program grids
-    along.  :class:`ColumnarShardPlan` payloads rebuild their sub-trace
-    from the shared-memory listener post first.
+    Builds the shard's sub-trace and its
+    :class:`~repro.live.service.LiveBroadcastService` on the shard's
+    warm engine and returns the report's manifest-ready dict (plus the
+    shard id) — never the live objects, so the return value pickles back
+    across the pool without dragging program grids along.
     """
     from repro.live.service import LiveBroadcastService
 
-    if isinstance(plan, ColumnarShardPlan):
-        trace = _subtrace_from_plan(plan)
-    else:
-        trace = plan.trace
-    if plan.warm_engine:
-        engine = _warm_engine(plan.shard)
-    else:
-        from repro.engine.facade import BroadcastEngine
-
-        engine = BroadcastEngine()
+    trace = _subtrace_from_plan(plan)
+    engine = _warm_engine(plan.shard)
     service = LiveBroadcastService(
         dict(plan.initial),
         trace,
@@ -374,15 +327,16 @@ class RoutedTrace:
 
 
 class _RouterState:
-    """The catalog control path both routers share.
+    """The catalog control path of the router and its oracle.
 
     Admission verdicts, queue drains and drift rebalancing live here so
-    the sequential reference and the columnar hot path cannot drift
-    apart — they differ only in how listener arrivals are resolved to
-    shards.  Dedup (``used_keys``) covers catalog and injected events
-    only: listeners are unique by the parent trace's own invariant, so
-    keeping one key per routed listener (the old behaviour) would cost
-    O(events) memory for no protection.
+    the columnar router and the per-event reference in
+    :mod:`repro.oracles` cannot drift apart — they differ only in how
+    listener arrivals are resolved to shards.  Dedup (``used_keys``)
+    covers catalog and injected events only: listeners are unique by
+    the parent trace's own invariant, so keeping one key per routed
+    listener (the old behaviour) would cost O(events) memory for no
+    protection.
     """
 
     def __init__(self, service: "FederatedBroadcastService") -> None:
@@ -630,10 +584,10 @@ class FederationReport:
     def as_dict(self) -> dict:
         """The manifest ``federation`` block (schema v9).
 
-        Deliberately *router-free*: the columnar and sequential routers
-        must produce byte-identical blocks (the CI smoke job ``cmp``\\ s
-        the two manifests), so only content — not which implementation
-        computed it — may appear here.
+        Only content appears here, never which implementation computed
+        it: the per-event reference router in :mod:`repro.oracles` must
+        reproduce this block byte for byte (tests and the CI smoke job
+        compare the two).
         """
         return {
             "shards": self.shards,
@@ -696,14 +650,6 @@ class FederatedBroadcastService:
             inherit the flag).
         queue_limit: Global FIFO insert-queue capacity (shard services
             get the same local capacity as a safety net).
-        router: ``"columnar"`` (vectorised listener routing, the
-            default) or ``"sequential"`` (the per-event reference);
-            reports are byte-identical either way.
-        warm_shard_pool: Replay each shard on a process-lifetime warm
-            engine (program caches survive across runs — the default).
-            ``False`` gives every replay a private cold engine, the
-            pre-warm-pool behaviour; results are identical either way
-            because cached programs are copied before use.
         slo_window / target_miss_rate / replan_cooldown /
         batch_listeners: Forwarded to every shard's
             :class:`~repro.live.service.LiveBroadcastService`.
@@ -722,8 +668,6 @@ class FederatedBroadcastService:
         max_pages_moved: int = 4,
         admission: bool = True,
         queue_limit: int = 16,
-        router: str = "columnar",
-        warm_shard_pool: bool = True,
         slo_window: int = 64,
         target_miss_rate: float = 0.05,
         replan_cooldown: int = 8,
@@ -739,11 +683,6 @@ class FederatedBroadcastService:
         if max_pages_moved < 0:
             raise ReproError(
                 f"max_pages_moved must be >= 0, got {max_pages_moved}"
-            )
-        if router not in FEDERATION_ROUTERS:
-            raise ReproError(
-                f"unknown router {router!r}; choose from "
-                f"{', '.join(FEDERATION_ROUTERS)}"
             )
         catalog = (
             LiveCatalog(initial).pages()
@@ -767,8 +706,6 @@ class FederatedBroadcastService:
         self.max_pages_moved = int(max_pages_moved)
         self.admission = admission
         self.queue_limit = int(queue_limit)
-        self.router = router
-        self.warm_shard_pool = bool(warm_shard_pool)
         self.slo_window = int(slo_window)
         self.target_miss_rate = float(target_miss_rate)
         self.replan_cooldown = int(replan_cooldown)
@@ -835,50 +772,10 @@ class FederatedBroadcastService:
     # Phase 1: routing
     # ------------------------------------------------------------------
 
-    def route(self, router: str | None = None) -> RoutedTrace:
-        """Run phase 1 with the configured (or given) router."""
-        router = self.router if router is None else router
-        if router not in FEDERATION_ROUTERS:
-            raise ReproError(
-                f"unknown router {router!r}; choose from "
-                f"{', '.join(FEDERATION_ROUTERS)}"
-            )
-        if router == "sequential":
-            return self._route_sequential()
-        return self._route_columnar()
+    def route(self) -> RoutedTrace:
+        """Phase 1: vectorised listener runs between catalog events.
 
-    def _route_sequential(self) -> RoutedTrace:
-        """The reference pass: every event walks the control loop."""
-        state = _RouterState(self)
-        controller = state.controller
-        routing = state.routing
-        listener_shard = np.full(len(self.trace.events), -1, dtype=np.int64)
-        for index, event in enumerate(self.trace.events):
-            if event.kind == "listener":
-                shard = controller.locate(event.page_id)
-                if shard is None:
-                    shard = self._effective_owner(
-                        int(event.expected_time or 1)
-                    )
-                    routing["orphan_listeners"] += 1
-                listener_shard[index] = shard
-                routing["listeners_routed"] += 1
-            else:
-                state.handle_catalog(event)
-        state.finish()
-        return RoutedTrace(
-            controller=controller,
-            decisions=state.decisions,
-            rebalances=state.rebalances,
-            routing=routing,
-            catalog_events=state.catalog_events,
-            listener_shard=listener_shard,
-        )
-
-    def _route_columnar(self) -> RoutedTrace:
-        """The hot pass: vectorised listener runs between catalog events.
-
-        Catalog events take the exact sequential control path (shared
+        Catalog events walk the control loop one at a time (shared
         :class:`_RouterState`); the listener runs between them resolve
         against a dense page→shard table refreshed from the controller's
         shadow state — refreshed lazily, only after catalog events, so a
@@ -998,21 +895,20 @@ class FederatedBroadcastService:
             "target_miss_rate": self.target_miss_rate,
             "replan_cooldown": self.replan_cooldown,
             "batch_listeners": self.batch_listeners,
-            "warm_engine": self.warm_shard_pool,
         }
 
-    def _subtraces(
-        self, routed: RoutedTrace
-    ) -> tuple[tuple, list[MutationTrace]]:
-        """Split the listeners by shard once; assemble every sub-trace.
+    def _shard_plans(
+        self, routed: RoutedTrace, shm: bool = False
+    ) -> tuple[list[ShardPlan], _ShmPost | None]:
+        """Split the listeners by shard once; one plan per shard.
 
         One stable argsort of the shard column groups the parent's
         listener rows by shard (trace order kept within a shard), so
         each shard's listeners are one contiguous slice of a single
-        gather per column.  Returns the grouped columns ``(times,
-        page_ids, expected, bounds)`` — shard ``s`` owns rows
-        ``bounds[s]:bounds[s + 1]`` — and the columnar sub-traces in
-        shard order.
+        gather per column: shard ``s`` owns rows ``bounds[s]:bounds[s +
+        1]``.  With ``shm`` the grouped columns are posted once into
+        shared memory and every plan names the post (the caller closes
+        it); otherwise each plan carries its own slices.
         """
         times, _, page_ids, expected = self.trace.columns()
         shard_col = routed.listener_shard
@@ -1022,44 +918,23 @@ class FederatedBroadcastService:
         order = order[counts[0]:]
         bounds = [0, *np.cumsum(counts[1:]).tolist()]
         lt, lp, le = times[order], page_ids[order], expected[order]
-        traces = [
-            _assemble_subtrace(
-                self.trace.horizon,
-                self._subtrace_meta(shard),
-                sorted(routed.catalog_events[shard], key=_event_sort_key),
-                lt[bounds[shard]:bounds[shard + 1]],
-                lp[bounds[shard]:bounds[shard + 1]],
-                le[bounds[shard]:bounds[shard + 1]],
-            )
-            for shard in self.ring.shards
-        ]
-        return (lt, lp, le, bounds), traces
-
-    def _shard_plans(self, routed: RoutedTrace) -> list[ShardPlan]:
-        """Inline/pickle plans: columnar sub-traces built in the parent."""
-        _, traces = self._subtraces(routed)
-        return [
-            ShardPlan(trace=trace, **self._plan_args(shard))
-            for shard, trace in zip(self.ring.shards, traces)
-        ]
-
-    def _columnar_plans(
-        self, routed: RoutedTrace
-    ) -> tuple[list[ColumnarShardPlan], _ShmPost]:
-        """Zero-copy plans: grouped listeners posted once into shm."""
-        grouped, traces = self._subtraces(routed)
-        post = _ShmPost(grouped)
+        post = _ShmPost((lt, lp, le, bounds)) if shm else None
+        ref = None if post is None else (post.name, post.size)
         plans = [
-            ColumnarShardPlan(
-                horizon=trace.horizon,
-                meta=trace.meta,
-                catalog_events=trace.mutations(),
-                fingerprint=trace.fingerprint(),
-                shm_name=post.name,
-                shm_size=post.size,
+            ShardPlan(
+                horizon=self.trace.horizon,
+                meta=self._subtrace_meta(shard),
+                catalog_events=tuple(
+                    sorted(routed.catalog_events[shard], key=_event_sort_key)
+                ),
+                columns=None if ref else tuple(
+                    column[bounds[shard]:bounds[shard + 1]]
+                    for column in (lt, lp, le)
+                ),
+                shm=ref,
                 **self._plan_args(shard),
             )
-            for shard, trace in zip(self.ring.shards, traces)
+            for shard in self.ring.shards
         ]
         return plans, post
 
@@ -1072,7 +947,27 @@ class FederatedBroadcastService:
         telemetry=None,
         pool: TaskPool | None = None,
     ) -> FederationReport:
-        """Route, then replay every shard (once per service instance).
+        """Route, then replay every shard (once per service instance)."""
+        return self._replay(
+            self.route(),
+            workers=workers,
+            mode=mode,
+            policy=policy,
+            telemetry=telemetry,
+            pool=pool,
+        )
+
+    def _replay(
+        self,
+        routed: RoutedTrace,
+        *,
+        workers: int = 1,
+        mode: str = "serial",
+        policy: ExecutionPolicy | None = None,
+        telemetry=None,
+        pool: TaskPool | None = None,
+    ) -> FederationReport:
+        """Phase 2: replay every shard of ``routed``.
 
         ``workers``/``mode``/``policy`` drive the executor fan-out; a
         persistent :class:`~repro.engine.executor.TaskPool` may be
@@ -1083,8 +978,8 @@ class FederatedBroadcastService:
 
         Transport: process fan-out ships listeners through one
         shared-memory post (``policy.transport == "shm"``, the default)
-        or per-plan pickles; serial and thread replay pass the columnar
-        sub-traces inline.  The transport that actually ran is recorded
+        or per-plan pickles; serial and thread replay pass each shard's
+        column slices inline.  The transport that actually ran is recorded
         in the report.
         """
         if self._report is not None:
@@ -1092,7 +987,6 @@ class FederatedBroadcastService:
                 "this federation already ran; build a fresh service "
                 "to replay again"
             )
-        routed = self.route()
         effective_mode = pool.mode if pool is not None else mode
         effective_workers = (
             pool.workers if pool is not None else workers
@@ -1108,13 +1002,13 @@ class FederatedBroadcastService:
         transport = effective_policy.transport if pooled else "inline"
         post: _ShmPost | None = None
         try:
-            if transport == "shm":
-                try:
-                    plans, post = self._columnar_plans(routed)
-                except OSError:
-                    transport = "pickle"
-            if post is None:
-                plans = self._shard_plans(routed)
+            try:
+                plans, post = self._shard_plans(
+                    routed, shm=transport == "shm"
+                )
+            except OSError:
+                transport = "pickle"
+                plans, post = self._shard_plans(routed)
             if pool is not None:
                 outcomes, report = pool.run(
                     replay_shard_task,

@@ -136,10 +136,10 @@ class SloTracker:
         sequential (integer arithmetic and ordered appends); only
         ``total_wait`` depends on float summation order.  With
         ``exact=True`` it accumulates left to right, bit-identical to
-        the event-by-event path; the default sums with
-        :func:`math.fsum` (correctly rounded, so *more* accurate, and
-        within a few ULP of the sequential sum — the tolerance the
-        agreement tests pin).
+        the event-by-event path; the default adds the batch's
+        ``ndarray.sum`` (numpy's pairwise summation) to the running
+        total, which can differ from the sequential sum by a few ULP —
+        the tolerance the agreement tests pin.
 
         Args:
             expected_times: Promised deadline per listener (ints).

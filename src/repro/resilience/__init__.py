@@ -8,8 +8,7 @@ how much of the guarantee each recovery strategy preserves.
 * :mod:`repro.resilience.faultplan` — seeded, replayable fault timelines
   (Poisson churn or explicit scripts), JSON-serialisable.
 * :mod:`repro.resilience.degrade` — the structural core: what survives
-  when channels go silent (the legacy one-shot :mod:`repro.sim.faults`
-  API is a deprecated wrapper over this).
+  when channels go silent.
 * :mod:`repro.resilience.policies` — recovery policies (``carry_on``,
   ``reschedule_full``, ``reschedule_throttled``, ``shed_load``) and the
   trace-replay harness that scores them from the client's point of view.

@@ -7,10 +7,8 @@ keep their slot positions (clients already tuned to them notice nothing),
 and pages whose every appearance lived on failed channels become
 unreachable.
 
-The legacy one-shot API (:func:`repro.sim.faults.fail_channels` /
-:func:`repro.sim.faults.compare_failure_responses`) is a deprecated thin
-wrapper over this module; recovery *policies* that act over a whole fault
-timeline live in :mod:`repro.resilience.policies`.
+Recovery *policies* that act over a whole fault timeline live in
+:mod:`repro.resilience.policies`.
 """
 
 from __future__ import annotations

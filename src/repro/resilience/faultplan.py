@@ -348,12 +348,7 @@ def static_failure_plan(
     failed: Sequence[int],
     horizon: int = 1,
 ) -> FaultPlan:
-    """The static special case: ``failed`` channels go down at time 0.
-
-    This is exactly the one-shot failure model the legacy
-    :mod:`repro.sim.faults` API exposed; the old entry points are now
-    thin wrappers over this plan shape.
-    """
+    """The static special case: ``failed`` channels go down at time 0."""
     return scripted_plan(
         num_channels,
         horizon,

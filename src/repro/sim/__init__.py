@@ -14,12 +14,6 @@ from repro.sim.clients import (
 )
 from repro.sim.estimator import DeadlineEstimator, ProbingCollector
 from repro.sim.events import EventLoop
-from repro.sim.faults import (
-    DegradedProgram,
-    FailureComparison,
-    compare_failure_responses,
-    fail_channels,
-)
 from repro.sim.hybrid import HybridConfig, HybridResult, simulate_hybrid
 from repro.sim.metrics import StreamingStats, TimeWeightedStats
 from repro.sim.multipage import (
@@ -37,10 +31,8 @@ __all__ = [
     "ClientCache",
     "DeadlineDrift",
     "DeadlineEstimator",
-    "DegradedProgram",
     "EpochReport",
     "EventLoop",
-    "FailureComparison",
     "HybridConfig",
     "HybridResult",
     "MeasurementResult",
@@ -51,9 +43,7 @@ __all__ = [
     "StreamingStats",
     "TimeWeightedStats",
     "average_completion_time",
-    "compare_failure_responses",
     "completion_time",
-    "fail_channels",
     "measure_program",
     "measure_set_requests",
     "replay_requests",

@@ -725,26 +725,13 @@ class TestRunManifest:
 
 
 # ----------------------------------------------------------------------
-# Removed deprecation shims
+# Root package surface
 # ----------------------------------------------------------------------
 
 
 class TestRemovedShims:
-    """The PR-1 top-level aliases are gone; the errors name replacements."""
-
-    def test_top_level_schedulers_alias_removed(self):
-        import repro
-
-        with pytest.raises(AttributeError, match="register_scheduler"):
-            repro.SCHEDULERS
-
-    def test_top_level_channel_sweep_alias_removed(self):
-        import repro
-
-        with pytest.raises(
-            AttributeError, match=r"BroadcastEngine\.sweep"
-        ):
-            repro.channel_sweep
+    """Unknown root attributes raise the default error; the engine
+    names are exported from the root."""
 
     def test_unknown_attribute_error_unchanged(self):
         import repro

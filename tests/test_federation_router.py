@@ -1,16 +1,19 @@
-"""Columnar vs sequential federation routing: byte-identity and speed
+"""Columnar routing against its sequential oracle, and the speed
 machinery.
 
 The columnar router is a pure performance optimisation: listeners are
 resolved to shards in vectorised passes instead of one Python iteration
 each, sub-traces are assembled by stable merge through
 ``MutationTrace.presorted`` and fingerprinted columnarly.  None of that
-may change a single byte of the resulting
+may change the routing or a single byte of the resulting
 :class:`~repro.federation.service.FederationReport`:
 
 * **Property (hypothesis)** — over random catalogs, taut budgets,
-  orphan-listener traces and rebalance storms, the two routers emit
-  byte-identical ``as_dict()`` documents.
+  orphan-listener traces and rebalance storms,
+  ``FederatedBroadcastService.route()`` equals
+  :func:`repro.oracles.route_sequential` field by field, and
+  :func:`repro.oracles.federate_sequential` emits a byte-identical
+  ``as_dict()`` document.
 * **Transport equivalence** — the shared-memory fan-out, the pickle
   fan-out and the inline serial replay all produce the same report.
 * **Warm pool** — repeated runs through one persistent
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +37,7 @@ from repro.engine.executor import ExecutionPolicy, TaskPool
 from repro.federation import FederatedBroadcastService
 from repro.federation.service import _RouterState
 from repro.live.mutations import MutationEvent, MutationTrace
+from repro.oracles import federate_sequential, route_sequential
 from repro.workload.mutations import generate_mutation_trace
 
 
@@ -50,50 +55,56 @@ def _trace(instance, *, listeners=120, mutations=24, horizon=96, seed=2):
     )
 
 
-def _report(router, *, trace=None, instance=None, **kwargs):
+def _service(*, trace=None, instance=None, **kwargs):
     instance = instance or _instance()
     trace = trace if trace is not None else _trace(instance)
-    defaults = dict(shards=2, seed=0, router=router)
+    defaults = dict(shards=2, seed=0)
     defaults.update(kwargs)
-    return FederatedBroadcastService(instance, trace, **defaults).run()
+    return FederatedBroadcastService(instance, trace, **defaults)
+
+
+def _report(**kwargs):
+    return _service(**kwargs).run()
 
 
 def _dumps(report):
     return json.dumps(report.as_dict(), sort_keys=True)
 
 
+def _assert_matches_oracle(**kwargs):
+    """``route()`` equals the sequential oracle field by field, and the
+    oracle's full run reproduces ``run()`` byte for byte."""
+    columnar = _service(**kwargs).route()
+    sequential = route_sequential(_service(**kwargs))
+    assert np.array_equal(
+        columnar.listener_shard, sequential.listener_shard
+    )
+    assert columnar.decisions == sequential.decisions
+    assert columnar.rebalances == sequential.rebalances
+    assert columnar.routing == sequential.routing
+    assert columnar.catalog_events == sequential.catalog_events
+    assert (
+        columnar.controller.as_dict() == sequential.controller.as_dict()
+    )
+    fast = _report(**kwargs)
+    reference = federate_sequential(_service(**kwargs))
+    assert _dumps(fast) == _dumps(reference)
+    return fast
+
+
 class TestRouterEquivalence:
-    def test_default_router_is_columnar(self):
-        service = FederatedBroadcastService(
-            _instance(), _trace(_instance()), shards=2
-        )
-        assert service.router == "columnar"
-
-    def test_unknown_router_rejected(self):
-        from repro.core.errors import ReproError
-
-        with pytest.raises(ReproError, match="unknown router"):
-            FederatedBroadcastService(
-                _instance(), _trace(_instance()), shards=2, router="simd"
-            )
-
     def test_basic_byte_identity(self):
-        assert _dumps(_report("columnar")) == _dumps(_report("sequential"))
+        _assert_matches_oracle()
 
     def test_byte_identity_under_rebalance_storm(self):
-        kwargs = dict(
+        report = _assert_matches_oracle(
             shards=4, rebalance_threshold=1.1, max_pages_moved=8
         )
-        assert _dumps(_report("columnar", **kwargs)) == _dumps(
-            _report("sequential", **kwargs)
-        )
+        assert report.pages_moved > 0
 
     def test_byte_identity_under_taut_budget(self):
         # budget == the per-shard minimum: admissions queue and reject.
-        kwargs = dict(shards=2, budget=2, queue_limit=2)
-        assert _dumps(_report("columnar", **kwargs)) == _dumps(
-            _report("sequential", **kwargs)
-        )
+        _assert_matches_oracle(shards=2, budget=2, queue_limit=2)
 
     def test_byte_identity_with_orphan_listeners(self):
         # Listeners for pages no shard owns (never inserted) take the
@@ -110,10 +121,26 @@ class TestRouterEquivalence:
         trace = MutationTrace(
             horizon=base.horizon, events=base.events + orphans
         )
-        a = _report("columnar", instance=instance, trace=trace)
-        b = _report("sequential", instance=instance, trace=trace)
-        assert a.routing["orphan_listeners"] >= len(orphans)
-        assert _dumps(a) == _dumps(b)
+        report = _assert_matches_oracle(instance=instance, trace=trace)
+        assert report.routing["orphan_listeners"] >= len(orphans)
+
+    def test_byte_identity_with_listeners_after_remove(self):
+        # A removed page's later listeners are orphans: the columnar
+        # router must forget the page's old location.
+        instance = _instance()
+        page = next(iter(instance.pages()))
+        events = (
+            MutationEvent(time=2.0, kind="page_remove", page_id=page.page_id),
+        ) + tuple(
+            MutationEvent(
+                time=float(t), kind="listener", page_id=page.page_id,
+                expected_time=page.expected_time,
+            )
+            for t in (1, 3, 5)
+        )
+        trace = MutationTrace(horizon=8, events=events)
+        report = _assert_matches_oracle(instance=instance, trace=trace)
+        assert report.routing["orphan_listeners"] == 2
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -146,25 +173,21 @@ class TestRouterEquivalence:
             seed=seed,
         )
 
-        def build(router):
-            return FederatedBroadcastService(
-                instance,
-                trace,
-                shards=shards,
-                seed=seed,
-                router=router,
-                rebalance_threshold=threshold,
-                max_pages_moved=4,
-                queue_limit=queue_limit,
-                budget=2 + budget_slack if budget_slack else None,
-            ).run()
-
-        assert _dumps(build("columnar")) == _dumps(build("sequential"))
+        _assert_matches_oracle(
+            instance=instance,
+            trace=trace,
+            shards=shards,
+            seed=seed,
+            rebalance_threshold=threshold,
+            max_pages_moved=4,
+            queue_limit=queue_limit,
+            budget=2 + budget_slack if budget_slack else None,
+        )
 
 
 class TestTransports:
     def test_shm_matches_inline(self):
-        inline = _report("columnar")
+        inline = _report()
         shm = FederatedBroadcastService(
             _instance(), _trace(_instance()), shards=2, seed=0
         ).run(
@@ -183,7 +206,7 @@ class TestTransports:
         )
 
     def test_pickle_matches_inline(self):
-        inline = _report("columnar")
+        inline = _report()
         pickled = FederatedBroadcastService(
             _instance(), _trace(_instance()), shards=2, seed=0
         ).run(
@@ -207,7 +230,7 @@ class TestTransports:
         assert report.transport == "inline"
 
     def test_subtrace_fingerprints_stable_across_transports(self):
-        inline = _report("columnar")
+        inline = _report()
         shm = FederatedBroadcastService(
             _instance(), _trace(_instance()), shards=2, seed=0
         ).run(workers=2, mode="process")
@@ -233,7 +256,7 @@ class TestWarmPool:
         )
 
     def test_pool_matches_serial_reference(self):
-        serial = _report("columnar")
+        serial = _report()
         with TaskPool(2, mode="process") as pool:
             pooled = FederatedBroadcastService(
                 _instance(), _trace(_instance()), shards=2, seed=0
@@ -290,7 +313,5 @@ class TestDrainsDeferredRegression:
     def test_end_to_end_deferred_drains_bounded_by_queue(self):
         # With a taut budget and tiny queue, deferred drains can never
         # exceed the number of distinct queued pages.
-        report = _report(
-            "columnar", shards=2, budget=2, queue_limit=3
-        )
+        report = _report(shards=2, budget=2, queue_limit=3)
         assert report.routing["drains_deferred"] <= 3

@@ -10,10 +10,13 @@ halves of that contract:
   meta)`` built from the same events through the validating
   constructor: ``events``, ``columns()``, ``mutations()``,
   ``listeners()``, ``to_dict()``, ``==`` and a pickle round trip; its
-  stamped fingerprint is ``fingerprint_columns`` over those columns.
+  fingerprint is ``fingerprint_columns`` over those columns, and a plan
+  that reads its rows from the shared-memory post builds the same
+  sub-trace.
 * **Laziness** — batched replay, coalescing included, never
-  materialises the listener events, and a pickled plan costs about its
-  column bytes.
+  materialises the listener events, and a pickled
+  :class:`~repro.federation.service.ShardPlan` costs about its column
+  bytes.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from hypothesis import strategies as st
 
 from repro.core.pages import instance_from_counts
 from repro.federation import FederatedBroadcastService
+from repro.federation import service as federation
 from repro.live.mutations import (
     MutationEvent,
     MutationTrace,
@@ -104,8 +108,14 @@ class TestColumnarEqualsEventBuilt:
             rebalance_threshold=threshold,
         )
         routed = service.route()
-        _, subtraces = service._subtraces(routed)
-        for shard, sub in zip(service.ring.shards, subtraces):
+        plans, _ = service._shard_plans(routed)
+        shm_plans, post = service._shard_plans(routed, shm=True)
+        try:
+            shm_subs = [federation._subtrace_from_plan(p) for p in shm_plans]
+        finally:
+            post.close()
+        for shard, plan, shm_sub in zip(service.ring.shards, plans, shm_subs):
+            sub = federation._subtrace_from_plan(plan)
             mine = np.flatnonzero(routed.listener_shard == shard).tolist()
             reference = MutationTrace(
                 trace.horizon,
@@ -138,6 +148,8 @@ class TestColumnarEqualsEventBuilt:
             assert sub == reference
             assert clone == reference
             assert len(sub) == len(reference)
+            assert shm_sub.fingerprint() == sub.fingerprint()
+            assert shm_sub == reference
 
 
 class TestLazyListenerEvents:
@@ -147,16 +159,14 @@ class TestLazyListenerEvents:
         instance = _instance()
         trace = _listener_trace(instance, 4_000)
         built: list = []
-        original = FederatedBroadcastService._shard_plans
+        original = federation._subtrace_from_plan
 
-        def record(self, routed):
-            plans = original(self, routed)
-            built.extend(plans)
-            return plans
+        def record(plan):
+            sub = original(plan)
+            built.append((plan.shard, sub))
+            return sub
 
-        monkeypatch.setattr(
-            FederatedBroadcastService, "_shard_plans", record
-        )
+        monkeypatch.setattr(federation, "_subtrace_from_plan", record)
         report = FederatedBroadcastService(
             instance,
             trace,
@@ -166,23 +176,22 @@ class TestLazyListenerEvents:
         ).run()
         assert report.listeners == len(trace.listeners())
         assert len(built) == 4
-        for plan in built:
-            assert _is_lazy(plan.trace), plan.shard
+        for shard, sub in built:
+            assert _is_lazy(sub), shard
 
     def test_pickled_plan_costs_about_its_columns(self):
         instance = _instance()
         trace = _listener_trace(instance, 240_000, seed=9)
         service = FederatedBroadcastService(instance, trace, shards=2)
-        plans = service._shard_plans(service.route())
-        plan = max(plans, key=lambda p: int(p.trace.columns()[1].sum()))
-        assert int(plan.trace.columns()[1].sum()) >= 100_000
-        column_bytes = sum(col.nbytes for col in plan.trace.columns())
-        catalog_bytes = len(pickle.dumps(plan.trace.mutations()))
+        plans, _ = service._shard_plans(service.route())
+        plan = max(plans, key=lambda p: p.columns[0].size)
+        assert plan.columns[0].size >= 100_000
+        column_bytes = sum(col.nbytes for col in plan.columns)
+        catalog_bytes = len(pickle.dumps(plan.catalog_events))
         payload = len(pickle.dumps(plan))
         assert payload <= 1.25 * (column_bytes + catalog_bytes), (
             payload, column_bytes, catalog_bytes,
         )
-        assert _is_lazy(plan.trace)
 
     def test_coalescing_batched_replay_matches_event_built_trace(self):
         instance = _instance()

@@ -2,9 +2,8 @@
 
 Covers plan construction/validation/serialisation, the deterministic
 Poisson churn generator, the four recovery policies replayed over shared
-listener streams, the removed ``repro.sim.faults`` wrappers, the
-engine's ``resilience`` operation, and the CLI round trip through a
-saved trace.
+listener streams, the engine's ``resilience`` operation, and the CLI
+round trip through a saved trace.
 """
 
 from __future__ import annotations
@@ -27,12 +26,10 @@ from repro.resilience import (
     RescheduleThrottled,
     ShedLoad,
     compare_policies,
-    compare_static_failure_sizes,
     make_policy,
     poisson_churn_plan,
     replay_plan,
     scripted_plan,
-    silence_channels,
     static_failure_plan,
 )
 
@@ -266,42 +263,6 @@ class TestPolicies:
         payload = json.loads(json.dumps(outcome.as_dict()))
         assert payload["policy"] == "carry_on"
         assert payload["plan_fingerprint"] == plan.fingerprint()
-
-
-# ----------------------------------------------------------------------
-# Deprecated wrappers stay equivalent
-# ----------------------------------------------------------------------
-
-
-class TestRemovedWrappers:
-    def test_fail_channels_raises_removal_error(self, small_instance):
-        from repro.core.errors import ReproError
-        from repro.core.pamad import schedule_pamad
-        from repro.sim.faults import fail_channels
-
-        program = schedule_pamad(small_instance, 4).program
-        with pytest.raises(ReproError, match="silence_channels"):
-            fail_channels(program, small_instance, [3, 1])
-        # The replacement covers the old behaviour directly.
-        new = silence_channels(program, small_instance, [3, 1])
-        assert new.surviving_channels == (0, 2)
-
-    def test_compare_failure_responses_raises_removal_error(
-        self, small_instance
-    ):
-        from repro.core.errors import ReproError
-        from repro.core.pamad import schedule_pamad
-        from repro.sim.faults import compare_failure_responses
-
-        program = schedule_pamad(small_instance, 4).program
-        with pytest.raises(
-            ReproError, match="compare_static_failure_sizes"
-        ):
-            compare_failure_responses(program, small_instance, [1, 2])
-        rows = compare_static_failure_sizes(
-            program, small_instance, [1, 2]
-        )
-        assert [row.failed_count for row in rows] == [1, 2]
 
 
 # ----------------------------------------------------------------------

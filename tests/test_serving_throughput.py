@@ -514,20 +514,6 @@ class TestChunkedSweepExecution:
         ]
         assert report.mode == "process"
 
-    def test_batch_backend_runs_and_is_recorded(self):
-        specs = _grid_specs(count=4)
-        policy = ExecutionPolicy(measure_backend="batch", chunk_size=2)
-        outcomes, report = run_cells(
-            specs, workers=2, mode="thread", policy=policy
-        )
-        assert all(isinstance(o, CellResult) for o in outcomes)
-        assert report.measure_backend == "batch"
-        scalar, _ = run_cells(specs, workers=1, mode="serial")
-        # Different RNG streams: agreement is statistical, not exact.
-        assert outcomes[0].point.simulated_delay != (
-            scalar[0].point.simulated_delay
-        ) or outcomes[0].point.simulated_delay == 0.0
-
     @pytest.mark.parametrize("chunk_size", [1, 4])
     def test_open_breaker_short_circuits_unsubmitted_cells(
         self, chunk_size
@@ -570,8 +556,6 @@ class TestChunkedSweepExecution:
     def test_policy_validates_chunking_knobs(self):
         with pytest.raises(ReproError, match="chunk_size"):
             ExecutionPolicy(chunk_size=0)
-        with pytest.raises(ReproError, match="measure_backend"):
-            ExecutionPolicy(measure_backend="bogus")
 
 
 class TestServeManifest:

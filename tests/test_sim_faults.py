@@ -1,17 +1,14 @@
 """Channel-failure injection and recovery, via the resilience API.
 
-The legacy ``repro.sim.faults`` wrappers finished their deprecation
-period in PR 6 and now raise; the behavioural coverage below runs
-against the replacements (:func:`repro.resilience.silence_channels`,
-:func:`repro.resilience.compare_static_failure_sizes`) and
-``TestRemovedShims`` pins the removal errors.
+Coverage runs against :func:`repro.resilience.silence_channels` and
+:func:`repro.resilience.compare_static_failure_sizes`.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.errors import ReproError, SimulationError
+from repro.core.errors import SimulationError
 from repro.core.pages import instance_from_counts
 from repro.core.susc import schedule_susc
 from repro.core.validate import validate_program
@@ -81,40 +78,7 @@ class TestSilenceChannels:
         )
         assert degraded.program.num_channels == 3
         assert degraded.failed_channels == (1,)
-
-
-class TestRemovedShims:
-    """The PR-2 wrappers are gone: importable, but loudly fatal."""
-
-    def test_fail_channels_raises_with_replacement(
-        self, susc_schedule, fig2_instance
-    ):
-        from repro.sim.faults import fail_channels
-
-        with pytest.raises(ReproError, match="silence_channels"):
-            fail_channels(susc_schedule.program, fig2_instance, [0])
-
-    def test_compare_failure_responses_raises_with_replacement(
-        self, susc_schedule, fig2_instance
-    ):
-        from repro.sim.faults import compare_failure_responses
-
-        with pytest.raises(
-            ReproError, match="compare_static_failure_sizes"
-        ):
-            compare_failure_responses(
-                susc_schedule.program, fig2_instance, [1]
-            )
-
-    def test_value_types_still_reexported(self):
-        from repro.resilience.degrade import (
-            DegradedProgram,
-            FailureComparison,
-        )
-        from repro.sim import faults
-
-        assert faults.DegradedProgram is DegradedProgram
-        assert faults.FailureComparison is FailureComparison
+        assert degraded.surviving_channels == (0, 2, 3)
 
 
 class TestCompareResponses:
