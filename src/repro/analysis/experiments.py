@@ -450,9 +450,7 @@ def _run_ext2(seed: int = 0, **_overrides) -> list[Table]:
         sizes = [max(1, round(n * w / total)) for w in weights]
         instance = instance_from_counts(sizes, times)
         started = time.perf_counter()
-        # Cursor-optimised GetAvailableSlot (identical output, see ABL4)
-        # keeps the largest instances fast.
-        schedule = schedule_susc(instance, optimized=True)
+        schedule = schedule_susc(instance)
         elapsed = time.perf_counter() - started
         report = validate_program(schedule.program, instance)
         table.add_row(
@@ -515,8 +513,13 @@ def _run_ext3(
 
 
 def _run_abl4(seed: int = 0, **_overrides) -> list[Table]:
-    """Naive vs cursor-optimised GetAvailableSlot (the paper's 3.2 note)."""
-    from repro.core.susc import schedule_susc as susc
+    """Naive vs cursor-optimised GetAvailableSlot (the paper's 3.2 note).
+
+    Times the two literal probes of :func:`repro.oracles.susc_reference`;
+    :func:`~repro.core.susc.schedule_susc` itself runs an array kernel
+    that would time the same code twice.
+    """
+    from repro.oracles import susc_reference
 
     table = Table(
         title="ABL4: GetAvailableSlot search — naive vs cursor-optimised",
@@ -537,10 +540,10 @@ def _run_abl4(seed: int = 0, **_overrides) -> list[Table]:
         sizes = [max(1, round(n * w / total)) for w in weights]
         instance = instance_from_counts(sizes, times)
         started = time.perf_counter()
-        naive = susc(instance, validate=False)
+        naive = susc_reference(instance)
         naive_seconds = time.perf_counter() - started
         started = time.perf_counter()
-        optimised = susc(instance, validate=False, optimized=True)
+        optimised = susc_reference(instance, optimized=True)
         optimised_seconds = time.perf_counter() - started
         table.add_row(
             instance.n,

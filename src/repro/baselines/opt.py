@@ -20,10 +20,12 @@ Both return the same :class:`~repro.core.frequencies.FrequencyAssignment`
 shape as PAMAD, and :func:`schedule_opt` reuses PAMAD's Algorithm-4
 placement, so the three systems differ only in frequency selection.
 
-Both searches accept ``prune=True`` (the default): a branch-and-bound
-that returns the *exact* reference result while visiting a fraction of
-the tree.  The bound exploits that the most relaxed group ``G_h`` has
-``S_h = 1``, so its Equation-2 term
+Both searches are branch-and-bound walks that return the *exact*
+exhaustive result while visiting a fraction of the tree.  The exhaustive
+staged walk is :func:`repro.oracles.opt_frequencies_exhaustive`; the
+exhaustive product loop stays here, because a custom objective has no
+analytic bound and needs it.  The bound exploits that the most relaxed
+group ``G_h`` has ``S_h = 1``, so its Equation-2 term
 
 ``lb(F) = (P_h / F) * max(F/N - t_h, 0) * max((ceil(F/N) - t_h)/2, 0)``
 
@@ -120,9 +122,13 @@ def opt_frequencies(
     instance: ProblemInstance,
     num_channels: int,
     max_r: int | None = None,
-    prune: bool = True,
 ) -> FrequencyAssignment:
     """Joint DFS over all staged ``r`` vectors, minimising final delay.
+
+    The walk is a branch-and-bound with a memoised tail bound plus
+    batch leaf evaluation.  It returns the *identical* assignment as the
+    exhaustive walk (:func:`repro.oracles.opt_frequencies_exhaustive`),
+    only faster; property tests pin the equality.
 
     Args:
         instance: The problem instance.
@@ -130,11 +136,6 @@ def opt_frequencies(
         max_r: Optional hard cap on each ``r`` (on top of Algorithm 3's
             bound) to keep worst-case runtime bounded; ``None`` searches
             the full per-stage bound.
-        prune: Branch-and-bound with the memoised Theorem-3.1-flavoured
-            tail bound plus batch leaf evaluation (default).  Returns
-            the *identical* assignment as the exhaustive walk
-            (``prune=False``), only faster; property tests pin the
-            equality.
 
     Returns:
         The delay-minimising :class:`FrequencyAssignment` (ties break
@@ -152,29 +153,6 @@ def opt_frequencies(
     best_r: tuple[int, ...] = ()
     best_delay = math.inf
 
-    def evaluate(r_values: list[int]) -> float:
-        frequencies = frequencies_from_r(r_values, h)
-        return paper_group_delay(
-            frequencies, sizes, times, num_channels
-        )
-
-    def descend(r_values: list[int], stage: int) -> None:
-        nonlocal best_r, best_delay
-        if stage > h:
-            delay = evaluate(r_values)
-            if delay < best_delay - 1e-12:
-                best_delay = delay
-                best_r = tuple(r_values)
-            return
-        bound = r_upper_bound(r_values, stage, sizes, times, num_channels)
-        if max_r is not None:
-            bound = min(bound, max_r)
-        for candidate in range(1, bound + 1):
-            r_values.append(candidate)
-            descend(r_values, stage + 1)
-            r_values.pop()
-
-    # -- pruned walk ---------------------------------------------------
     lb_memo: dict[int, float] = {}
     p_h, t_h = sizes[-1], times[-1]
 
@@ -219,7 +197,7 @@ def opt_frequencies(
                 best_delay = float(delay)
                 best_r = label
 
-    def descend_pruned(r_values: list[int], stage: int) -> None:
+    def descend(r_values: list[int], stage: int) -> None:
         nonlocal best_r, best_delay
         bound = r_upper_bound(r_values, stage, sizes, times, num_channels)
         if max_r is not None:
@@ -267,13 +245,14 @@ def opt_frequencies(
                 # bound at least as high: stop the whole loop.
                 r_values.pop()
                 break
-            descend_pruned(r_values, stage + 1)
+            descend(r_values, stage + 1)
             r_values.pop()
 
     if h == 1:
-        best_r, best_delay = (), evaluate([])
-    elif prune:
-        descend_pruned([], 2)
+        best_r = ()
+        best_delay = paper_group_delay(
+            frequencies_from_r([], h), sizes, times, num_channels
+        )
     else:
         descend([], 2)
 
@@ -292,7 +271,6 @@ def brute_force_frequencies(
     num_channels: int,
     cap: int = 8,
     objective=paper_group_delay,
-    prune: bool = True,
 ) -> FrequencyAssignment:
     """Search *arbitrary* frequency vectors ``S in {1..cap}^h``.
 
@@ -301,16 +279,17 @@ def brute_force_frequencies(
     relaxed group more than once per cycle only inflates the cycle, and any
     uniform scaling of ``S`` represents the same program family).
 
+    Equation (2) is searched by branch-and-bound plus batch evaluation,
+    returning the exact exhaustive result.  The analytic tail bound is
+    specific to Equation (2), so any other ``objective`` takes the
+    exhaustive loop.
+
     Args:
         instance: The problem instance (small!).
         num_channels: ``N_real``.
         cap: Upper bound per frequency.
         objective: Delay functional ``f(S, P, t, N) -> float``; defaults to
             the paper-literal Equation (2).
-        prune: Branch-and-bound + batch evaluation returning the exact
-            exhaustive result (default).  The analytic tail bound is
-            specific to Equation (2), so a custom ``objective`` always
-            takes the exhaustive path regardless of this flag.
 
     Raises:
         SearchSpaceError: If the search space exceeds ~2 million vectors.
@@ -325,7 +304,7 @@ def brute_force_frequencies(
     sizes = instance.group_sizes
     times = instance.expected_times
 
-    if prune and objective is paper_group_delay and h > 1:
+    if objective is paper_group_delay and h > 1:
         return _brute_force_pruned(instance, num_channels, cap)
 
     best: tuple[int, ...] | None = None

@@ -647,19 +647,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.analysis.perfsuite import bench_command
-
-    return bench_command(
-        suite=args.suite,
-        quick=args.quick,
-        repeats=args.repeats,
-        output=args.output,
-        check=args.check,
-        max_regression=args.max_regression,
-    )
-
-
 def _cmd_experiment(args: argparse.Namespace) -> int:
     overrides = {}
     if args.requests is not None:
@@ -1043,45 +1030,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve persistently on TCP until Shutdown",
     )
     serve.set_defaults(handler=_cmd_serve)
-
-    bench = commands.add_parser(
-        "bench",
-        help="run a perf suite and gate against a baseline",
-    )
-    bench.add_argument(
-        "--suite",
-        choices=("core", "fed", "serve"),
-        default="core",
-        help="entry set: scheduling fast paths (core, BENCH_core), "
-        "federation scaling (fed, BENCH_fed), or serving throughput "
-        "(serve, BENCH_serve)",
-    )
-    bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="shrunk inputs for CI smoke (seconds, not minutes)",
-    )
-    bench.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="timing repeats per entry; the minimum is reported",
-    )
-    bench.add_argument(
-        "--output",
-        help="write the suite's JSON payload to this path",
-    )
-    bench.add_argument(
-        "--check",
-        help="compare against a committed baseline JSON of the same suite",
-    )
-    bench.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.25,
-        help="allowed same-mode speedup drop vs the baseline (0.25 = 25%%)",
-    )
-    bench.set_defaults(handler=_cmd_bench)
 
     experiment = commands.add_parser(
         "experiment", help="run a registered experiment"

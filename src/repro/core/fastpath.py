@@ -1,8 +1,8 @@
 """Fast placement kernels — byte-identical to the reference scans.
 
-The reference implementations of Algorithm 4 (:mod:`repro.core.pamad`)
-and Algorithm 1/2 (:mod:`repro.core.susc`) probe the program grid cell by
-cell through :class:`~repro.core.program.BroadcastProgram` accessors.
+The reference implementations of Algorithm 4 and Algorithm 1/2
+(:mod:`repro.oracles`) probe the program grid cell by cell through
+:class:`~repro.core.program.BroadcastProgram` accessors.
 That is the right shape for reading the paper, but every probe pays
 bounds checks and method dispatch, and the column/window scans are
 quadratic in practice.  The kernels here compute *exactly the same
@@ -39,7 +39,7 @@ Why the outputs are provably identical:
   0's free window slots in ascending order, then channel 1's, and so
   on.  One ``flatnonzero`` per (run, channel) plus a masked periodic
   write reproduces that exactly; a per-channel first-free cursor (the
-  same monotone cursor as ``schedule_susc(optimized=True)``) decides
+  monotone cursor of the paper's optimised GetAvailableSlot) decides
   window eligibility without rescanning.
 
 Property tests (:mod:`tests.test_fastpath`) pin the equality: for every
@@ -152,7 +152,7 @@ def place_by_frequency_fast(
     """Algorithm-4 placement as array kernels; grid-identical to the reference.
 
     Returns ``(program, window_misses)`` — the same pair the reference
-    :func:`repro.core.pamad.place_by_frequency` wraps in its
+    :func:`repro.oracles.place_by_frequency_reference` wraps in its
     ``PlacementResult``.
     """
     _check_frequencies(instance, frequencies)
@@ -212,11 +212,11 @@ def place_sequential_fast(
 ) -> tuple[BroadcastProgram, int]:
     """Sequential (ABL3 strawman) placement as one reshape.
 
-    Grid-identical to :func:`repro.core.pamad.place_sequential`: from an
-    empty grid the reference's frontier cursor consumes cells in strict
-    column-major order and can never exhaust the frontier early (the
-    Equation-8 cycle holds every copy), so the whole placement is the
-    flattened repeat sequence laid column-major over the grid.
+    Grid-identical to :func:`repro.oracles.place_sequential_reference`:
+    from an empty grid the reference's frontier cursor consumes cells in
+    strict column-major order and can never exhaust the frontier early
+    (the Equation-8 cycle holds every copy), so the whole placement is
+    the flattened repeat sequence laid column-major over the grid.
     """
     _check_frequencies(instance, frequencies)
     total_slots = sum(

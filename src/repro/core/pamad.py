@@ -29,9 +29,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.delay import program_average_delay
-from repro.core.errors import SchedulingError, SearchSpaceError
 from repro.core.frequencies import FrequencyAssignment, pamad_frequencies
-from repro.core.intmath import ceil_div
 from repro.core.pages import ProblemInstance
 from repro.core.program import BroadcastProgram
 
@@ -62,18 +60,18 @@ def place_by_frequency(
     instance: ProblemInstance,
     frequencies: Sequence[int],
     num_channels: int,
-    fast: bool = True,
 ) -> PlacementResult:
     """Algorithm 4: evenly spread every page per its group frequency.
+
+    Runs on the array kernel of :mod:`repro.core.fastpath`; property
+    tests pin it to the literal cell-by-cell scan,
+    :func:`repro.oracles.place_by_frequency_reference` (identical
+    programs and miss counts).
 
     Args:
         instance: Pages and groups to place.
         frequencies: ``(S_1..S_h)`` copies per cycle for each group's pages.
         num_channels: ``N_real`` rows of the program grid.
-        fast: Use the grid-identical array kernel of
-            :mod:`repro.core.fastpath` (default).  ``False`` runs the
-            literal cell-by-cell reference scan; property tests pin the
-            two paths to byte-identical programs and miss counts.
 
     Returns:
         A :class:`PlacementResult`; the program's cycle length follows
@@ -85,62 +83,11 @@ def place_by_frequency(
             (impossible when the cycle length follows Equation 8, kept as a
             hard invariant).
     """
-    if fast:
-        from repro.core.fastpath import place_by_frequency_fast
+    from repro.core.fastpath import place_by_frequency_fast
 
-        program, window_misses = place_by_frequency_fast(
-            instance, frequencies, num_channels
-        )
-        return PlacementResult(
-            program=program, window_misses=window_misses
-        )
-    if len(frequencies) != instance.h:
-        raise SearchSpaceError(
-            f"got {len(frequencies)} frequencies for h={instance.h} groups"
-        )
-    if any(s < 1 for s in frequencies):
-        raise SearchSpaceError(
-            f"frequencies must be >= 1, got {list(frequencies)}"
-        )
-    total_slots = sum(
-        s * group.size for s, group in zip(frequencies, instance.groups)
+    program, window_misses = place_by_frequency_fast(
+        instance, frequencies, num_channels
     )
-    cycle = ceil_div(total_slots, num_channels)
-    program = BroadcastProgram(
-        num_channels=num_channels, cycle_length=cycle
-    )
-
-    # Paper: "sort all data pages in descending order according to their
-    # broadcast frequency" — most-frequent pages claim their evenly spaced
-    # columns first.
-    order = sorted(
-        range(instance.h), key=lambda i: frequencies[i], reverse=True
-    )
-    window_misses = 0
-    fallback = _CyclicFallbackCursor(program)
-    for group_position in order:
-        group = instance.groups[group_position]
-        s_i = frequencies[group_position]
-        for page in group.pages:
-            for k in range(s_i):
-                window_start = ceil_div(cycle * k, s_i)
-                window_end = ceil_div(cycle * (k + 1), s_i)  # exclusive
-                placed = False
-                for column in range(window_start, min(window_end, cycle)):
-                    channel = program.free_channel_in_column(column)
-                    if channel is not None:
-                        program.assign(channel, column, page.page_id)
-                        placed = True
-                        break
-                if not placed:
-                    window_misses += 1
-                    placed = fallback.place(page.page_id, window_start)
-                if not placed:
-                    raise SchedulingError(
-                        f"no free slot anywhere in the cycle for page "
-                        f"{page.page_id} copy {k + 1}/{s_i}; cycle length "
-                        f"{cycle} cannot hold {total_slots} slots"
-                    )
     return PlacementResult(program=program, window_misses=window_misses)
 
 
@@ -148,7 +95,6 @@ def place_sequential(
     instance: ProblemInstance,
     frequencies: Sequence[int],
     num_channels: int,
-    fast: bool = True,
 ) -> PlacementResult:
     """Naive placement: fill the grid left to right, no even spreading.
 
@@ -156,119 +102,13 @@ def place_sequential(
     are packed into the earliest free cells instead of being spread over
     the cycle.  This is the ABL3 ablation's strawman — it isolates how much
     of PAMAD's AvgD comes from *where* copies land rather than *how many*
-    there are.  ``fast`` selects the grid-identical array kernel
-    (default) versus the literal reference scan.
+    there are.  Runs on the array kernel; the literal scan is
+    :func:`repro.oracles.place_sequential_reference`.
     """
-    if fast:
-        from repro.core.fastpath import place_sequential_fast
+    from repro.core.fastpath import place_sequential_fast
 
-        program, _ = place_sequential_fast(
-            instance, frequencies, num_channels
-        )
-        return PlacementResult(program=program, window_misses=0)
-    if len(frequencies) != instance.h:
-        raise SearchSpaceError(
-            f"got {len(frequencies)} frequencies for h={instance.h} groups"
-        )
-    if any(s < 1 for s in frequencies):
-        raise SearchSpaceError(
-            f"frequencies must be >= 1, got {list(frequencies)}"
-        )
-    total_slots = sum(
-        s * group.size for s, group in zip(frequencies, instance.groups)
-    )
-    cycle = ceil_div(total_slots, num_channels)
-    program = BroadcastProgram(
-        num_channels=num_channels, cycle_length=cycle
-    )
-    cursor = 0  # column of the last successful placement; never decreases
-    fallback = _CyclicFallbackCursor(program)
-    order = sorted(
-        range(instance.h), key=lambda i: frequencies[i], reverse=True
-    )
-    for group_position in order:
-        group = instance.groups[group_position]
-        s_i = frequencies[group_position]
-        for page in group.pages:
-            for _ in range(s_i):
-                placed = False
-                for column in range(cursor, cycle):
-                    channel = program.free_channel_in_column(column)
-                    if channel is not None:
-                        program.assign(channel, column, page.page_id)
-                        cursor = column
-                        placed = True
-                        break
-                if not placed:
-                    # Earlier columns may still have holes (cursor only
-                    # tracks the frontier); rescan from the start once.
-                    cursor = 0
-                    placed = fallback.place(page.page_id, 0)
-                if not placed:
-                    raise SchedulingError(
-                        f"grid full before placing page {page.page_id}"
-                    )
+    program, _ = place_sequential_fast(instance, frequencies, num_channels)
     return PlacementResult(program=program, window_misses=0)
-
-
-class _CyclicFallbackCursor:
-    """Amortised-linear cyclic fallback placement for one program build.
-
-    The naive fallback rescanned every column from the requested offset,
-    making repeated fallbacks O(cycle^2).  Columns only ever fill up
-    during a placement run, so full columns can be remembered: a
-    pointer-jumping array (path-compressed) links each known-full column
-    to the next candidate, and every probe either places a page or
-    permanently marks one more column full.  Each column is marked at
-    most once per run, so all fallbacks together cost one scan of the
-    grid — and the column chosen is exactly the one the naive cyclic
-    scan would have found (the first non-full column cyclically from
-    the start offset).
-    """
-
-    def __init__(self, program: BroadcastProgram) -> None:
-        self._program = program
-        self._next_free = list(range(program.cycle_length + 1))
-
-    def _find(self, column: int) -> int:
-        """First non-full column at or after ``column`` (cycle = none)."""
-        program = self._program
-        next_free = self._next_free
-        cycle = program.cycle_length
-        root = column
-        while True:
-            while next_free[root] != root:
-                root = next_free[root]
-            if root >= cycle:
-                break
-            if program.free_channel_in_column(root) is not None:
-                break
-            # Learned this column is full (placements outside the
-            # fallback filled it); link it forward for good.
-            next_free[root] = root + 1
-        while next_free[column] != root:
-            column, next_free[column] = next_free[column], root
-        return root
-
-    def place(self, page_id: int, start_column: int) -> bool:
-        """Place in the first free cell scanning cyclically from a column."""
-        program = self._program
-        cycle = program.cycle_length
-        column = self._find(start_column)
-        if column >= cycle:
-            column = self._find(0)
-            if column >= start_column:
-                return False
-        channel = program.free_channel_in_column(column)
-        program.assign(channel, column, page_id)
-        return True
-
-
-def _place_cyclic_fallback(
-    program: BroadcastProgram, page_id: int, start_column: int
-) -> bool:
-    """One-shot cyclic fallback (kept for callers without a cursor)."""
-    return _CyclicFallbackCursor(program).place(page_id, start_column)
 
 
 @dataclass(frozen=True)
@@ -309,7 +149,6 @@ def schedule_pamad(
     instance: ProblemInstance,
     num_channels: int,
     objective=None,
-    fast: bool = True,
 ) -> PamadSchedule:
     """Run the full PAMAD pipeline (Algorithms 3 + 4).
 
@@ -322,8 +161,6 @@ def schedule_pamad(
         num_channels: Channels actually available (``N_real``).
         objective: Optional stage objective override (see
             :func:`repro.core.frequencies.pamad_frequencies`).
-        fast: Placement kernel selector (see :func:`place_by_frequency`);
-            the produced program is identical either way.
 
     Returns:
         A :class:`PamadSchedule` with program, frequencies and measured
@@ -336,7 +173,7 @@ def schedule_pamad(
             instance, num_channels, objective=objective
         )
     placement = place_by_frequency(
-        instance, assignment.frequencies, num_channels, fast=fast
+        instance, assignment.frequencies, num_channels
     )
     average_delay = program_average_delay(placement.program, instance)
     return PamadSchedule(

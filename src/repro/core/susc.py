@@ -15,6 +15,12 @@ and Theorem 3.3 that the periodic slots of step 3 are free.  Both theorems
 are enforced as runtime invariants here: a violation raises
 :class:`~repro.core.errors.SchedulingError`, so a bound bug could never
 silently produce an invalid schedule.
+
+The fill runs on the array kernel of :mod:`repro.core.fastpath`.  The
+literal probe-by-probe fill, with both the naive and the paper's
+cursor-optimised GetAvailableSlot, is
+:func:`repro.oracles.susc_reference`; tests pin the two to identical
+programs, and the ABL4 ablation times the two probes.
 """
 
 from __future__ import annotations
@@ -22,9 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.bounds import minimum_channels
-from repro.core.errors import InsufficientChannelsError, SchedulingError
-from repro.core.intmath import ceil_div
-from repro.core.pages import Page, ProblemInstance
+from repro.core.errors import InsufficientChannelsError
+from repro.core.pages import ProblemInstance
 from repro.core.program import BroadcastProgram, SlotRef
 from repro.core.validate import assert_valid_program
 
@@ -72,66 +77,10 @@ class SuscSchedule:
         }
 
 
-def _get_available_slot(
-    program: BroadcastProgram, page: Page
-) -> SlotRef:
-    """GetAvailableSlot (Algorithm 2): first free slot within the window.
-
-    Scans channels in order; within each channel scans slots
-    ``0 .. t_i - 1``.  Theorem 3.2 says this always succeeds when the
-    channel count meets the Theorem 3.1 bound, so failure is reported as a
-    hard error rather than a soft "not found".
-    """
-    for channel in range(program.num_channels):
-        slot = program.free_slot_in_channel_window(
-            channel, page.expected_time
-        )
-        if slot is not None:
-            return SlotRef(slot=slot, channel=channel)
-    raise SchedulingError(
-        f"GetAvailableSlot found no free slot for {page} in the first "
-        f"{page.expected_time} slots of any of {program.num_channels} "
-        "channels — Theorem 3.2 violated (channel count below the bound, "
-        "or a placement bug)"
-    )
-
-
-def _get_available_slot_cursored(
-    program: BroadcastProgram, page: Page, cursors: list[int]
-) -> SlotRef:
-    """Cursor-accelerated GetAvailableSlot (the paper's §3.2 optimisation).
-
-    The paper notes the slot search "need not be always starting from the
-    first slot of every channel".  Because SUSC fills each channel's
-    prefix monotonically (pages are placed at the first free slot and
-    their periodic copies only land at or after it), the first free slot
-    of a channel never moves backwards — so a per-channel cursor finds it
-    in amortised O(1) instead of rescanning the prefix for every page.
-    Returns exactly what the naive scan would.
-    """
-    for channel in range(program.num_channels):
-        # Advance the cursor over cells filled since the last visit.
-        while (
-            cursors[channel] < program.cycle_length
-            and not program.is_free(channel, cursors[channel])
-        ):
-            cursors[channel] += 1
-        if cursors[channel] < page.expected_time:
-            return SlotRef(slot=cursors[channel], channel=channel)
-    raise SchedulingError(
-        f"GetAvailableSlot found no free slot for {page} in the first "
-        f"{page.expected_time} slots of any of {program.num_channels} "
-        "channels — Theorem 3.2 violated (channel count below the bound, "
-        "or a placement bug)"
-    )
-
-
 def schedule_susc(
     instance: ProblemInstance,
     num_channels: int | None = None,
     validate: bool = True,
-    optimized: bool = False,
-    fast: bool = True,
 ) -> SuscSchedule:
     """Run SUSC and return a valid broadcast program.
 
@@ -142,13 +91,6 @@ def schedule_susc(
             PAMAD for that regime), passing more simply leaves extra slack.
         validate: Re-check the two Section-3.1 conditions on the finished
             program (cheap; on by default as a safety net).
-        optimized: Use the paper's §3.2 cursor optimisation for
-            GetAvailableSlot.  Produces the *identical* program (property
-            tests pin this); only the search cost changes.
-        fast: Run the whole fill on the raw-array kernel of
-            :mod:`repro.core.fastpath` (default) — again identical output,
-            again pinned by property tests.  ``fast=False`` selects
-            between the two literal reference probes via ``optimized``.
 
     Returns:
         A :class:`SuscSchedule` whose program satisfies every expected time.
@@ -166,48 +108,11 @@ def schedule_susc(
             provided=num_channels, required=required
         )
 
-    if fast:
-        from repro.core.fastpath import susc_fill_fast
+    from repro.core.fastpath import susc_fill_fast
 
-        fast_program, fast_first = susc_fill_fast(instance, num_channels)
-        if validate:
-            assert_valid_program(fast_program, instance)
-        return SuscSchedule(
-            program=fast_program,
-            instance=instance,
-            num_channels=num_channels,
-            first_slots=fast_first,
-        )
-
-    cycle = instance.max_expected_time
-    program = BroadcastProgram(
-        num_channels=num_channels, cycle_length=cycle
-    )
-    first_slots: dict[int, SlotRef] = {}
-    cursors = [0] * num_channels
-
-    for page in instance.pages_sorted_for_susc():
-        if optimized:
-            start = _get_available_slot_cursored(program, page, cursors)
-        else:
-            start = _get_available_slot(program, page)
-        first_slots[page.page_id] = start
-        repetitions = ceil_div(cycle, page.expected_time)  # ceil(t_h / t_i)
-        for k in range(repetitions):
-            slot = start.slot + k * page.expected_time
-            if slot >= cycle:
-                break
-            if not program.is_free(start.channel, slot):
-                raise SchedulingError(
-                    f"Theorem 3.3 violated: periodic slot "
-                    f"(ch={start.channel}, slot={slot}) for {page} is "
-                    "already occupied"
-                )
-            program.assign(start.channel, slot, page.page_id)
-
+    program, first_slots = susc_fill_fast(instance, num_channels)
     if validate:
         assert_valid_program(program, instance)
-
     return SuscSchedule(
         program=program,
         instance=instance,

@@ -107,9 +107,7 @@ def _rebuild_program(
     by Theorem 3.2), PAMAD below it (minimum average delay).
     """
     if channels >= minimum_channels(instance):
-        return schedule_susc(
-            instance, num_channels=channels, optimized=True
-        ).program
+        return schedule_susc(instance, num_channels=channels).program
     return schedule_pamad(instance, channels).program
 
 

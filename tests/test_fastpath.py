@@ -1,10 +1,8 @@
 """Property tests pinning every fast path to its reference twin.
 
-The perf suite (:mod:`repro.analysis.perfsuite`) times the fast paths;
-this module proves they are *safe to time*: each optimised
-implementation must be observationally identical to the literal
-reference it replaces — same grids, same metadata, same search result —
-for every generated input, not just the benchmark configs.
+Each optimised implementation must be observationally identical to the
+literal reference it replaces (:mod:`repro.oracles`) — same grids, same
+metadata, same search result — for every generated input.
 """
 
 from __future__ import annotations
@@ -16,14 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.perfsuite import (
-    SCHEMA,
-    compare_payloads,
-    validate_payload,
-)
 from repro.baselines.opt import brute_force_frequencies, opt_frequencies
 from repro.core.bounds import minimum_channels
-from repro.core.errors import SimulationError
+from repro.core.delay import paper_group_delay
 from repro.core.frequencies import (
     pamad_frequencies,
     pamad_frequencies_for,
@@ -39,6 +32,12 @@ from repro.core.program import BroadcastProgram
 from repro.core.susc import schedule_susc
 from repro.live.catalog import LiveCatalog
 from repro.live.replan import FastReplanner
+from repro.oracles import (
+    opt_frequencies_exhaustive,
+    place_by_frequency_reference,
+    place_sequential_reference,
+    susc_reference,
+)
 
 
 # ----------------------------------------------------------------------
@@ -78,8 +77,8 @@ class TestPlacementEquality:
     def test_place_by_frequency_fast_matches_reference(self, case):
         instance, channels = case
         frequencies = pamad_frequencies(instance, channels).frequencies
-        slow = place_by_frequency(
-            instance, frequencies, channels, fast=False
+        slow = place_by_frequency_reference(
+            instance, frequencies, channels
         )
         fast = place_by_frequency(instance, frequencies, channels)
         assert fast.program.grid_rows() == slow.program.grid_rows()
@@ -90,8 +89,8 @@ class TestPlacementEquality:
     def test_place_sequential_fast_matches_reference(self, case):
         instance, channels = case
         frequencies = pamad_frequencies(instance, channels).frequencies
-        slow = place_sequential(
-            instance, frequencies, channels, fast=False
+        slow = place_sequential_reference(
+            instance, frequencies, channels
         )
         fast = place_sequential(instance, frequencies, channels)
         assert fast.program.grid_rows() == slow.program.grid_rows()
@@ -102,9 +101,7 @@ class TestPlacementEquality:
     def test_susc_fast_matches_both_reference_probes(self, instance):
         fast = schedule_susc(instance, validate=False)
         for optimized in (False, True):
-            slow = schedule_susc(
-                instance, validate=False, fast=False, optimized=optimized
-            )
+            slow = susc_reference(instance, optimized=optimized)
             assert (
                 fast.program.grid_rows() == slow.program.grid_rows()
             ), f"fast kernel diverged from optimized={optimized} probe"
@@ -121,7 +118,7 @@ class TestSearchEquality:
     @settings(max_examples=25, deadline=None)
     def test_opt_pruning_is_exact(self, instance):
         channels = minimum_channels(instance)
-        exhaustive = opt_frequencies(instance, channels, prune=False)
+        exhaustive = opt_frequencies_exhaustive(instance, channels)
         pruned = opt_frequencies(instance, channels)
         assert pruned.frequencies == exhaustive.frequencies
         assert pruned.predicted_delay == pytest.approx(
@@ -132,9 +129,18 @@ class TestSearchEquality:
     @settings(max_examples=15, deadline=None)
     def test_brute_force_pruning_is_exact(self, instance):
         channels = minimum_channels(instance)
+        # Any objective but Equation (2) itself has no tail bound, so a
+        # wrapper around it takes the exhaustive loop: every vector.
+        calls = []
+
+        def objective(*args):
+            calls.append(args[0])
+            return paper_group_delay(*args)
+
         exhaustive = brute_force_frequencies(
-            instance, channels, cap=4, prune=False
+            instance, channels, cap=4, objective=objective
         )
+        assert len(calls) == 4 ** (instance.h - 1)
         pruned = brute_force_frequencies(instance, channels, cap=4)
         assert pruned.frequencies == exhaustive.frequencies
         assert pruned.predicted_delay == pytest.approx(
@@ -402,6 +408,26 @@ class TestFastReplanner:
             replanner.try_patch(mutated.pages(), schedule.program) is None
         )
 
+    @pytest.mark.parametrize(
+        "sizes, budget", [((3, 4, 6, 10), 4), ((6, 10, 14, 20), 6)]
+    )
+    def test_slowest_rung_toggle_stays_patch_eligible(self, sizes, budget):
+        # One page toggling in and out of the slowest rung is the
+        # degraded-mode mutation the patch path exists for: every
+        # toggle must patch, each patch serving exactly its catalog.
+        catalog = _catalog(sizes, self.TIMES)
+        schedule = schedule_pamad(catalog.to_instance(), budget)
+        replanner = FastReplanner()
+        _remember(replanner, catalog, budget, schedule)
+        mutated = catalog.copy()
+        mutated.insert(max(catalog.pages()) + 1, self.TIMES[-1])
+        program = schedule.program
+        for toggle in range(8):
+            target = catalog if toggle % 2 else mutated
+            program = replanner.try_patch(target.pages(), program)
+            assert program is not None, f"toggle {toggle} not patched"
+            assert set(program.page_counts()) == set(target.pages())
+
     def test_no_snapshot_is_ineligible(self):
         catalog, schedule, _ = self._planned()
         fresh = FastReplanner()
@@ -472,66 +498,3 @@ class TestPackedPatchEquality:
         assert set(patched.page_counts()) == (
             set(program.page_counts()) - rung
         )
-
-
-# ----------------------------------------------------------------------
-# Perf-suite payload schema and regression gates
-# ----------------------------------------------------------------------
-
-
-def _payload(quick=False, speedup=6.0, floor=5.0):
-    return {
-        "schema": SCHEMA,
-        "version": "0.0.0-test",
-        "quick": quick,
-        "repeats": 3,
-        "benchmarks": {
-            "bench_example": {
-                "config": {"pages": 1},
-                "reference_ms": speedup,
-                "fast_ms": 1.0,
-                "speedup": speedup,
-                "floor": floor,
-            }
-        },
-    }
-
-
-class TestPerfsuitePayloads:
-    def test_valid_payload_passes(self):
-        validate_payload(_payload())
-
-    def test_bad_schema_rejected(self):
-        payload = _payload()
-        payload["schema"] = "something/else"
-        with pytest.raises(SimulationError):
-            validate_payload(payload)
-
-    def test_nonpositive_timing_rejected(self):
-        payload = _payload()
-        payload["benchmarks"]["bench_example"]["fast_ms"] = 0
-        with pytest.raises(SimulationError):
-            validate_payload(payload)
-
-    def test_missing_benchmark_fails_comparison(self):
-        current = _payload()
-        current["benchmarks"] = {
-            "bench_other": current["benchmarks"]["bench_example"]
-        }
-        failures = compare_payloads(current, _payload())
-        assert any("missing" in failure for failure in failures)
-
-    def test_floor_gate_applies_across_modes(self):
-        current = _payload(quick=True, speedup=4.0, floor=5.0)
-        baseline = _payload(quick=False, speedup=6.0, floor=5.0)
-        failures = compare_payloads(current, baseline)
-        assert any("floor" in failure for failure in failures)
-
-    def test_relative_gate_only_same_mode(self):
-        # 5.1x vs a 6.9x baseline is a >25% drop but still above floor.
-        current = _payload(quick=True, speedup=5.1)
-        baseline_cross = _payload(quick=False, speedup=6.9)
-        assert compare_payloads(current, baseline_cross) == []
-        baseline_same = _payload(quick=True, speedup=6.9)
-        failures = compare_payloads(current, baseline_same)
-        assert any("regressed" in failure for failure in failures)

@@ -142,6 +142,31 @@ class TestRouterEquivalence:
         report = _assert_matches_oracle(instance=instance, trace=trace)
         assert report.routing["orphan_listeners"] == 2
 
+    @pytest.mark.parametrize("shards", [2, 4, 8])
+    def test_byte_identity_batched_ladder_with_rebalancing(self, shards):
+        # An 80-page, 8-rung ladder under catalog churn, each shard at
+        # its own Theorem-3.1 minimum, listeners replayed in batches:
+        # the columnar router must match the oracle at every shard
+        # count, rebalancing moves included.
+        instance = _instance(
+            counts=(10,) * 8, ladder=tuple(4 * 2**i for i in range(8))
+        )
+        trace = _trace(
+            instance, listeners=800, mutations=60, horizon=128, seed=11
+        )
+        report = _assert_matches_oracle(
+            instance=instance,
+            trace=trace,
+            shards=shards,
+            budget=None,
+            rebalance_threshold=1.5,
+            max_pages_moved=4,
+            batch_listeners=True,
+        )
+        assert report.counters["batched_listeners"] == 800
+        if shards == 8:
+            assert report.pages_moved > 0
+
     @settings(max_examples=20, deadline=None)
     @given(
         seed=st.integers(0, 10_000),

@@ -2,8 +2,11 @@
 
 The reference implementations exist for tests to compare against; a
 serving module that imported one could route real traffic through it.
-Only the legacy federation bench suite, which refuses to time a fast
-path whose answers differ from the reference, may import it.
+Only ``analysis/experiments.py`` may import it: the ABL4 ablation times
+the two literal GetAvailableSlot probes of
+:func:`repro.oracles.susc_reference` against each other, the paper's
+§3.2 comparison, which the array kernel behind ``schedule_susc`` cannot
+show.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from pathlib import Path
 import repro
 
 SRC = Path(repro.__file__).resolve().parent
-ALLOWED = {"analysis/fedsuite.py"}
+ALLOWED = {"analysis/experiments.py"}
 
 
 def _imports_oracles(tree: ast.AST) -> bool:
@@ -59,5 +62,5 @@ def test_guard_sees_every_import_form():
         assert _imports_oracles(ast.parse(source)), source
     assert not _imports_oracles(ast.parse("from repro import engine"))
     assert _imports_oracles(
-        ast.parse((SRC / "analysis" / "fedsuite.py").read_text())
+        ast.parse((SRC / "analysis" / "experiments.py").read_text())
     )

@@ -25,7 +25,8 @@ from repro.core.pages import ProblemInstance, instance_from_counts
 from repro.core.pamad import place_by_frequency, schedule_pamad
 from repro.core.rearrange import ladder_value, rearrange
 from repro.core.susc import schedule_susc
-from repro.core.validate import validate_program
+from repro.core.validate import assert_valid_program, validate_program
+from repro.oracles import susc_reference
 
 
 # ----------------------------------------------------------------------
@@ -132,11 +133,12 @@ class TestSuscProperties:
     @settings(max_examples=60, deadline=None)
     def test_cursor_optimisation_is_equivalent(self, instance):
         """The paper's 3.2 search optimisation must not change the
-        program, only the search cost.  Both sides pin ``fast=False`` so
-        this stays a comparison of the two *reference* probes (the fast
-        array kernel has its own equality suite in test_fastpath)."""
-        naive = schedule_susc(instance, fast=False)
-        optimized = schedule_susc(instance, optimized=True, fast=False)
+        program, only the search cost.  Both sides are the literal
+        reference probes (the array kernel behind ``schedule_susc`` has
+        its own equality suite in test_fastpath)."""
+        naive = susc_reference(instance)
+        optimized = susc_reference(instance, optimized=True)
+        assert_valid_program(naive.program, instance)
         assert naive.program == optimized.program
         assert naive.first_slots == optimized.first_slots
 

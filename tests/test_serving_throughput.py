@@ -501,6 +501,8 @@ class TestChunkedSweepExecution:
         assert report.fallback is False
 
     def test_chunked_process_pool_matches_serial(self):
+        # The run must really use the pool and the shm post: a silent
+        # serial fallback would make both sides the same code.
         specs = _grid_specs()
         serial, _ = run_cells(specs, workers=1, mode="serial")
         chunked, report = run_cells(
@@ -513,6 +515,8 @@ class TestChunkedSweepExecution:
             _outcome_key(o) for o in serial
         ]
         assert report.mode == "process"
+        assert report.fallback is False
+        assert report.transport == "shm"
 
     @pytest.mark.parametrize("chunk_size", [1, 4])
     def test_open_breaker_short_circuits_unsubmitted_cells(
@@ -580,110 +584,6 @@ class TestServeManifest:
         assert counters["batched_listeners"] == counters["listeners"] > 0
         assert counters["events_coalesced"] == 6
         assert counters["replans_avoided"] >= 0
-
-
-class TestServeSuitePlumbing:
-    def test_suite_entries_carry_positive_floors(self):
-        from repro.analysis.servesuite import SCHEMA, SUITE_ENTRIES
-
-        assert SCHEMA == "repro-air/bench-serve/v1"
-        assert set(SUITE_ENTRIES) == {
-            "serve_listener_replay",
-            "serve_mutation_coalescing",
-            "serve_sweep_zerocopy",
-        }
-        for floor, builder in SUITE_ENTRIES.values():
-            assert floor > 1.0
-            assert callable(builder)
-
-    def test_validate_payload_is_schema_parameterised(self):
-        from repro.analysis.perfsuite import (
-            SCHEMA as CORE_SCHEMA,
-            validate_payload,
-        )
-        from repro.analysis.servesuite import SCHEMA as SERVE_SCHEMA
-
-        payload = {
-            "schema": SERVE_SCHEMA,
-            "version": "0",
-            "quick": True,
-            "repeats": 1,
-            "benchmarks": {
-                "serve_listener_replay": {
-                    "config": {},
-                    "reference_ms": 10.0,
-                    "fast_ms": 1.0,
-                    "speedup": 10.0,
-                    "floor": 5.0,
-                    "stats": {"listeners_per_second_fast": 1},
-                },
-            },
-        }
-        validate_payload(payload, SERVE_SCHEMA)
-        with pytest.raises(SimulationError, match="unexpected schema"):
-            validate_payload(payload, CORE_SCHEMA)
-        with pytest.raises(SimulationError, match="unexpected schema"):
-            validate_payload(dict(payload, schema=CORE_SCHEMA), SERVE_SCHEMA)
-
-    def test_compare_payloads_gates_serve_floors(self):
-        from repro.analysis.perfsuite import compare_payloads
-        from repro.analysis.servesuite import SCHEMA as SERVE_SCHEMA
-
-        def payload(speedup, quick):
-            return {
-                "schema": SERVE_SCHEMA,
-                "version": "0",
-                "quick": quick,
-                "repeats": 1,
-                "benchmarks": {
-                    "serve_listener_replay": {
-                        "config": {},
-                        "reference_ms": 10.0,
-                        "fast_ms": 10.0 / speedup,
-                        "speedup": speedup,
-                        "floor": 5.0,
-                        "stats": {},
-                    },
-                },
-            }
-
-        baseline = payload(20.0, quick=False)
-        assert compare_payloads(
-            payload(12.0, quick=True), baseline, schema=SERVE_SCHEMA
-        ) == []
-        failures = compare_payloads(
-            payload(3.0, quick=True), baseline, schema=SERVE_SCHEMA
-        )
-        assert failures and "below the 5.0x floor" in failures[0]
-        same_mode = compare_payloads(
-            payload(12.0, quick=False), baseline, schema=SERVE_SCHEMA
-        )
-        assert any("regressed" in failure for failure in same_mode)
-
-    def test_unknown_suite_is_rejected(self):
-        from repro.analysis.perfsuite import _resolve_suite
-
-        with pytest.raises(SimulationError, match="unknown bench suite"):
-            _resolve_suite("bogus")
-
-    def test_committed_serve_baseline_is_a_valid_full_run(self):
-        import json
-        import pathlib
-
-        from repro.analysis.perfsuite import validate_payload
-        from repro.analysis.servesuite import SCHEMA, SUITE_ENTRIES
-
-        path = (
-            pathlib.Path(__file__).parent.parent
-            / "benchmarks" / "results" / "BENCH_serve.json"
-        )
-        payload = json.loads(path.read_text())
-        validate_payload(payload, SCHEMA)
-        assert payload["quick"] is False
-        assert set(payload["benchmarks"]) == set(SUITE_ENTRIES)
-        replay = payload["benchmarks"]["serve_listener_replay"]
-        assert replay["config"]["listeners"] == 1_000_000
-        assert replay["speedup"] >= 10.0
 
 
 class TestServingCli:
