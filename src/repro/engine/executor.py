@@ -1,70 +1,47 @@
-"""Sweep cell execution — serial, threaded, or across a process pool.
+"""Sweep cells and shard tasks on one executor: serial, threads or processes.
 
 A sweep is a grid of independent (scheduler, channel-count) *cells*;
 each cell schedules (unless the engine's cache already holds the
-program) and then Monte-Carlo measures the result.  Cells carry their
-own derived seeds, so the outcome of a cell is a pure function of its
-spec — which is what makes fanning them across a
-:mod:`concurrent.futures` pool safe: results are collected back in
-submission order and are bit-identical to a serial run.
+program) and then Monte-Carlo measures the result with
+:func:`repro.sim.clients.measure_program`, the per-request loop the
+paper methodology is pinned to.  Cells carry their own derived seeds,
+so the outcome of a cell is a pure function of its spec, which is what
+makes fanning them across a :mod:`concurrent.futures` pool safe:
+results are collected back in submission order and are bit-identical
+to a serial run.  The federation's shard replays are the other task
+family: pure functions of one payload each.
 
-The process pool is the default for ``workers > 1`` (scheduling and
-replay are CPU-bound pure Python; threads only help on the margins),
-with automatic serial fallback when the pool cannot be built or the
-cell specs cannot be pickled (e.g. a scheduler registered as a lambda).
+Both families run on :class:`TaskPool` and share its one attempt loop.
+A task's exception crosses the pool boundary as a value (the worker
+wraps it), so the parent can tell it apart from pool infrastructure
+failures.  A failed task is retried with exponential backoff up to
+:attr:`ExecutionPolicy.retries` times, and a per-task timeout bounds
+how long the parent waits in pool modes.  Cells add one policy on top:
+a per-algorithm circuit breaker stops burning attempts on a scheduler
+that keeps crashing, so later cells of that algorithm short-circuit to
+a structured :class:`CellFailure` instead of executing.  To let an open
+circuit catch cells before they reach the pool, cells are submitted
+lazily, at most ``workers`` in flight; shard tasks submit their whole
+batch at once.  Pool infrastructure failures rebuild the pool once and
+then fall back to a serial rerun of the whole batch.
 
-Execution is *hardened*: a raising scheduler never poisons the rest of
-the grid.  Cell-level exceptions cross the pool boundary as values (the
-worker wraps them), so the parent can distinguish them from pool
-infrastructure failures; a failing cell is retried with exponential
-backoff up to :attr:`ExecutionPolicy.retries` times, a per-future
-timeout bounds how long the parent waits in pool modes, and a
-per-algorithm circuit breaker stops burning attempts on a scheduler
-that keeps crashing — subsequent cells of that algorithm short-circuit
-to a structured :class:`CellFailure` instead of executing.  Failed
-cells come back as :class:`CellFailure` entries in the result list, in
-grid order, alongside the successful :class:`CellResult` entries.
-
-Pool transport is *chunked and lazy*: :attr:`ExecutionPolicy.chunk_size`
-cells ride in one future, so the (identical) ``ProblemInstance`` payload
-ships once per chunk instead of once per cell, and chunks are
-submitted in waves of at most ``workers`` — never all up front — so a
-circuit that opens mid-grid short-circuits every not-yet-submitted cell
-without burning pool work.  On process pools the shared instance is
-*posted once per run* into a :mod:`multiprocessing.shared_memory` block
-(:attr:`ExecutionPolicy.transport` ``"shm"``, the default); chunk
-payloads then carry only the block's name and each worker attaches and
-unpickles it once, caching by name — so chunk *specs* stop re-shipping
-the instance.  Schedules still carry theirs: every fresh cell's
-:class:`CellResult` and every cache hit's :class:`CachedSchedule`
-pickles its schedule's ``instance`` (~24 KB at the paper's n=1000).
-``"pickle"`` restores the per-chunk copy, and any
-shared-memory failure degrades to it silently (recorded in the report).
+Process runs of the sweep post the shared ``ProblemInstance`` once
+into a :mod:`multiprocessing.shared_memory` block; each cell payload
+carries only the block's name, and each worker attaches and unpickles
+it once, caching by name.  When the block cannot be created the run
+degrades to pickling the instance with every cell, and the report
+records the transport that ran.  Schedules still carry their instance
+back: every fresh cell's :class:`CellResult` and every cache hit's
+:class:`CachedSchedule` pickles it (~24 KB at the paper's n=1000).
 Programs cross the pool as packed int64 grids
 (:meth:`~repro.core.program.BroadcastProgram.__getstate__`): the
 nested-list grid and the appearance index stay behind and rebuild
-lazily on first use, so a result's wire size is about its packed grid
-plus the instance.
-When a timeout is set, workers also post each finished cell into a
-shared progress map, so a timed-out chunk *harvests* the cells that did
-complete — only the genuinely unfinished cells burn retries.  Every
-cell measures with :func:`repro.sim.clients.measure_program`, the
-per-request loop the paper methodology is pinned to (manifests record
-it as ``measure_backend: "scalar"``).  Chunking, waves and transport
-never change *which* results come back: outcomes are bit-identical to
-a ``workers=1`` serial run of the same policy.
-
-:func:`run_tasks` is the generic sibling for pure functions of one
-payload (the federation's shard replays): a one-shot :class:`TaskPool`,
-which callers can also hold open so warm workers survive across runs.
-The placement and delay kernels have one implementation (numpy), so
-workers need no per-process setup; manifests record it as
-``compute_backend: "python"``.
+lazily on first use.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import functools
 import pickle
 import time
 import traceback
@@ -76,10 +53,9 @@ from concurrent.futures import (
     ThreadPoolExecutor,
 )
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from multiprocessing import shared_memory
 
-from repro.core.backend import resolve_backend
 from repro.core.errors import ReproError
 from repro.core.pages import ProblemInstance
 from repro.engine.cache import CachedSchedule
@@ -99,16 +75,9 @@ __all__ = [
     "run_cells",
     "run_tasks",
     "EXECUTOR_MODES",
-    "EXECUTOR_TRANSPORTS",
 ]
 
 EXECUTOR_MODES = ("serial", "thread", "process")
-
-#: Chunk-payload transports for process pools.  ``"shm"`` posts the
-#: shared instance into one ``multiprocessing.shared_memory`` block per
-#: run; ``"pickle"`` ships a copy inside every chunk.  Serial and thread
-#: execution pass objects by reference (reported as ``"inline"``).
-EXECUTOR_TRANSPORTS = ("shm", "pickle")
 
 
 @dataclass(frozen=True)
@@ -227,45 +196,33 @@ class CellFailure:
 
 @dataclass(frozen=True)
 class ExecutionPolicy:
-    """Hardening knobs for a cell grid run.
+    """Hardening knobs for one executor run (sweep cells or tasks).
 
     Attributes:
-        timeout: Per-future wait bound in seconds for pool modes
-            (``None`` = wait forever).  With ``chunk_size > 1`` one
-            future carries a whole chunk, so the budget covers the
-            chunk; a timed-out chunk fails every cell it carried
-            (retried individually per ``retries``).  Serial execution
-            cannot be preempted, so the timeout is ignored there.  A
-            timed-out worker may still be running; its result is simply
-            no longer awaited.
-        retries: Extra attempts after a failed first execution.  Pool
-            retries are resubmitted as single-cell futures.
+        timeout: Per-task wait bound in seconds for pool modes (``None``
+            = wait forever), counted from when the parent starts
+            waiting for that task.  An expiry fails the attempt with a
+            ``TimeoutError`` (retried per ``retries``).  A process pool
+            holding a timed-out task is torn down with its workers
+            terminated, and the tasks it still held move to a fresh
+            pool.  A thread cannot be preempted: its pool is abandoned
+            without joining the thread, which runs on in the background
+            until its call returns.  Serial execution cannot be
+            preempted either, so the timeout is ignored there.
+        retries: Extra attempts after a failed first execution.
         backoff: Base of the exponential backoff sleep between attempts
             (``backoff * 2**(attempt-1)`` seconds).
         breaker_threshold: Consecutive final failures of one algorithm
-            that open its circuit; further cells of that algorithm are
-            failed structurally instead of executed/retried (in pool
-            modes, without even being submitted).  ``0`` disables the
-            breaker.
-        chunk_size: Cells per pool future.  The shared
-            ``ProblemInstance`` ships once per chunk, so large grids of
-            cheap cells stop paying per-cell pickling; ``1`` restores
-            the one-future-per-cell transport.  Results are identical
-            for every value.
-        transport: Chunk-payload transport for process pools.  ``"shm"``
-            (default) posts the shared ``ProblemInstance`` once into a
-            shared-memory block that workers attach by name; ``"pickle"``
-            ships a pickled copy per chunk.  Ignored outside process
-            mode; shared-memory failures degrade to ``"pickle"``
-            silently (the report records what actually ran).
+            that open its circuit (sweep cells only); further cells of
+            that algorithm are failed structurally instead of executed
+            or retried (in pool modes, without even being submitted).
+            ``0`` disables the breaker.
     """
 
     timeout: float | None = None
     retries: int = 1
     backoff: float = 0.05
     breaker_threshold: int = 3
-    chunk_size: int = 1
-    transport: str = "shm"
 
     def __post_init__(self) -> None:
         if self.timeout is not None and self.timeout <= 0:
@@ -281,23 +238,17 @@ class ExecutionPolicy:
                 f"breaker_threshold must be >= 0, got "
                 f"{self.breaker_threshold}"
             )
-        if self.chunk_size < 1:
-            raise ReproError(
-                f"chunk_size must be >= 1, got {self.chunk_size}"
-            )
-        if self.transport not in EXECUTOR_TRANSPORTS:
-            raise ReproError(
-                f"unknown transport {self.transport!r}; choose from "
-                f"{', '.join(EXECUTOR_TRANSPORTS)}"
-            )
 
 
 @dataclass
 class ExecutionReport:
-    """Accounting of one :func:`run_cells` call.
+    """Accounting of one executor run.
 
+    ``transport`` is how shared data reached the workers: ``"shm"`` (one
+    shared-memory post), ``"pickle"`` (a copy with every task) or
+    ``"inline"`` (serial and thread runs pass objects by reference).
     ``as_dict`` is the manifest's ``executor`` block (minus ``workers``,
-    which the facade adds).
+    which the caller adds).
     """
 
     mode: str
@@ -307,10 +258,8 @@ class ExecutionReport:
     cell_failures: int = 0
     breaker_trips: int = 0
     timeouts: int = 0
-    chunk_size: int = 1
     short_circuited: int = 0
     transport: str = "inline"
-    harvested: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -320,27 +269,35 @@ class ExecutionReport:
             "cell_failures": self.cell_failures,
             "breaker_trips": self.breaker_trips,
             "timeouts": self.timeouts,
-            "chunk_size": self.chunk_size,
-            "measure_backend": "scalar",
             "short_circuited": self.short_circuited,
             "transport": self.transport,
-            "harvested": self.harvested,
-            "compute_backend": resolve_backend(),
         }
 
 
 @dataclass(frozen=True)
 class _CellError:
-    """A cell exception shipped across the pool boundary as a value.
+    """A task exception shipped across the pool boundary as a value.
 
     Keeping scheduler/measurement exceptions as *values* is what lets
     the parent tell them apart from pool infrastructure failures (which
-    raise out of ``future.result`` and trigger the serial fallback).
+    raise out of ``future.result`` and trigger the pool rebuild).
     """
 
     error_type: str
     message: str
     trace: str = ""
+
+
+def _guarded_call(fn, payload) -> object:
+    """Task worker entry point: exceptions become picklable values."""
+    try:
+        return fn(payload)
+    except Exception as error:  # noqa: BLE001 - the guard is the point
+        return _CellError(
+            error_type=type(error).__name__,
+            message=str(error),
+            trace=traceback.format_exc(limit=8),
+        )
 
 
 def execute_cell(spec: CellSpec) -> CellResult:
@@ -377,47 +334,8 @@ def execute_cell(spec: CellSpec) -> CellResult:
 
 
 def _guarded_execute(spec: CellSpec) -> CellResult | _CellError:
-    """Worker entry point: cell exceptions become picklable values."""
-    try:
-        return execute_cell(spec)
-    except Exception as error:  # noqa: BLE001 - the guard is the point
-        return _CellError(
-            error_type=type(error).__name__,
-            message=str(error),
-            trace=traceback.format_exc(limit=8),
-        )
-
-
-@dataclass(frozen=True)
-class _ChunkCell:
-    """One cell's chunk payload — everything but the shared instance."""
-
-    algorithm: str
-    scheduler: Scheduler
-    channels: int
-    num_requests: int
-    seed: int
-    cached: CachedSchedule | None = None
-
-
-@dataclass(frozen=True)
-class _ChunkSpec:
-    """A batch of cells sharing one ``ProblemInstance``.
-
-    The instance rides either inline (``instance``, pickled with the
-    chunk on process pools) or by reference to a shared-memory block
-    (``shm_name``/``shm_size``) the parent posted once for the whole
-    run.  ``indices`` are the cells' grid positions — the keys workers
-    use to post per-cell results into ``progress`` so a timed-out chunk
-    can be harvested.
-    """
-
-    instance: ProblemInstance | None
-    cells: tuple[_ChunkCell, ...]
-    indices: tuple[int, ...] = ()
-    shm_name: str | None = None
-    shm_size: int = 0
-    progress: object | None = None
+    """Run one cell; its exceptions become picklable values."""
+    return _guarded_call(execute_cell, spec)
 
 
 class _ShmPost:
@@ -473,53 +391,48 @@ def _from_shm(name: str, size: int):
     return _SHM_ATTACHED[name]
 
 
-def _chunk_cell(spec: CellSpec) -> _ChunkCell:
-    return _ChunkCell(
-        algorithm=spec.algorithm,
-        scheduler=spec.scheduler,
-        channels=spec.channels,
-        num_requests=spec.num_requests,
-        seed=spec.seed,
-        cached=spec.cached,
-    )
+@dataclass(frozen=True)
+class _PostedCell:
+    """A cell payload whose instance waits in a shared-memory post."""
+
+    spec: CellSpec  # with ``instance=None``
+    shm: tuple[str, int]  # the post's (name, size)
 
 
-def _cell_spec(cell: _ChunkCell, instance: ProblemInstance) -> CellSpec:
-    return CellSpec(
-        algorithm=cell.algorithm,
-        scheduler=cell.scheduler,
-        channels=cell.channels,
-        instance=instance,
-        num_requests=cell.num_requests,
-        seed=cell.seed,
-        cached=cell.cached,
-    )
+def _post_cells(
+    specs: list[CellSpec], posts: dict[int, _ShmPost]
+) -> list[_PostedCell]:
+    """Post each distinct instance once; cells name their post.
+
+    New posts are added to ``posts`` as they are made, so the caller
+    can close every one of them even when a later post fails.
+    """
+    payloads = []
+    for spec in specs:
+        post = posts.get(id(spec.instance))
+        if post is None:
+            post = posts[id(spec.instance)] = _ShmPost(spec.instance)
+        payloads.append(
+            _PostedCell(
+                replace(spec, instance=None), (post.name, post.size)
+            )
+        )
+    return payloads
 
 
 def _guarded_execute_chunk(
-    chunk: _ChunkSpec,
-) -> list[CellResult | _CellError]:
-    """Worker entry point for a chunk: per-cell failures stay values.
+    cell: CellSpec | _PostedCell,
+) -> CellResult | _CellError:
+    """Cell worker entry point: attach a posted instance, run guarded.
 
-    Each finished cell is also posted into the shared ``progress`` map
-    (when the parent supplied one) so that a chunk whose *later* cells
-    blow the timeout budget does not forfeit the earlier results.
+    Only the cell itself is guarded: a post that cannot be attached
+    raises out of the worker, a pool infrastructure failure that
+    rebuilds the pool and then reruns the grid serially.  The
+    benchmark's span tracer looks this entry point up by name.
     """
-    if chunk.shm_name is not None:
-        instance = _from_shm(chunk.shm_name, chunk.shm_size)
-    else:
-        instance = chunk.instance
-    progress = chunk.progress
-    values: list[CellResult | _CellError] = []
-    for position, cell in enumerate(chunk.cells):
-        value = _guarded_execute(_cell_spec(cell, instance))
-        values.append(value)
-        if progress is not None:
-            try:
-                progress[chunk.indices[position]] = value
-            except (OSError, EOFError):  # manager gone; keep computing
-                progress = None
-    return values
+    if isinstance(cell, _PostedCell):
+        cell = replace(cell.spec, instance=_from_shm(*cell.shm))
+    return _guarded_execute(cell)
 
 
 class _CircuitBreaker:
@@ -557,298 +470,20 @@ def _note(telemetry, name: str, amount: int = 1) -> None:
         telemetry.incr(name, amount)
 
 
-def _finalize(
-    spec: CellSpec,
-    error: _CellError,
-    attempts: int,
-    circuit_open: bool,
-    breaker: _CircuitBreaker,
-    report: ExecutionReport,
-    telemetry,
-) -> CellFailure:
-    """Record a cell's final failure and build its structured result."""
-    report.cell_failures += 1
-    _note(telemetry, "executor.cell_failures")
-    breaker_was_open = breaker.is_open(spec.algorithm)
-    breaker.record_failure(spec.algorithm)
-    return CellFailure(
-        algorithm=spec.algorithm,
-        channels=spec.channels,
-        error_type=error.error_type,
-        message=error.message,
-        attempts=attempts,
-        circuit_open=circuit_open or breaker_was_open,
-    )
-
-
-def _run_serial(
-    specs: list[CellSpec],
-    policy: ExecutionPolicy,
-    report: ExecutionReport,
-    telemetry,
-) -> list[CellResult | CellFailure]:
-    breaker = _CircuitBreaker(policy.breaker_threshold)
-    outcomes: list[CellResult | CellFailure] = []
-    for spec in specs:
-        if breaker.is_open(spec.algorithm):
-            report.short_circuited += 1
-            outcomes.append(
-                _finalize(
-                    spec,
-                    _CellError(
-                        "CircuitOpen",
-                        f"circuit open for {spec.algorithm!r}; cell skipped",
-                    ),
-                    attempts=0,
-                    circuit_open=True,
-                    breaker=breaker,
-                    report=report,
-                    telemetry=telemetry,
-                )
-            )
-            continue
-        attempts = 0
-        while True:
-            attempts += 1
-            value = _guarded_execute(spec)
-            if isinstance(value, CellResult):
-                breaker.record_success(spec.algorithm)
-                outcomes.append(replace(value, attempts=attempts))
-                break
-            if attempts > policy.retries:
-                outcomes.append(
-                    _finalize(
-                        spec, value, attempts, False,
-                        breaker, report, telemetry,
-                    )
-                )
-                break
-            report.retries += 1
-            _note(telemetry, "executor.retries")
-            _backoff_sleep(policy, attempts)
-    report.breaker_trips = breaker.trips
-    _note(telemetry, "executor.breaker_trips", breaker.trips)
-    return outcomes
-
-
-def _chunk_specs(
-    specs: list[CellSpec], chunk_size: int
-) -> list[tuple[int, list[CellSpec]]]:
-    """Slice the grid into consecutive chunks sharing one instance.
-
-    Chunks never mix instances (the whole point is pickling the shared
-    payload once), so a boundary between different instance objects
-    closes the current chunk early.
-    """
-    chunks: list[tuple[int, list[CellSpec]]] = []
-    i = 0
-    while i < len(specs):
-        j = i + 1
-        while (
-            j < len(specs)
-            and j - i < chunk_size
-            and specs[j].instance is specs[i].instance
-        ):
-            j += 1
-        chunks.append((i, specs[i:j]))
-        i = j
-    return chunks
-
-
-def _await_value(
-    future: Future,
-    policy: ExecutionPolicy,
-    report: ExecutionReport,
-    telemetry,
-    what: str,
-):
-    """Wait on a pool future, converting a timeout into a value."""
-    try:
-        return future.result(timeout=policy.timeout)
-    except FuturesTimeoutError:
-        future.cancel()
-        report.timeouts += 1
-        _note(telemetry, "executor.timeouts")
-        return _CellError(
-            "TimeoutError",
-            f"{what} exceeded the {policy.timeout}s budget",
-        )
-
-
-def _run_pool(
-    specs: list[CellSpec],
-    workers: int,
-    mode: str,
-    policy: ExecutionPolicy,
-    report: ExecutionReport,
-    telemetry,
-) -> list[CellResult | CellFailure]:
-    pool_cls = ProcessPoolExecutor if mode == "process" else ThreadPoolExecutor
-    breaker = _CircuitBreaker(policy.breaker_threshold)
-    outcomes: list[CellResult | CellFailure | None] = [None] * len(specs)
-    chunks = _chunk_specs(specs, policy.chunk_size)
-    next_chunk = 0
-    # (future, [(grid index, spec), ...]) in submission order; results
-    # are processed head-of-line so outcome content matches serial runs.
-    in_flight: deque[tuple[Future, list[tuple[int, CellSpec]]]] = deque()
-
-    # Zero-copy transport: the shared instance is posted once per run;
-    # chunks carry only the block's name.  Any shared-memory failure
-    # flips the run back to pickled chunks (recorded in the report).
-    use_shm = mode == "process" and policy.transport == "shm"
-    posts: dict[int, _ShmPost] = {}
-    report.transport = "pickle" if mode == "process" else "inline"
-
-    # Progress map for timeout harvesting: workers post each finished
-    # cell so a timed-out chunk only forfeits the unfinished ones.
-    # Threads share the parent's memory (a plain dict suffices);
-    # processes need a manager proxy, which is only worth its server
-    # process when a timeout can actually strand results.
-    manager = None
-    progress = None
-    if policy.timeout is not None:
-        if mode == "process":
-            try:
-                manager = multiprocessing.Manager()
-                progress = manager.dict()
-            except OSError:  # pragma: no cover - no manager, no harvest
-                manager = None
-        else:
-            progress = {}
-
-    def _post(instance: ProblemInstance) -> _ShmPost | None:
-        nonlocal use_shm
-        post = posts.get(id(instance))
-        if post is None:
-            try:
-                post = _ShmPost(instance)
-            except (OSError, pickle.PicklingError):
-                use_shm = False  # degrade this run to pickled chunks
-                return None
-            posts[id(instance)] = post
-        return post
-
-    try:
-        with pool_cls(max_workers=min(workers, len(chunks))) as pool:
-
-            def submit_wave() -> None:
-                # Lazy submission: keep at most `workers` chunks in
-                # flight so a circuit opened by an earlier result
-                # short-circuits later cells *before* they ever reach
-                # the pool.
-                nonlocal next_chunk
-                while next_chunk < len(chunks) and len(in_flight) < workers:
-                    start, chunk = chunks[next_chunk]
-                    next_chunk += 1
-                    live: list[tuple[int, CellSpec]] = []
-                    for offset, spec in enumerate(chunk):
-                        if breaker.is_open(spec.algorithm):
-                            report.short_circuited += 1
-                            outcomes[start + offset] = _finalize(
-                                spec,
-                                _CellError(
-                                    "CircuitOpen",
-                                    f"circuit open for {spec.algorithm!r};"
-                                    " cell not submitted",
-                                ),
-                                attempts=0,
-                                circuit_open=True,
-                                breaker=breaker,
-                                report=report,
-                                telemetry=telemetry,
-                            )
-                        else:
-                            live.append((start + offset, spec))
-                    if live:
-                        instance = live[0][1].instance
-                        post = _post(instance) if use_shm else None
-                        if post is not None:
-                            report.transport = "shm"
-                        payload = _ChunkSpec(
-                            instance=None if post is not None else instance,
-                            cells=tuple(
-                                _chunk_cell(spec) for _, spec in live
-                            ),
-                            indices=tuple(index for index, _ in live),
-                            shm_name=(
-                                post.name if post is not None else None
-                            ),
-                            shm_size=post.size if post is not None else 0,
-                            progress=progress,
-                        )
-                        in_flight.append(
-                            (
-                                pool.submit(
-                                    _guarded_execute_chunk, payload
-                                ),
-                                live,
-                            )
-                        )
-
-            submit_wave()
-            while in_flight:
-                future, live = in_flight.popleft()
-                values = _await_value(
-                    future, policy, report, telemetry,
-                    f"chunk of {len(live)} cell(s)",
-                )
-                if isinstance(values, _CellError):
-                    # The chunk timed out; harvest the cells its worker
-                    # had already finished — only the unfinished rest
-                    # share the failure (and its retry budget below).
-                    finished: dict = {}
-                    if progress is not None:
-                        try:
-                            finished = dict(progress.copy())
-                        except (OSError, EOFError):  # pragma: no cover
-                            finished = {}
-                    timeout_error = values
-                    values = [
-                        finished.get(index, timeout_error)
-                        for index, _ in live
-                    ]
-                    salvaged = sum(
-                        1 for value in values
-                        if value is not timeout_error
-                    )
-                    report.harvested += salvaged
-                    _note(telemetry, "executor.harvested", salvaged)
-                for (index, spec), value in zip(live, values):
-                    # A circuit that opened while this chunk was in
-                    # flight disables retries; its result is still
-                    # accepted.
-                    circuit_open = breaker.is_open(spec.algorithm)
-                    attempts = 1
-                    while True:
-                        if isinstance(value, CellResult):
-                            breaker.record_success(spec.algorithm)
-                            outcomes[index] = replace(
-                                value, attempts=attempts
-                            )
-                            break
-                        if circuit_open or attempts > policy.retries:
-                            outcomes[index] = _finalize(
-                                spec, value, attempts, circuit_open,
-                                breaker, report, telemetry,
-                            )
-                            break
-                        report.retries += 1
-                        _note(telemetry, "executor.retries")
-                        _backoff_sleep(policy, attempts)
-                        retry = pool.submit(_guarded_execute, spec)
-                        value = _await_value(
-                            retry, policy, report, telemetry, "cell"
-                        )
-                        attempts += 1
-                submit_wave()
-    finally:
-        for post in posts.values():
-            post.close()
-        if manager is not None:
-            manager.shutdown()
-    report.breaker_trips = breaker.trips
-    _note(telemetry, "executor.breaker_trips", breaker.trips)
-    return outcomes
+def _terminate_workers(pool: ProcessPoolExecutor) -> None:
+    """Kill a process pool's workers now, whatever they are running."""
+    terminate = getattr(pool, "terminate_workers", None)
+    if terminate is not None:  # Python 3.14+
+        terminate()
+        return
+    for process in list((pool._processes or {}).values()):
+        process.terminate()
+    # The call queue's feeder thread may be blocked writing a payload
+    # larger than the pipe buffer to the dead workers; with the parent's
+    # read end closed too the write fails instead of blocking forever,
+    # so the pool can be joined.  (CPython's own fix, gh-94777, is
+    # missing from some 3.11 builds.)
+    pool._call_queue._reader.close()
 
 
 @dataclass(frozen=True)
@@ -876,111 +511,28 @@ class TaskFailure:
         }
 
 
-def _guarded_call(fn, payload) -> object:
-    """Task worker entry point: exceptions become picklable values."""
-    try:
-        return fn(payload)
-    except Exception as error:  # noqa: BLE001 - the guard is the point
-        return _CellError(
-            error_type=type(error).__name__,
-            message=str(error),
-            trace=traceback.format_exc(limit=8),
-        )
-
-
-def _run_tasks_serial(
-    fn,
-    payloads: list,
-    policy: ExecutionPolicy,
-    report: ExecutionReport,
-    telemetry,
-) -> list:
-    outcomes: list = []
-    for index, payload in enumerate(payloads):
-        attempts = 0
-        while True:
-            attempts += 1
-            value = _guarded_call(fn, payload)
-            if not isinstance(value, _CellError):
-                outcomes.append(value)
-                break
-            if attempts > policy.retries:
-                report.cell_failures += 1
-                _note(telemetry, "executor.cell_failures")
-                outcomes.append(
-                    TaskFailure(
-                        index=index,
-                        error_type=value.error_type,
-                        message=value.message,
-                        attempts=attempts,
-                    )
-                )
-                break
-            report.retries += 1
-            _note(telemetry, "executor.retries")
-            _backoff_sleep(policy, attempts)
-    return outcomes
-
-
-def _drain_task_futures(
-    pool,
-    fn,
-    payloads: list,
-    policy: ExecutionPolicy,
-    report: ExecutionReport,
-    telemetry,
-) -> list:
-    """Submit every payload to ``pool`` and harvest results in order."""
-    outcomes: list = [None] * len(payloads)
-    futures = [
-        pool.submit(_guarded_call, fn, payload) for payload in payloads
-    ]
-    for index, future in enumerate(futures):
-        value = _await_value(
-            future, policy, report, telemetry, f"task {index}"
-        )
-        attempts = 1
-        while (
-            isinstance(value, _CellError)
-            and attempts <= policy.retries
-        ):
-            report.retries += 1
-            _note(telemetry, "executor.retries")
-            _backoff_sleep(policy, attempts)
-            retry = pool.submit(_guarded_call, fn, payloads[index])
-            value = _await_value(
-                retry, policy, report, telemetry, f"task {index}"
-            )
-            attempts += 1
-        if isinstance(value, _CellError):
-            report.cell_failures += 1
-            _note(telemetry, "executor.cell_failures")
-            outcomes[index] = TaskFailure(
-                index=index,
-                error_type=value.error_type,
-                message=value.message,
-                attempts=attempts,
-            )
-        else:
-            outcomes[index] = value
-    return outcomes
+#: One payload's final state from the attempt loop: ``fn``'s value or
+#: the last :class:`_CellError`, the executions burnt on it, and
+#: whether an open circuit cut it short.
+_Settled = tuple[object, int, bool]
 
 
 class TaskPool:
-    """A :func:`run_tasks` executor pool that lives across calls.
+    """An executor pool that lives across calls.
 
-    :func:`run_tasks` is a one-shot ``TaskPool``; callers that fan out
-    repeatedly over the same task family (the federation's warm shard
-    pool, bench repetitions) instead hold one so workers — and whatever
-    warm per-process state they have accumulated (attached shared-memory
-    posts, per-shard engines and their program caches) — survive across
-    calls.  Worker exceptions come back as :class:`TaskFailure` values
-    in payload order, retries follow :attr:`ExecutionPolicy.retries`
-    with exponential backoff, waits honour
-    :attr:`ExecutionPolicy.timeout`, and pool-infrastructure failures
-    rebuild the pool once, then fall back to a serial rerun of the batch
-    (the report records the fallback).  Results are bit-identical
-    across modes for pure ``fn``.
+    :func:`run_tasks` and :func:`run_cells` are one-shot ``TaskPool``
+    runs; callers that fan out repeatedly over the same task family (the
+    federation's warm shard pool, bench repetitions) instead hold one so
+    workers — and whatever warm per-process state they have accumulated
+    (attached shared-memory posts, per-shard engines and their program
+    caches) — survive across calls.  Worker exceptions come back as
+    :class:`TaskFailure` values in payload order, retries follow
+    :attr:`ExecutionPolicy.retries` with exponential backoff, waits
+    honour :attr:`ExecutionPolicy.timeout` (a timed-out process pool is
+    replaced by a fresh one), and pool-infrastructure failures rebuild
+    the pool once, then fall back to a serial rerun of the batch (the
+    report records the fallback).  Results are bit-identical across
+    modes for pure ``fn``.
 
     Usable as a context manager; :meth:`close` shuts the workers down
     and waits for them to exit.
@@ -1016,13 +568,202 @@ class TaskPool:
             self._pool = pool_cls(max_workers=self.workers)
         return self._pool
 
-    def _discard_pool(self, wait: bool = False) -> None:
-        if self._pool is not None:
+    def _discard_pool(
+        self, wait: bool = False, terminate: bool = False
+    ) -> None:
+        pool, self._pool = self._pool, None
+        if pool is None:
+            return
+        try:
+            if terminate:
+                _terminate_workers(pool)
+            # Joining a terminated pool only reaps its dead workers.
+            pool.shutdown(wait=wait or terminate, cancel_futures=True)
+        except Exception:  # pragma: no cover - teardown best effort
+            pass
+
+    def _recycle(self, in_flight: deque, resubmit) -> None:
+        """Replace the pool after a timeout; move its unfinished tasks.
+
+        Process workers are terminated, so every task the old pool had
+        not finished is resubmitted to a fresh one.  Threads cannot be
+        stopped: tasks still queued move to the fresh pool, and tasks
+        already running finish on the abandoned pool's threads.
+        """
+        process = self.mode == "process"
+        moved = [
+            position
+            for position, (_, future) in enumerate(in_flight)
+            if (not future.done() if process else future.cancel())
+        ]
+        self._discard_pool(terminate=process)
+        for position in moved:
+            index = in_flight[position][0]
+            in_flight[position] = (index, resubmit(index))
+
+    def _settle(
+        self,
+        call,
+        payloads: list,
+        policy: ExecutionPolicy,
+        report: ExecutionReport,
+        telemetry,
+        circuits: list[str] | None,
+    ) -> list[_Settled]:
+        """The attempt loop: run every payload to its final value.
+
+        ``call`` is the worker entry point: it returns a value or a
+        :class:`_CellError`, and whatever it raises is a pool
+        infrastructure failure.  Results are taken head-of-line in
+        payload order, and a failed head is retried before the next one
+        is looked at, so outcomes and accounting match a serial run.
+        ``circuits`` (the cells' algorithm names) turns on the breaker
+        and its lazy submission window; without it the whole batch is
+        submitted at once.
+        """
+        serial = report.mode == "serial"
+        keys = circuits or [None] * len(payloads)
+        breaker = _CircuitBreaker(
+            policy.breaker_threshold if circuits else 0
+        )
+        window = 1 if serial else (
+            self.workers if circuits else len(payloads)
+        )
+        settled: list = [None] * len(payloads)
+        in_flight: deque = deque()  # (index, future), submission order
+        next_index = 0
+
+        def submit(index: int) -> Future:
+            if not serial:
+                return self._ensure_pool().submit(call, payloads[index])
+            future = Future()
+            future.set_result(call(payloads[index]))
+            return future
+
+        def wait(index: int, future: Future):
             try:
-                self._pool.shutdown(wait=wait, cancel_futures=True)
-            except Exception:  # pragma: no cover - teardown best effort
-                pass
-            self._pool = None
+                return future.result(timeout=policy.timeout)
+            except FuturesTimeoutError:
+                report.timeouts += 1
+                _note(telemetry, "executor.timeouts")
+                self._recycle(in_flight, submit)
+                return _CellError(
+                    "TimeoutError",
+                    f"task {index} exceeded the {policy.timeout}s budget",
+                )
+
+        def fail(index: int, error: _CellError, attempts: int,
+                 circuit_open: bool) -> _Settled:
+            report.cell_failures += 1
+            _note(telemetry, "executor.cell_failures")
+            breaker.record_failure(keys[index])
+            return error, attempts, circuit_open
+
+        def top_up() -> None:
+            # Cells behind an open circuit fail here, before they are
+            # ever submitted.
+            nonlocal next_index
+            while next_index < len(payloads) and len(in_flight) < window:
+                index = next_index
+                next_index += 1
+                if breaker.is_open(keys[index]):
+                    report.short_circuited += 1
+                    skipped = "cell skipped" if serial else (
+                        "cell not submitted"
+                    )
+                    settled[index] = fail(
+                        index,
+                        _CellError(
+                            "CircuitOpen",
+                            f"circuit open for {keys[index]!r}; {skipped}",
+                        ),
+                        0,
+                        True,
+                    )
+                else:
+                    in_flight.append((index, submit(index)))
+
+        top_up()
+        while in_flight:
+            index, future = in_flight.popleft()
+            value = wait(index, future)
+            # A circuit that opened while this task was in flight
+            # disables its retries; a result is still accepted.
+            circuit_open = breaker.is_open(keys[index])
+            attempts = 1
+            while (
+                isinstance(value, _CellError)
+                and not circuit_open
+                and attempts <= policy.retries
+            ):
+                report.retries += 1
+                _note(telemetry, "executor.retries")
+                _backoff_sleep(policy, attempts)
+                value = wait(index, submit(index))
+                attempts += 1
+            if isinstance(value, _CellError):
+                settled[index] = fail(index, value, attempts, circuit_open)
+            else:
+                breaker.record_success(keys[index])
+                settled[index] = (value, attempts, False)
+            top_up()
+        report.breaker_trips = breaker.trips
+        _note(telemetry, "executor.breaker_trips", breaker.trips)
+        return settled
+
+    def _run(
+        self,
+        call,
+        payloads: list,
+        policy: ExecutionPolicy | None,
+        telemetry,
+        circuits: list[str] | None = None,
+        serial_payloads: list | None = None,
+    ) -> tuple[list[_Settled], ExecutionReport]:
+        """Settle a batch on the pool, rebuilding it once if it breaks.
+
+        Serial mode (or one worker, or a single payload) bypasses the
+        pool entirely.  A second pool-infrastructure failure falls back
+        to a serial rerun of the whole batch with fresh accounting.
+        Serial runs take ``serial_payloads`` when given (the cells'
+        plain specs, in place of their shared-memory posts).
+        """
+        if self._closed:
+            raise ReproError("TaskPool is closed")
+        policy = policy or self.policy
+        fallback = False
+        if self.mode != "serial" and self.workers > 1 and len(payloads) > 1:
+            for _ in range(2):
+                report = ExecutionReport(
+                    mode=self.mode,
+                    requested_mode=self.mode,
+                    transport="pickle" if self.mode == "process" else "inline",
+                )
+                try:
+                    return self._settle(
+                        call, payloads, policy, report, telemetry, circuits
+                    ), report
+                except (
+                    pickle.PicklingError,
+                    AttributeError,
+                    TypeError,
+                    BrokenExecutor,
+                    OSError,
+                    RuntimeError,
+                ):
+                    # Unpicklable payloads, killed workers, fork limits,
+                    # a post a worker cannot attach.  Task-level
+                    # exceptions are already values and never land here.
+                    self._discard_pool()
+            fallback = True
+        report = ExecutionReport(
+            mode="serial", requested_mode=self.mode, fallback=fallback
+        )
+        if serial_payloads is not None:
+            payloads = serial_payloads
+        return self._settle(
+            call, payloads, policy, report, telemetry, circuits
+        ), report
 
     def run(
         self,
@@ -1034,59 +775,20 @@ class TaskPool:
     ) -> tuple[list, ExecutionReport]:
         """Fan ``fn`` across ``payloads`` on the persistent pool.
 
-        Same contract and return shape as :func:`run_tasks`; serial
-        mode (or a single payload) bypasses the pool entirely.
+        Same contract and return shape as :func:`run_tasks`.
         """
-        if self._closed:
-            raise ReproError("TaskPool is closed")
-        policy = policy or self.policy
-        payloads = list(payloads)
-        if self.mode == "serial" or self.workers <= 1 or len(payloads) <= 1:
-            report = ExecutionReport(mode="serial", requested_mode=self.mode)
-            return (
-                _run_tasks_serial(fn, payloads, policy, report, telemetry),
-                report,
-            )
-        report = ExecutionReport(
-            mode=self.mode,
-            requested_mode=self.mode,
-            transport="pickle" if self.mode == "process" else "inline",
+        settled, report = self._run(
+            functools.partial(_guarded_call, fn),
+            list(payloads),
+            policy,
+            telemetry,
         )
-        for attempt in range(2):
-            try:
-                return (
-                    _drain_task_futures(
-                        self._ensure_pool(),
-                        fn,
-                        payloads,
-                        policy,
-                        report,
-                        telemetry,
-                    ),
-                    report,
-                )
-            except (
-                pickle.PicklingError,
-                AttributeError,
-                TypeError,
-                BrokenExecutor,
-                OSError,
-                RuntimeError,
-            ):
-                # A broken pool is rebuilt once (workers may have been
-                # killed); a second infrastructure failure falls through
-                # to the serial rerun.  Task-level exceptions are
-                # already values and never land here.
-                self._discard_pool()
-                if attempt == 1:
-                    break
-        report = ExecutionReport(
-            mode="serial", requested_mode=self.mode, fallback=True
-        )
-        return (
-            _run_tasks_serial(fn, payloads, policy, report, telemetry),
-            report,
-        )
+        return [
+            TaskFailure(index, value.error_type, value.message, attempts)
+            if isinstance(value, _CellError)
+            else value
+            for index, (value, attempts, _) in enumerate(settled)
+        ], report
 
     def close(self) -> None:
         """Shut the workers down; the pool refuses further runs."""
@@ -1111,13 +813,12 @@ def run_tasks(
 ) -> tuple[list, ExecutionReport]:
     """Fan a pure function across payloads on a one-shot :class:`TaskPool`.
 
-    The generic sibling of :func:`run_cells` — the federation layer
-    uses it to replay station shards in parallel.  The pool is sized
-    ``min(workers, len(payloads))``, runs the batch once and is shut
-    down before this returns; everything else (failures as
-    :class:`TaskFailure` values in payload order, retries, timeouts,
-    rebuild-then-serial fallback on pool-infrastructure failures such
-    as unpicklable ``fn``/payloads or fork limits) is
+    The federation layer uses it to replay station shards in parallel.
+    The pool is sized ``min(workers, len(payloads))``, runs the batch
+    once and is shut down before this returns; everything else
+    (failures as :class:`TaskFailure` values in payload order, retries,
+    timeouts, rebuild-then-serial fallback on pool-infrastructure
+    failures such as unpicklable ``fn``/payloads or fork limits) is
     :meth:`TaskPool.run`.  Results are bit-identical across modes
     whenever ``fn`` is pure.
 
@@ -1126,8 +827,8 @@ def run_tasks(
         payloads: The inputs, in the order results must come back.
         workers: Pool width; ``<= 1`` runs serially.
         mode: ``"serial"`` (default), ``"thread"``, or ``"process"``.
-        policy: Hardening knobs; ``chunk_size`` is ignored (tasks ship
-            one per future).
+        policy: Timeout, retry and backoff knobs (the breaker applies
+            to sweep cells only).
         telemetry: Optional counter sink (``executor.*`` names).
 
     Returns:
@@ -1150,6 +851,11 @@ def run_cells(
 ) -> tuple[list[CellResult | CellFailure], ExecutionReport]:
     """Execute every cell, preserving spec order in the results.
 
+    A one-shot :class:`TaskPool` run of the cell family: the breaker
+    and the lazy submission window are on, and process runs post each
+    shared instance to shared memory (degrading to pickled payloads if
+    the block cannot be made).
+
     Args:
         specs: The grid, in the order results must come back.
         workers: Pool width; ``<= 1`` runs serially.
@@ -1164,55 +870,51 @@ def run_cells(
     Returns:
         ``(outcomes, report)`` — outcomes mix :class:`CellResult` and
         :class:`CellFailure` in spec order; the report carries the mode
-        actually used plus retry/failure/breaker accounting.
+        and transport actually used plus retry/failure/breaker
+        accounting.
 
     Raises:
         ReproError: For unknown modes.  Cell-level exceptions (a raising
             scheduler, a measurement error) never propagate — they come
-            back as :class:`CellFailure` entries.  Only
-            pool-infrastructure failures (unpicklable specs, broken
-            pools, fork limits) trigger the silent serial fallback,
-            which reruns the full grid.
+            back as :class:`CellFailure` entries.  Pool-infrastructure
+            failures (unpicklable specs, broken pools, fork limits)
+            rebuild the pool once, then rerun the full grid serially.
     """
-    if mode not in EXECUTOR_MODES:
-        raise ReproError(
-            f"unknown executor mode {mode!r}; choose from "
-            f"{', '.join(EXECUTOR_MODES)}"
+    specs = list(specs)
+    posts: dict[int, _ShmPost] = {}
+    with TaskPool(
+        max(1, min(workers, len(specs))), mode, policy=policy
+    ) as pool:
+        payloads: list = specs
+        try:
+            if mode == "process" and pool.workers > 1:
+                try:
+                    payloads = _post_cells(specs, posts)
+                except (OSError, pickle.PicklingError):
+                    pass  # each cell pickles its own instance
+            settled, report = pool._run(
+                _guarded_execute_chunk,
+                payloads,
+                None,
+                telemetry,
+                circuits=[spec.algorithm for spec in specs],
+                serial_payloads=specs,
+            )
+        finally:
+            for post in posts.values():
+                post.close()
+    if report.mode == "process" and payloads is not specs:
+        report.transport = "shm"
+    return [
+        CellFailure(
+            algorithm=spec.algorithm,
+            channels=spec.channels,
+            error_type=value.error_type,
+            message=value.message,
+            attempts=attempts,
+            circuit_open=circuit_open,
         )
-    policy = policy or ExecutionPolicy()
-    if mode == "serial" or workers <= 1 or len(specs) <= 1:
-        report = ExecutionReport(
-            mode="serial",
-            requested_mode=mode,
-            chunk_size=policy.chunk_size,
-        )
-        return _run_serial(specs, policy, report, telemetry), report
-    report = ExecutionReport(
-        mode=mode,
-        requested_mode=mode,
-        chunk_size=policy.chunk_size,
-    )
-    try:
-        return (
-            _run_pool(specs, workers, mode, policy, report, telemetry),
-            report,
-        )
-    except (
-        pickle.PicklingError,
-        AttributeError,
-        TypeError,
-        BrokenExecutor,
-        OSError,
-        RuntimeError,
-    ):
-        # Pool infrastructure failed (unpicklable scheduler, fork
-        # limits, missing multiprocessing support); the cells
-        # themselves are pure, so rerun the full grid serially with
-        # fresh accounting.
-        report = ExecutionReport(
-            mode="serial",
-            requested_mode=mode,
-            fallback=True,
-            chunk_size=policy.chunk_size,
-        )
-        return _run_serial(specs, policy, report, telemetry), report
+        if isinstance(value, _CellError)
+        else replace(value, attempts=attempts)
+        for spec, (value, attempts, circuit_open) in zip(specs, settled)
+    ], report

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from repro.core.backend import resolve_backend
 from repro.core.bounds import ChannelPlan, minimum_channels, plan_channels
 from repro.core.errors import ReproError
 from repro.core.pages import ProblemInstance
@@ -49,6 +48,7 @@ from repro.engine.executor import (
     CellFailure,
     CellSpec,
     ExecutionPolicy,
+    ExecutionReport,
     SweepPoint,
     default_channel_points,
     run_cells,
@@ -85,25 +85,6 @@ def _write_manifest_path(
     path = Path(manifest_path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(manifest.to_json() + "\n", encoding="utf-8")
-
-
-def _serial_executor_block() -> dict:
-    """The executor manifest block for operations that never pool."""
-    return {
-        "mode": "serial",
-        "workers": 1,
-        "fallback": False,
-        "retries": 0,
-        "cell_failures": 0,
-        "breaker_trips": 0,
-        "timeouts": 0,
-        "chunk_size": 1,
-        "measure_backend": "scalar",
-        "short_circuited": 0,
-        "transport": "inline",
-        "harvested": 0,
-        "compute_backend": resolve_backend(),
-    }
 
 
 @dataclass(frozen=True)
@@ -277,7 +258,6 @@ class BroadcastEngine:
         parameters: Mapping[str, object],
         schedulers: Sequence[str],
         channels: Sequence[int],
-        executor: Mapping[str, object],
         cache_before: CacheStats,
         telemetry_before: Mapping[str, dict],
         results: Mapping[str, object],
@@ -285,7 +265,15 @@ class BroadcastEngine:
         control: Mapping[str, object] | None = None,
         federation: Mapping[str, object] | None = None,
         deterministic: bool = False,
+        executor: Mapping[str, object] | None = None,
     ) -> RunManifest:
+        if executor is None:  # the operation never pools
+            executor = {
+                **ExecutionReport(
+                    mode="serial", requested_mode="serial"
+                ).as_dict(),
+                "workers": 1,
+            }
         cache_total = self.cache.stats()
         run_share = Telemetry.delta(self.telemetry.snapshot(), telemetry_before)
         manifest = RunManifest(
@@ -375,7 +363,6 @@ class BroadcastEngine:
             parameters={"available": available},
             schedulers=(),
             channels=(available,),
-            executor=_serial_executor_block(),
             cache_before=cache_before,
             telemetry_before=telemetry_before,
             results={
@@ -419,7 +406,6 @@ class BroadcastEngine:
             parameters={"algorithm": name, "channels": resolved},
             schedulers=(name,),
             channels=(resolved,),
-            executor=_serial_executor_block(),
             cache_before=cache_before,
             telemetry_before=telemetry_before,
             results={
@@ -466,7 +452,6 @@ class BroadcastEngine:
             },
             schedulers=(name,),
             channels=(resolved,),
-            executor=_serial_executor_block(),
             cache_before=cache_before,
             telemetry_before=telemetry_before,
             results={
@@ -687,7 +672,6 @@ class BroadcastEngine:
             },
             schedulers=(),
             channels=(trace.num_channels,),
-            executor=_serial_executor_block(),
             cache_before=cache_before,
             telemetry_before=telemetry_before,
             results={
@@ -730,7 +714,6 @@ class BroadcastEngine:
             parameters=parameters,
             schedulers=("susc", "pamad"),
             channels=channels,
-            executor=_serial_executor_block(),
             cache_before=cache_before,
             telemetry_before=telemetry_before,
             results=results,
@@ -859,7 +842,6 @@ class BroadcastEngine:
             },
             schedulers=("susc", "pamad"),
             channels=(report.budget,),
-            executor=_serial_executor_block(),
             cache_before=cache_before,
             telemetry_before=telemetry_before,
             results={

@@ -8,10 +8,10 @@ did (hits/misses for the run and for the engine's lifetime).  Manifests
 are the machine-readable audit trail of an engine process: the CLI can
 write them next to results, and regression tooling can diff them.
 
-Manifest schema (``manifest_version`` 9)::
+Manifest schema (``manifest_version`` 10)::
 
     {
-      "manifest_version": 9,
+      "manifest_version": 10,
       "run_id": 3,                      # per-engine monotonic counter
       "operation": "sweep",             # plan | schedule | evaluate |
                                         #   sweep | resilience | live |
@@ -27,18 +27,14 @@ Manifest schema (``manifest_version`` 9)::
       "schedulers": ["pamad", "m-pb"],  # canonical registry names
       "channels": [1, 2, 4],            # count(s) the run touched
       "executor": {
-        "mode": "process", "workers": 4, "fallback": false,
-        "retries": 0,                   # cell re-executions performed
-        "cell_failures": 0,             # cells that produced no result
+        "mode": "process", "fallback": false,
+        "retries": 0,                   # task re-executions performed
+        "cell_failures": 0,             # tasks that produced no result
         "breaker_trips": 0,             # per-algorithm circuits opened
-        "timeouts": 0,                  # per-future timeout expiries
-        "chunk_size": 1,                # cells per pool future (v4)
-        "measure_backend": "scalar",    # scalar | batch (v4)
+        "timeouts": 0,                  # per-task timeout expiries
         "short_circuited": 0,           # cells never submitted (v4)
         "transport": "shm",             # shm | pickle | inline (v8)
-        "harvested": 0,                 # cells saved from timed-out
-                                        #   chunks (v8)
-        "compute_backend": "python"     # kernels that ran; always python (v8)
+        "workers": 4
       },
       "cache": {"run": {...}, "total": {...}},   # CacheStats dicts
       "timings": {"schedule": {"seconds": 0.81, "calls": 6}, ...},
@@ -92,10 +88,13 @@ rebalance trail); version 8 added the zero-copy-transport executor keys
 (``transport`` / ``harvested`` / ``compute_backend``); version 9 added
 the ``transport`` field inside the ``federation`` block (how shard
 sub-traces reach the replay workers: ``inline`` by reference, ``shm``
-via one shared-memory listener post, ``pickle`` per shard plan).
-:meth:`RunManifest.from_dict` parses every version back to 1,
-defaulting the keys each newer version introduced, so consumers can
-rely on the version-9 shape either way.
+via one shared-memory listener post, ``pickle`` per shard plan);
+version 10 retired the executor keys that always held one value
+(``chunk_size`` 1, ``measure_backend`` ``"scalar"``, ``harvested`` 0,
+``compute_backend`` ``"python"``).  :meth:`RunManifest.from_dict`
+parses every version back to 1 by applying the upgrade steps of
+:data:`_UPGRADES` in order, so consumers can rely on the version-10
+shape either way.
 """
 
 from __future__ import annotations
@@ -117,33 +116,7 @@ __all__ = [
     "describe_instance",
 ]
 
-MANIFEST_VERSION = 9
-
-#: Executor-block keys added in manifest version 2, with their defaults
-#: (applied when parsing version-1 documents).
-_EXECUTOR_V2_DEFAULTS = {
-    "retries": 0,
-    "cell_failures": 0,
-    "breaker_trips": 0,
-    "timeouts": 0,
-}
-
-#: Executor-block keys added in manifest version 4 (chunked transport),
-#: with their defaults (applied when parsing version-1..3 documents).
-_EXECUTOR_V4_DEFAULTS = {
-    "chunk_size": 1,
-    "measure_backend": "scalar",
-    "short_circuited": 0,
-}
-
-#: Executor-block keys added in manifest version 8 (zero-copy
-#: transport), with their defaults (applied when parsing version-1..7
-#: documents; ``transport`` defaults per mode — older process-pool runs
-#: pickled chunk payloads, everything else passed objects inline).
-_EXECUTOR_V8_DEFAULTS = {
-    "harvested": 0,
-    "compute_backend": "python",
-}
+MANIFEST_VERSION = 10
 
 #: ``service.counters`` keys added in manifest version 4 (serving
 #: throughput), defaulted to zero for older ``live`` manifests.
@@ -158,6 +131,74 @@ _SERVICE_COUNTERS_V4 = (
 #: ``None`` marks "no durability trail recorded", distinct from a
 #: session that journaled zero requests.
 _CONTROL_DURABILITY_V6_DEFAULT = {"requests": 0, "fingerprint": None}
+
+#: Executor keys version 10 retired: each always held one value.
+_EXECUTOR_RETIRED_V10 = (
+    "chunk_size",
+    "measure_backend",
+    "harvested",
+    "compute_backend",
+)
+
+
+def _legacy_transport(blocks: dict) -> str:
+    """The transport runs used before it was recorded: process pools
+    pickled their payloads, everything else passed objects inline."""
+    process = blocks["executor"].get("mode") == "process"
+    return "pickle" if process else "inline"
+
+
+def _upgrade_v2(blocks: dict) -> None:
+    for key in ("retries", "cell_failures", "breaker_trips", "timeouts"):
+        blocks["executor"].setdefault(key, 0)
+
+
+def _upgrade_v4(blocks: dict) -> None:
+    blocks["executor"].setdefault("short_circuited", 0)
+    service = blocks["service"]
+    if "counters" in service:
+        counters = dict(service["counters"])
+        for key in _SERVICE_COUNTERS_V4:
+            counters.setdefault(key, 0)
+        service["counters"] = counters
+
+
+def _upgrade_v6(blocks: dict) -> None:
+    if blocks["control"]:
+        blocks["control"].setdefault(
+            "durability", dict(_CONTROL_DURABILITY_V6_DEFAULT)
+        )
+
+
+def _upgrade_v8(blocks: dict) -> None:
+    blocks["executor"].setdefault("transport", _legacy_transport(blocks))
+
+
+def _upgrade_v9(blocks: dict) -> None:
+    if blocks["federation"]:
+        blocks["federation"].setdefault(
+            "transport", _legacy_transport(blocks)
+        )
+
+
+def _upgrade_v10(blocks: dict) -> None:
+    for key in _EXECUTOR_RETIRED_V10:
+        blocks["executor"].pop(key, None)
+
+
+#: The upgrade to each schema version from the one before it, in
+#: order.  A step edits the document's ``executor`` / ``service`` /
+#: ``control`` / ``federation`` blocks in place.  Versions 3, 5 and 7
+#: only added blocks, which are ``{}`` whenever absent, so they have no
+#: step; keys that version 10 retired are never added, only dropped.
+_UPGRADES = (
+    (2, _upgrade_v2),
+    (4, _upgrade_v4),
+    (6, _upgrade_v6),
+    (8, _upgrade_v8),
+    (9, _upgrade_v9),
+    (10, _upgrade_v10),
+)
 
 
 class Telemetry:
@@ -294,22 +335,11 @@ class RunManifest:
     def from_dict(cls, payload: Mapping[str, object]) -> "RunManifest":
         """Parse a manifest document of any supported schema version.
 
-        Accepts version 1 through 9 documents: the hardening keys
-        missing from version-1 executor blocks default to zero, the
-        ``service`` block missing below version 3 defaults to ``{}``,
-        the version-4 chunked-transport executor keys and serving-
-        throughput service counters default to their quiescent values,
-        the version-5 ``control`` block defaults to ``{}``, a
-        non-empty pre-v6 ``control`` block gains a defaulted
-        ``durability`` sub-block, the version-7 ``federation`` block
-        defaults to ``{}``, the version-8 zero-copy-transport
-        executor keys default to what the older executors actually did
-        (``transport`` ``"pickle"`` for process mode, ``"inline"``
-        otherwise; ``compute_backend`` ``"python"``), and a non-empty
-        pre-v9 ``federation`` block gains a ``transport`` field
-        defaulted the same way (older federations pickled shard plans
-        under process fan-out and passed them inline otherwise) — so
-        consumers can rely on the version-9 shape either way.
+        Accepts version 1 through 10 documents and upgrades older ones
+        step by step (:data:`_UPGRADES`): each version's added keys get
+        the quiescent value, or what the older runs actually did, and
+        version 10 drops the retired executor keys.  Consumers can rely
+        on the version-10 shape either way.
 
         Raises:
             ReproError: For unknown (newer) versions or documents missing
@@ -323,36 +353,15 @@ class RunManifest:
             )
         try:
             cache_block = payload.get("cache", {})
-            executor = dict(payload["executor"])
-            for key, default in _EXECUTOR_V2_DEFAULTS.items():
-                executor.setdefault(key, default)
-            for key, default in _EXECUTOR_V4_DEFAULTS.items():
-                executor.setdefault(key, default)
-            for key, default in _EXECUTOR_V8_DEFAULTS.items():
-                executor.setdefault(key, default)
-            executor.setdefault(
-                "transport",
-                "pickle" if executor.get("mode") == "process" else "inline",
-            )
-            service = dict(payload.get("service", {}))
-            if "counters" in service:
-                counters = dict(service["counters"])
-                for key in _SERVICE_COUNTERS_V4:
-                    counters.setdefault(key, 0)
-                service["counters"] = counters
-            control = dict(payload.get("control", {}))
-            if control:
-                control.setdefault(
-                    "durability", dict(_CONTROL_DURABILITY_V6_DEFAULT)
-                )
-            federation = dict(payload.get("federation", {}))
-            if federation:
-                federation.setdefault(
-                    "transport",
-                    "pickle"
-                    if executor.get("mode") == "process"
-                    else "inline",
-                )
+            blocks = {
+                "executor": dict(payload["executor"]),
+                "service": dict(payload.get("service", {})),
+                "control": dict(payload.get("control", {})),
+                "federation": dict(payload.get("federation", {})),
+            }
+            for target, upgrade in _UPGRADES:
+                if version < target:
+                    upgrade(blocks)
             return cls(
                 run_id=int(payload["run_id"]),
                 operation=str(payload["operation"]),
@@ -363,7 +372,7 @@ class RunManifest:
                 channels=tuple(
                     int(c) for c in payload.get("channels", ())
                 ),
-                executor=executor,
+                executor=blocks["executor"],
                 cache_run=_cache_stats_from(cache_block.get("run", {})),
                 cache_total=_cache_stats_from(cache_block.get("total", {})),
                 timings={
@@ -372,9 +381,9 @@ class RunManifest:
                 },
                 counters=dict(payload.get("counters", {})),
                 results=dict(payload.get("results", {})),
-                service=service,
-                control=control,
-                federation=federation,
+                service=blocks["service"],
+                control=blocks["control"],
+                federation=blocks["federation"],
             )
         except (KeyError, TypeError, ValueError) as error:
             raise ReproError(

@@ -73,6 +73,7 @@ the federation inherits the live layer's replay-determinism contract.
 from __future__ import annotations
 
 import math
+import pickle
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, TYPE_CHECKING
 
@@ -977,10 +978,10 @@ class FederatedBroadcastService:
         is the reference and pools are a pure wall-clock optimisation.
 
         Transport: process fan-out ships listeners through one
-        shared-memory post (``policy.transport == "shm"``, the default)
-        or per-plan pickles; serial and thread replay pass each shard's
-        column slices inline.  The transport that actually ran is recorded
-        in the report.
+        shared-memory post, or per-plan pickles when the block cannot be
+        made; serial and thread replay pass each shard's column slices
+        inline.  The transport that actually ran is recorded in the
+        report.
         """
         if self._report is not None:
             raise SimulationError(
@@ -991,22 +992,17 @@ class FederatedBroadcastService:
         effective_workers = (
             pool.workers if pool is not None else workers
         )
-        effective_policy = policy or (
-            pool.policy if pool is not None else None
-        ) or ExecutionPolicy()
         pooled = (
             effective_mode == "process"
             and effective_workers > 1
             and len(self.ring.shards) > 1
         )
-        transport = effective_policy.transport if pooled else "inline"
+        transport = "shm" if pooled else "inline"
         post: _ShmPost | None = None
         try:
             try:
-                plans, post = self._shard_plans(
-                    routed, shm=transport == "shm"
-                )
-            except OSError:
+                plans, post = self._shard_plans(routed, shm=pooled)
+            except (OSError, pickle.PicklingError):
                 transport = "pickle"
                 plans, post = self._shard_plans(routed)
             if pool is not None:

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from multiprocessing import shared_memory
 
 import pytest
 
 from repro.core.pages import ProblemInstance, instance_from_counts
+from repro.engine import executor
 
 
 @pytest.fixture
@@ -31,3 +33,34 @@ def single_group_instance() -> ProblemInstance:
 def rng() -> random.Random:
     """A deterministic RNG for tests that need randomness."""
     return random.Random(12345)
+
+
+@pytest.fixture
+def no_shared_memory(monkeypatch):
+    """Make every shared-memory block creation raise ``OSError``."""
+    real = shared_memory.SharedMemory
+
+    def refuse(*args, create=False, **kwargs):
+        if create:
+            raise OSError(28, "No space left on device")
+        return real(*args, create=create, **kwargs)
+
+    monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
+
+
+@pytest.fixture
+def shm_posts(monkeypatch) -> list[str]:
+    """The names of the shared-memory posts made during the test.
+
+    Checking exactly these (rather than diffing the ``/dev/shm``
+    listing) keeps a leak check blind to other processes' blocks.
+    """
+    names: list[str] = []
+    post_init = executor._ShmPost.__init__
+
+    def record(self, obj):
+        post_init(self, obj)
+        names.append(self.name)
+
+    monkeypatch.setattr(executor._ShmPost, "__init__", record)
+    return names

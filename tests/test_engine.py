@@ -43,14 +43,6 @@ def _crashing_scheduler(instance, num_channels):
     raise ValueError("deliberate crash")
 
 
-def _slow_scheduler(instance, num_channels):
-    """Sleeps past the test timeout — exercises chunk-timeout harvest."""
-    import time
-
-    time.sleep(1.2)
-    return schedule_pamad(instance, num_channels)
-
-
 _FLAKY_CALLS = {"count": 0}
 
 
@@ -288,9 +280,9 @@ class TestEngineSweep:
         serial = BroadcastEngine().sweep(
             fig2_instance, workers=1, **SWEEP_KWARGS
         )
-        shm = BroadcastEngine(
-            execution=ExecutionPolicy(transport="shm", chunk_size=3)
-        ).sweep(fig2_instance, workers=2, executor="process", **SWEEP_KWARGS)
+        shm = BroadcastEngine().sweep(
+            fig2_instance, workers=2, executor="process", **SWEEP_KWARGS
+        )
         assert self._measured(shm.points) == self._measured(serial.points)
         assert shm.manifest.executor["transport"] == "shm"
 
@@ -342,56 +334,18 @@ class TestEngineSweep:
         assert pickle.loads(pickle.dumps(cell)).schedule.program == program
 
     def test_pickle_transport_matches_serial_bit_identically(
-        self, fig2_instance
+        self, fig2_instance, no_shared_memory
     ):
         serial = BroadcastEngine().sweep(
             fig2_instance, workers=1, **SWEEP_KWARGS
         )
-        pickled = BroadcastEngine(
-            execution=ExecutionPolicy(transport="pickle", chunk_size=3)
-        ).sweep(fig2_instance, workers=2, executor="process", **SWEEP_KWARGS)
+        pickled = BroadcastEngine().sweep(
+            fig2_instance, workers=2, executor="process", **SWEEP_KWARGS
+        )
         assert self._measured(pickled.points) == self._measured(
             serial.points
         )
         assert pickled.manifest.executor["transport"] == "pickle"
-
-    @pytest.mark.parametrize("mode", ("thread", "process"))
-    def test_chunk_timeout_harvests_finished_cells(
-        self, fig2_instance, mode
-    ):
-        # One chunk carries a fast cell then a slow one; the chunk blows
-        # the timeout budget but the fast cell's finished result must be
-        # harvested instead of shared into the failure.
-        from repro.engine.executor import CellSpec, run_cells
-
-        def spec(name, scheduler):
-            return CellSpec(
-                algorithm=name,
-                scheduler=scheduler,
-                channels=3,
-                instance=fig2_instance,
-                num_requests=50,
-                seed=1,
-            )
-
-        outcomes, report = run_cells(
-            [spec("pamad", schedule_pamad), spec("slow", _slow_scheduler)],
-            workers=2,
-            mode=mode,
-            policy=ExecutionPolicy(
-                timeout=0.4, retries=0, backoff=0.0, chunk_size=2
-            ),
-        )
-        assert not isinstance(outcomes[0], CellFailure)
-        assert outcomes[0].point.algorithm == "pamad"
-        assert isinstance(outcomes[1], CellFailure)
-        assert outcomes[1].error_type == "TimeoutError"
-        assert report.harvested == 1
-        assert report.timeouts >= 1
-
-    def test_transport_and_backend_validation(self):
-        with pytest.raises(ReproError, match="transport"):
-            ExecutionPolicy(transport="carrier-pigeon")
 
     def test_channel_sweep_helper_delegates_to_engine(self, fig2_instance):
         from repro.analysis.sweep import channel_sweep
@@ -560,8 +514,8 @@ class TestManifestCompat:
         payload = json.loads(result.manifest.to_json())
         payload["manifest_version"] = 2
         payload.pop("service", None)  # the block v3 introduced
-        for key in ("chunk_size", "measure_backend", "short_circuited"):
-            payload["executor"].pop(key, None)  # the keys v4 introduced
+        payload["executor"].pop("short_circuited")  # a key v4 introduced
+        payload["executor"].pop("transport")  # the key v8 introduced
         parsed = RunManifest.from_dict(payload)
         assert parsed.service == {}
         assert parsed.executor == dict(result.manifest.executor)
@@ -577,16 +531,16 @@ class TestManifestCompat:
             BroadcastEngine().live(fig2_instance, trace).manifest.to_json()
         )
         payload["manifest_version"] = 3
-        for key in ("chunk_size", "measure_backend", "short_circuited"):
-            payload["executor"].pop(key, None)
+        payload["executor"].pop("short_circuited")
         for key in (
             "batched_listeners", "events_coalesced", "replans_avoided",
         ):
             payload["service"]["counters"].pop(key, None)
         parsed = RunManifest.from_dict(payload)
-        assert parsed.executor["chunk_size"] == 1
-        assert parsed.executor["measure_backend"] == "scalar"
         assert parsed.executor["short_circuited"] == 0
+        # Version 10 retired the other v4 executor keys again.
+        assert "chunk_size" not in parsed.executor
+        assert "measure_backend" not in parsed.executor
         assert parsed.service["counters"]["batched_listeners"] == 0
         assert parsed.service["counters"]["events_coalesced"] == 0
         assert parsed.service["counters"]["replans_avoided"] == 0
@@ -687,8 +641,7 @@ class TestRunManifest:
         assert set(payload["executor"]) == {
             "mode", "workers", "fallback",
             "retries", "cell_failures", "breaker_trips", "timeouts",
-            "chunk_size", "measure_backend", "short_circuited",
-            "transport", "harvested", "compute_backend",
+            "short_circuited", "transport",
         }
         for scope in ("run", "total"):
             assert set(payload["cache"][scope]) == {

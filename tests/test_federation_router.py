@@ -33,7 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.pages import instance_from_counts
-from repro.engine.executor import ExecutionPolicy, TaskPool
+from repro.engine.executor import TaskPool
 from repro.federation import FederatedBroadcastService
 from repro.federation.service import _RouterState
 from repro.live.mutations import MutationEvent, MutationTrace
@@ -215,11 +215,7 @@ class TestTransports:
         inline = _report()
         shm = FederatedBroadcastService(
             _instance(), _trace(_instance()), shards=2, seed=0
-        ).run(
-            workers=2,
-            mode="process",
-            policy=ExecutionPolicy(transport="shm"),
-        )
+        ).run(workers=2, mode="process")
         assert inline.transport == "inline"
         assert shm.transport == "shm"
         a, b = inline.as_dict(), shm.as_dict()
@@ -230,15 +226,11 @@ class TestTransports:
             b, sort_keys=True
         )
 
-    def test_pickle_matches_inline(self):
+    def test_pickle_matches_inline(self, no_shared_memory):
         inline = _report()
         pickled = FederatedBroadcastService(
             _instance(), _trace(_instance()), shards=2, seed=0
-        ).run(
-            workers=2,
-            mode="process",
-            policy=ExecutionPolicy(transport="pickle"),
-        )
+        ).run(workers=2, mode="process")
         assert pickled.transport == "pickle"
         a, b = inline.as_dict(), pickled.as_dict()
         for block in (a, b):

@@ -1,10 +1,11 @@
-"""Manifest schema compatibility: golden v1..v9 fixtures through repro.api.
+"""Manifest schema compatibility: golden v1..v10 fixtures through repro.api.
 
 One golden document per schema version lives in ``tests/fixtures/``;
 every one of them must parse through the :mod:`repro.api` manifest
-codecs into the current (v9) in-memory shape, with the keys newer
-versions introduced defaulted, and re-serialise as a stable v9 document
-(``from_dict(to_dict(m)) == m``, the round-trip contract).
+codecs into the current (v10) in-memory shape, with the keys newer
+versions introduced defaulted and the keys v10 retired dropped, and
+re-serialise as a stable v10 document (``from_dict(to_dict(m)) == m``,
+the round-trip contract).
 """
 
 from __future__ import annotations
@@ -21,10 +22,15 @@ from repro.api import (
     manifest_to_json,
 )
 from repro.core.errors import ReproError
+from repro.core.pages import instance_from_counts
+from repro.engine import BroadcastEngine
 from repro.engine.telemetry import MANIFEST_VERSION, RunManifest
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 ALL_VERSIONS = tuple(range(1, MANIFEST_VERSION + 1))
+
+#: Executor keys version 10 retired (each always held one value).
+RETIRED_V10 = ("chunk_size", "measure_backend", "harvested", "compute_backend")
 
 
 def load_fixture(version: int) -> dict:
@@ -53,6 +59,18 @@ class TestGoldenFixtures:
         assert again == manifest
 
     @pytest.mark.parametrize("version", ALL_VERSIONS)
+    def test_parses_to_the_fresh_sweep_key_set(self, version):
+        fresh = BroadcastEngine().sweep(
+            instance_from_counts([3, 5, 3], [2, 4, 8]),
+            algorithms=("pamad",),
+            channel_points=(2,),
+            num_requests=50,
+        ).manifest.to_dict()
+        parsed = manifest_to_dict(manifest_from_dict(load_fixture(version)))
+        assert set(parsed) == set(fresh)
+        assert set(parsed["executor"]) == set(fresh["executor"])
+
+    @pytest.mark.parametrize("version", ALL_VERSIONS)
     def test_json_codec_matches_dict_codec(self, version):
         text = (FIXTURES / f"manifest_v{version}.json").read_text()
         via_json = manifest_from_json(text)
@@ -69,8 +87,8 @@ class TestVersionDefaults:
             "short_circuited",
         ):
             assert manifest.executor[key] == 0, key
-        assert manifest.executor["chunk_size"] == 1
-        assert manifest.executor["measure_backend"] == "scalar"
+        for key in RETIRED_V10:
+            assert key not in manifest.executor, key
 
     @pytest.mark.parametrize("version", (1, 2))
     def test_pre_v3_service_block_defaults_empty(self, version):
@@ -138,8 +156,6 @@ class TestVersionDefaults:
     @pytest.mark.parametrize("version", (1, 2, 3, 4, 5, 6, 7))
     def test_pre_v8_executor_gains_transport_keys(self, version):
         executor = manifest_from_dict(load_fixture(version)).executor
-        assert executor["harvested"] == 0
-        assert executor["compute_backend"] == "python"
         expected = "pickle" if executor["mode"] == "process" else "inline"
         assert executor["transport"] == expected
 
@@ -147,8 +163,20 @@ class TestVersionDefaults:
         manifest = manifest_from_dict(load_fixture(8))
         executor = manifest.executor
         assert executor["transport"] == "shm"
-        assert executor["harvested"] == 2
-        assert executor["compute_backend"] == "python"
+        assert load_fixture(8)["executor"]["harvested"] == 2
+        for key in RETIRED_V10:
+            assert key not in executor, key
+
+    @pytest.mark.parametrize("version", (4, 5, 6, 7, 8, 9))
+    def test_v10_drops_the_retired_executor_keys(self, version):
+        payload = load_fixture(version)
+        assert "chunk_size" in payload["executor"]
+        executor = manifest_from_dict(payload).executor
+        for key in RETIRED_V10:
+            assert key not in executor, key
+        kept = set(payload["executor"]) - set(RETIRED_V10)
+        for key in kept:
+            assert executor[key] == payload["executor"][key], key
 
     @pytest.mark.parametrize("version", (7, 8))
     def test_pre_v9_federation_block_gains_transport(self, version):
@@ -174,8 +202,9 @@ class TestVersionDefaults:
         assert federation["transport"] == "shm"
         assert federation["shards"] == 2
         assert federation["final_valid"] is True
-        # Byte-identity: the golden document re-serialises exactly.
-        text = (FIXTURES / "manifest_v9.json").read_text()
+
+    def test_v10_golden_re_serialises_byte_identically(self):
+        text = (FIXTURES / "manifest_v10.json").read_text()
         again = json.dumps(
             manifest_to_dict(manifest_from_json(text)),
             indent=2,

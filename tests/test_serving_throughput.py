@@ -12,9 +12,9 @@ Three fast paths, each pinned to its reference semantics:
   budgets make net operations depend on admission verdicts, which is
   why the equivalence property is stated under ample budget and taut
   runs are pinned by determinism instead.
-* **Chunked sweep transport and measurement backends** — chunking and
-  lazy wave submission never change which outcomes come back (list
-  identity with a serial run for every ``chunk_size``), the ``batch``
+* **Pooled sweep cells and measurement backends** — the pool and its
+  lazy submission window never change which outcomes come back (list
+  identity with a serial run for every pool width), the ``batch``
   backend agrees with the scalar reference statistically (different RNG
   streams, same request model), and an open circuit short-circuits
   cells that were never submitted.
@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import ReproError, SimulationError
+from repro.core.errors import SimulationError
 from repro.core.pages import instance_from_counts
 from repro.engine.executor import (
     CellFailure,
@@ -478,26 +478,16 @@ def _grid_specs(count=8, num_requests=120):
 
 
 class TestChunkedSweepExecution:
-    @settings(max_examples=12, deadline=None)
-    @given(
-        chunk_size=st.integers(1, 12),
-        workers=st.integers(2, 4),
-    )
-    def test_chunked_pool_is_list_identical_to_serial(
-        self, chunk_size, workers
-    ):
-        """The tentpole invariant: chunking and wave submission never
-        change which outcomes come back, for every ``chunk_size``."""
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_chunked_pool_is_list_identical_to_serial(self, workers):
+        """The pool and its lazy submission window never change which
+        outcomes come back, for every pool width."""
         specs = _grid_specs()
         serial, _ = run_cells(specs, workers=1, mode="serial")
-        policy = ExecutionPolicy(chunk_size=chunk_size)
-        chunked, report = run_cells(
-            specs, workers=workers, mode="thread", policy=policy
-        )
-        assert [_outcome_key(o) for o in chunked] == [
+        pooled, report = run_cells(specs, workers=workers, mode="thread")
+        assert [_outcome_key(o) for o in pooled] == [
             _outcome_key(o) for o in serial
         ]
-        assert report.chunk_size == chunk_size
         assert report.fallback is False
 
     def test_chunked_process_pool_matches_serial(self):
@@ -505,25 +495,18 @@ class TestChunkedSweepExecution:
         # serial fallback would make both sides the same code.
         specs = _grid_specs()
         serial, _ = run_cells(specs, workers=1, mode="serial")
-        chunked, report = run_cells(
-            specs,
-            workers=3,
-            mode="process",
-            policy=ExecutionPolicy(chunk_size=3),
-        )
-        assert [_outcome_key(o) for o in chunked] == [
+        pooled, report = run_cells(specs, workers=3, mode="process")
+        assert [_outcome_key(o) for o in pooled] == [
             _outcome_key(o) for o in serial
         ]
         assert report.mode == "process"
         assert report.fallback is False
         assert report.transport == "shm"
 
-    @pytest.mark.parametrize("chunk_size", [1, 4])
-    def test_open_breaker_short_circuits_unsubmitted_cells(
-        self, chunk_size
-    ):
-        """Satellite fix: cells behind an open circuit are never
-        submitted to the pool — they fail structurally with zero
+    @pytest.mark.parametrize("mode", ["serial", "thread"])
+    def test_open_breaker_short_circuits_unsubmitted_cells(self, mode):
+        """Cells behind an open circuit are never executed (in pool
+        modes, never submitted) — they fail structurally with zero
         attempts instead of burning pool work."""
         def explode(instance, channels):
             raise ValueError("scheduler crash")
@@ -544,11 +527,11 @@ class TestChunkedSweepExecution:
             retries=0,
             backoff=0.0,
             breaker_threshold=3,
-            chunk_size=chunk_size,
         )
         outcomes, report = run_cells(
-            specs, workers=2, mode="thread", policy=policy
+            specs, workers=2, mode=mode, policy=policy
         )
+        assert report.mode == mode
         assert all(isinstance(o, CellFailure) for o in outcomes)
         skipped = [o for o in outcomes if o.attempts == 0]
         assert report.breaker_trips == 1
@@ -556,10 +539,6 @@ class TestChunkedSweepExecution:
         assert all(o.circuit_open for o in skipped)
         assert all(o.error_type == "CircuitOpen" for o in skipped)
         assert report.cell_failures == len(specs)
-
-    def test_policy_validates_chunking_knobs(self):
-        with pytest.raises(ReproError, match="chunk_size"):
-            ExecutionPolicy(chunk_size=0)
 
 
 class TestServeManifest:

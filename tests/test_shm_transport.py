@@ -12,7 +12,7 @@ unlinked by the time the run returns.
 from __future__ import annotations
 
 import json
-import os
+import multiprocessing
 from dataclasses import replace
 from multiprocessing import shared_memory
 
@@ -21,7 +21,6 @@ import pytest
 from repro.core.pages import instance_from_counts
 from repro.engine import BroadcastEngine
 from repro.engine import executor
-from repro.engine.executor import ExecutionPolicy
 from repro.federation import FederatedBroadcastService
 from repro.workload.mutations import generate_mutation_trace
 
@@ -32,11 +31,8 @@ SWEEP_KWARGS = dict(
     seed=7,
 )
 
-SHM_DIR = "/dev/shm"
-
-
-def _sweep(instance, workers, **policy):
-    return BroadcastEngine(execution=ExecutionPolicy(**policy)).sweep(
+def _sweep(instance, workers):
+    return BroadcastEngine().sweep(
         instance, workers=workers, executor="process", **SWEEP_KWARGS
     )
 
@@ -56,23 +52,17 @@ def _federation(**run_kwargs):
     ).run(**run_kwargs)
 
 
+def _assert_unlinked(names):
+    assert names  # the run posted something
+    for name in names:
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=name)
+
+
 def _without_transport(report):
     payload = report.as_dict()
     payload.pop("transport")
     return json.dumps(payload, sort_keys=True)
-
-
-@pytest.fixture
-def no_shared_memory(monkeypatch):
-    """Make every shared-memory block creation raise ``OSError``."""
-    real = shared_memory.SharedMemory
-
-    def refuse(*args, create=False, **kwargs):
-        if create:
-            raise OSError(28, "No space left on device")
-        return real(*args, create=create, **kwargs)
-
-    monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
 
 
 class TestForcedShmFailure:
@@ -80,7 +70,7 @@ class TestForcedShmFailure:
         self, fig2_instance, no_shared_memory
     ):
         serial = _sweep(fig2_instance, workers=1)
-        pooled = _sweep(fig2_instance, workers=2, chunk_size=3)
+        pooled = _sweep(fig2_instance, workers=2)
         assert pooled.manifest.executor["mode"] == "process"
         assert pooled.manifest.executor["fallback"] is False
         assert pooled.manifest.executor["transport"] == "pickle"
@@ -109,22 +99,38 @@ class TestForcedShmFailure:
         assert _without_transport(pickled) == _without_transport(shm)
         assert {**shm.executor, "transport": "pickle"} == pickled.executor
 
+    @pytest.mark.skipif(
+        multiprocessing.get_context().get_start_method() != "fork",
+        reason="only forked workers inherit the patched attach",
+    )
+    def test_attach_failure_rebuilds_then_reruns_serially(
+        self, fig2_instance, monkeypatch
+    ):
+        """A worker that cannot attach the post is a pool failure, not
+        a cell failure: the grid ends on a serial rerun of plain specs."""
+        serial = _sweep(fig2_instance, workers=1)
 
-@pytest.mark.skipif(
-    not os.path.isdir(SHM_DIR), reason="no /dev/shm on this platform"
-)
+        def refuse(name, size):
+            raise OSError(24, "Too many open files")
+
+        monkeypatch.setattr(executor, "_from_shm", refuse)
+        pooled = _sweep(fig2_instance, workers=2)
+        assert pooled.manifest.executor["mode"] == "serial"
+        assert pooled.manifest.executor["fallback"] is True
+        assert pooled.manifest.executor["cell_failures"] == 0
+        assert _measured(pooled.points) == _measured(serial.points)
+
+
 class TestNoLeakedBlocks:
-    def test_shm_sweep_unlinks_its_post(self, fig2_instance):
-        before = set(os.listdir(SHM_DIR))
-        result = _sweep(fig2_instance, workers=2, chunk_size=3)
+    def test_shm_sweep_unlinks_its_post(self, fig2_instance, shm_posts):
+        result = _sweep(fig2_instance, workers=2)
         assert result.manifest.executor["transport"] == "shm"
-        assert set(os.listdir(SHM_DIR)) - before == set()
+        _assert_unlinked(shm_posts)
 
-    def test_shm_federation_unlinks_its_post(self):
-        before = set(os.listdir(SHM_DIR))
+    def test_shm_federation_unlinks_its_post(self, shm_posts):
         report = _federation(workers=2, mode="process")
         assert report.transport == "shm"
-        assert set(os.listdir(SHM_DIR)) - before == set()
+        _assert_unlinked(shm_posts)
 
 
 class TestAttachCache:
