@@ -99,7 +99,10 @@ def batch_waits(
     cycle`` against needles ``ceil(arrival) + row * cycle`` — exact
     arithmetic, and for integer slots ``slot >= arrival`` iff ``slot >=
     ceil(arrival)``, so positions match the scalar scan even for
-    arrivals within one ULP of a slot boundary.  Rows must be on air
+    arrivals within one ULP of a slot boundary.  Once the index has
+    answered as many queries as its dense wait table has cells
+    (:meth:`~repro.core.program.AppearanceIndex._wait_table`), the
+    search becomes a gather from that table.  Rows must be on air
     (non-empty); callers mask off-air pages first.
 
     Args:
@@ -109,12 +112,23 @@ def batch_waits(
 
     Returns:
         float64 wait per request, in request order.
+
+    Raises:
+        SimulationError: If a row is outside ``[0, len(index.page_ids))``
+            or names an off-air page.
     """
     arrivals = np.fmod(
         np.asarray(arrivals, dtype=np.float64), index.cycle_length
     )
     rows = np.asarray(rows, dtype=np.int64)
-    lut = index._wait_lut
+    if rows.size:
+        low, high = int(rows.min()), int(rows.max())
+        if low < 0 or high >= index.page_ids.shape[0]:
+            raise SimulationError(
+                f"row {low if low < 0 else high} out of range "
+                f"0..{index.page_ids.shape[0] - 1}"
+            )
+    lut = index._wait_table(rows.shape[0])
     if lut is not None:
         # Dense fast path: one gather instead of a binary search.  The
         # table stores exact integer slot values (wrap pre-applied), so

@@ -20,7 +20,7 @@ air, how often, on which channels — is answered by one
 :class:`AppearanceIndex`, built from the packed grid by a single stable
 argsort.  The program builds it on first demand, drops it on every
 :meth:`~BroadcastProgram.assign`/:meth:`~BroadcastProgram.clear` and
-shares it with its copies; the index itself never changes.
+shares it with its copies; the index's arrays never change.
 """
 
 from __future__ import annotations
@@ -94,7 +94,9 @@ class AppearanceIndex:
     1]]``.  A program's own index has its pages sorted by id and no
     empty row.  Derived tables (the scalar queries' Python-list views,
     the row lookups, the wait kernels' keys and table) are built on
-    first use and cached on the instance, so they die with it.
+    first use and cached on the instance, so they die with it; the
+    wait table's first use comes once the index has answered as many
+    wait queries as the table has cells (:meth:`_wait_table`).
     """
 
     cycle_length: int
@@ -108,6 +110,7 @@ class AppearanceIndex:
     _counts: dict[int, int] | None = field(init=False, repr=False)
     _slot_rows: dict[int, list[int]] | None = field(init=False, repr=False)
     _gap_rows: dict[int, list[int]] | None = field(init=False, repr=False)
+    _answered: int = field(init=False, repr=False)
 
     @classmethod
     def from_packed(cls, packed: np.ndarray) -> "AppearanceIndex":
@@ -182,6 +185,8 @@ class AppearanceIndex:
         object.__setattr__(self, "_counts", None)
         object.__setattr__(self, "_slot_rows", None)
         object.__setattr__(self, "_gap_rows", None)
+        # Wait queries answered so far; see :meth:`_wait_table`.
+        object.__setattr__(self, "_answered", 0)
 
     def _build_counts(self) -> dict[int, int]:
         """``_counts``: page id -> appearance cells, in row order."""
@@ -275,22 +280,42 @@ class AppearanceIndex:
         firsts = np.where(counts > 0, self.offsets[:-1], -1)
         return keys, firsts
 
-    #: Dense wait tables are only worth their memory for the small
-    #: serving programs the live replay loop indexes; past this many
-    #: row x arrival cells the wait kernel binary-searches instead.
+    #: Memory cap on the dense wait table: past this many row x arrival
+    #: cells the wait kernel binary-searches however many queries the
+    #: index answers.
     _WAIT_LUT_MAX_CELLS = 1 << 16
+
+    def _wait_table(self, batch: int) -> np.ndarray | None:
+        """The dense wait table for a batch of ``batch`` queries, or ``None``.
+
+        Ski rental: the table costs one ``searchsorted`` needle per
+        cell, a query answered without it one needle, so the index
+        binary-searches while the queries it has answered, this batch
+        included, number fewer than the table's cells, and builds the
+        table once they reach that count.  The total then never exceeds
+        about twice the cheaper choice made in hindsight.  A program
+        drops its index on every mutation, so under catalog churn the
+        few listeners between two mutations never pay for a table, while
+        long listener runs on one program build it in their first
+        batches.  ``None`` also when :attr:`_wait_lut` is.
+        """
+        answered = self._answered + batch
+        object.__setattr__(self, "_answered", answered)
+        if answered < self.page_ids.shape[0] * (self.cycle_length + 1):
+            return None
+        return self._wait_lut
 
     @cached_property
     def _wait_lut(self) -> np.ndarray | None:
-        """Dense next-appearance table.
+        """Dense next-appearance table, built by :meth:`_wait_table`.
 
         ``lut[row * (cycle + 1) + c]`` is the slot a request arriving at
         any time with ``ceil(arrival) == c`` waits for — the row's first
         slot ``>= c``, or its first slot plus one cycle when the arrival
         is past the row's last appearance.  This turns the whole wait
-        search into one gather; ``None`` when the table would be large
-        (fall back to ``searchsorted``) or any row is empty (the search
-        path owns the off-air error).
+        search into one gather; ``None`` when the table would pass
+        :attr:`_WAIT_LUT_MAX_CELLS` or any row is empty (the search path
+        owns the off-air error).
         """
         counts = np.diff(self.offsets)
         cycle = self.cycle_length

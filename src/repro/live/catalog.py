@@ -71,8 +71,14 @@ class LiveCatalog:
         return dict(self._times)
 
     def copy(self) -> "LiveCatalog":
-        """An independent copy (admission control probes candidates on it)."""
-        return LiveCatalog(self._times)
+        """An independent copy (admission control probes candidates on it).
+
+        The entries were validated on their way in, so the copy takes
+        them as they are instead of going back through ``__init__``.
+        """
+        clone = LiveCatalog.__new__(LiveCatalog)
+        clone._times = dict(self._times)
+        return clone
 
     # ------------------------------------------------------------------
     # Mutation primitives

@@ -633,8 +633,11 @@ class LiveBroadcastService:
         """Replay a run of listener arrivals as vectorised passes.
 
         Sequentially equivalent to calling :meth:`_on_listener` per
-        event: waits come from the same ``searchsorted`` kernel the
-        sweep analysis uses (bit-identical to
+        event: waits come from
+        :func:`~repro.analysis.vectorized.batch_waits`, which searches the
+        program's appearance index or, once the index has answered
+        enough queries, gathers from its dense wait table (both
+        bit-identical to
         :meth:`~repro.core.program.BroadcastProgram.wait_time`), the SLO
         breach trigger is located by replaying the rolling window as a
         cumulative sum, and a mid-batch breach re-plans at the
@@ -666,8 +669,10 @@ class LiveBroadcastService:
         while start < total:
             program = self.program
             index = None
-            if program is not None and program.page_ids():
+            if program is not None:
                 index = AppearanceIndex.from_program(program)
+                if not index.page_ids.size:
+                    index = None
             seg_start = start
             seg_served = 0
             seg_misses = 0

@@ -14,6 +14,9 @@ may change the routing or a single byte of the resulting
   :func:`repro.oracles.route_sequential` field by field, and
   :func:`repro.oracles.federate_sequential` emits a byte-identical
   ``as_dict()`` document.
+* **Sparse location path** — with the dense page→shard table capped
+  off, routing still equals the oracle and the report is
+  byte-identical to the dense path's.
 * **Transport equivalence** — the shared-memory fan-out, the pickle
   fan-out and the inline serial replay all produce the same report.
 * **Warm pool** — repeated runs through one persistent
@@ -35,6 +38,7 @@ from hypothesis import strategies as st
 from repro.core.pages import instance_from_counts
 from repro.engine.executor import TaskPool
 from repro.federation import FederatedBroadcastService
+from repro.federation import service as federation_service
 from repro.federation.service import _RouterState
 from repro.live.mutations import MutationEvent, MutationTrace
 from repro.oracles import federate_sequential, route_sequential
@@ -92,6 +96,24 @@ def _assert_matches_oracle(**kwargs):
     return fast
 
 
+#: Orphan listeners :func:`_orphan_trace` appends.
+_ORPHANS = 5
+
+
+def _orphan_trace(instance):
+    """A short trace plus listeners for pages no shard owns (never
+    inserted), which take the expected-time fallback."""
+    base = _trace(instance, listeners=40, mutations=8, horizon=48)
+    orphans = tuple(
+        MutationEvent(
+            time=float(t), kind="listener", page_id=9_000 + t,
+            expected_time=8,
+        )
+        for t in range(3, 3 + 4 * _ORPHANS, 4)
+    )
+    return MutationTrace(horizon=base.horizon, events=base.events + orphans)
+
+
 class TestRouterEquivalence:
     def test_basic_byte_identity(self):
         _assert_matches_oracle()
@@ -110,19 +132,9 @@ class TestRouterEquivalence:
         # Listeners for pages no shard owns (never inserted) take the
         # expected-time fallback — in both routers.
         instance = _instance()
-        base = _trace(instance, listeners=40, mutations=8, horizon=48)
-        orphans = tuple(
-            MutationEvent(
-                time=float(t), kind="listener", page_id=9_000 + t,
-                expected_time=8,
-            )
-            for t in range(3, 23, 4)
-        )
-        trace = MutationTrace(
-            horizon=base.horizon, events=base.events + orphans
-        )
+        trace = _orphan_trace(instance)
         report = _assert_matches_oracle(instance=instance, trace=trace)
-        assert report.routing["orphan_listeners"] >= len(orphans)
+        assert report.routing["orphan_listeners"] >= _ORPHANS
 
     def test_byte_identity_with_listeners_after_remove(self):
         # A removed page's later listeners are orphans: the columnar
@@ -208,6 +220,38 @@ class TestRouterEquivalence:
             queue_limit=queue_limit,
             budget=2 + budget_slack if budget_slack else None,
         )
+
+
+class TestSparseLocationPath:
+    """Page-id spaces past ``_LOCATION_LUT_LIMIT`` resolve listeners per
+    run through the controller's dict instead of the dense table."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},
+            dict(shards=4, rebalance_threshold=1.1, max_pages_moved=8),
+            dict(shards=2, budget=2, queue_limit=2),
+            dict(batch_listeners=True),
+        ],
+        ids=["basic", "rebalance-storm", "taut", "batched"],
+    )
+    def test_sparse_router_matches_oracle_and_dense_report(
+        self, monkeypatch, kwargs
+    ):
+        dense = _dumps(_report(**kwargs))
+        monkeypatch.setattr(federation_service, "_LOCATION_LUT_LIMIT", 0)
+        report = _assert_matches_oracle(**kwargs)
+        assert _dumps(report) == dense
+
+    def test_sparse_router_with_orphan_listeners(self, monkeypatch):
+        instance = _instance()
+        trace = _orphan_trace(instance)
+        dense = _dumps(_report(instance=instance, trace=trace))
+        monkeypatch.setattr(federation_service, "_LOCATION_LUT_LIMIT", 0)
+        report = _assert_matches_oracle(instance=instance, trace=trace)
+        assert report.routing["orphan_listeners"] >= _ORPHANS
+        assert _dumps(report) == dense
 
 
 class TestTransports:

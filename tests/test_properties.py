@@ -608,6 +608,121 @@ class TestAppearanceIndexOracle:
         assert own.page_ids.tolist() == sorted(table)
 
 
+def _wait_probes(program):
+    """Rows, arrivals and oracle waits probing every slot's edges."""
+    import math
+
+    cycle = program.cycle_length
+    rows, arrivals, want = [], [], []
+    for row, (page_id, (_, slots, _)) in enumerate(
+        sorted(_oracle_table(program).items())
+    ):
+        probes = [0.0, cycle - 1e-9, float(cycle), cycle + 0.25]
+        for slot in slots:
+            probes += [
+                float(slot),
+                math.nextafter(slot, -math.inf),
+                math.nextafter(slot, math.inf),
+                slot + 0.5,
+                float(slot + 3 * cycle),
+            ]
+        # batch_waits takes non-negative arrivals (fmod is Python's %
+        # only there); slot 0's lower neighbour is dropped.
+        probes = [arrival for arrival in probes if arrival >= 0]
+        rows += [row] * len(probes)
+        arrivals += probes
+        want += [_oracle_wait(slots, arrival, cycle) for arrival in probes]
+    return rows, arrivals, want
+
+
+def _answer_a_table_of_queries(index):
+    """Answer as many queries as the wait table has cells: it is built."""
+    import numpy as np
+
+    from repro.analysis.vectorized import batch_waits
+
+    cells = index.page_ids.shape[0] * (index.cycle_length + 1)
+    batch_waits(index, np.zeros(cells, dtype=np.int64), np.zeros(cells))
+    assert index.__dict__["_wait_lut"] is not None
+
+
+class TestWaitKernelOracle:
+    """``batch_waits`` along both kernels against the linear scan.
+
+    A fresh index binary-searches until the queries it has answered
+    reach its dense wait table's cell count, then gathers from the
+    table; every mode must give the scan's float bit for bit.
+    """
+
+    @given(
+        program=built_programs(),
+        mode=st.sampled_from(("table", "search", "switch")),
+        data=st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_batch_waits_match_the_scan(self, program, mode, data):
+        from repro.analysis.vectorized import batch_waits
+        from repro.core.program import AppearanceIndex
+
+        rows, arrivals, want = _wait_probes(program)
+        assume(rows)
+        packed = program.packed_grid()
+        cells = AppearanceIndex.from_packed(packed).page_ids.shape[0] * (
+            program.cycle_length + 1
+        )
+        got = []
+        if mode == "table":
+            index = AppearanceIndex.from_packed(packed)
+            _answer_a_table_of_queries(index)
+            got = batch_waits(index, rows, arrivals).tolist()
+        elif mode == "search":
+            # A fresh index per batch of fewer queries than table cells.
+            for lo in range(0, len(rows), cells - 1):
+                hi = lo + cells - 1
+                index = AppearanceIndex.from_packed(packed)
+                got += batch_waits(
+                    index, rows[lo:hi], arrivals[lo:hi]
+                ).tolist()
+                assert "_wait_lut" not in index.__dict__
+        else:
+            # Probes repeated past two tables' worth of queries, fed in
+            # batches smaller than the table: the first batches search,
+            # the table is built partway through, the last ones gather.
+            repeat = -(-2 * cells // len(rows))
+            rows, arrivals = rows * repeat, arrivals * repeat
+            want *= repeat
+            index = AppearanceIndex.from_packed(packed)
+            built = []
+            lo = 0
+            while lo < len(rows):
+                hi = lo + data.draw(st.integers(1, cells - 1))
+                got += batch_waits(
+                    index, rows[lo:hi], arrivals[lo:hi]
+                ).tolist()
+                built.append("_wait_lut" in index.__dict__)
+                lo = hi
+            assert not built[0] and built[-1]
+            assert index.__dict__["_wait_lut"] is not None
+        # repr round-trips floats exactly and tells -0.0 from 0.0.
+        assert [repr(wait) for wait in got] == [repr(wait) for wait in want]
+
+    @given(program=built_programs(), table=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_rows_outside_the_index_are_refused(self, program, table):
+        from repro.analysis.vectorized import batch_waits
+        from repro.core.errors import SimulationError
+        from repro.core.program import AppearanceIndex
+
+        index = AppearanceIndex.from_packed(program.packed_grid())
+        count = index.page_ids.shape[0]
+        assume(count)
+        if table:
+            _answer_a_table_of_queries(index)
+        for bad in (-1, count, count + 5):
+            with pytest.raises(SimulationError, match="out of range"):
+                batch_waits(index, [0, bad], [0.0, 0.5])
+
+
 # ----------------------------------------------------------------------
 # Indexing invariants
 # ----------------------------------------------------------------------

@@ -5,7 +5,9 @@ Three fast paths, each pinned to its reference semantics:
 * **Batched listener replay** — ``batch_listeners=True`` must produce
   the same programs, admission verdicts, SLO statistics and counters as
   the event-by-event path (bit-identical with ``slo_exact=True``; the
-  default vectorised accumulation agrees within float tolerance).
+  default vectorised accumulation agrees within float tolerance),
+  whichever wait kernel answers; an index builds its dense wait table
+  only once it has answered as many queries as the table has cells.
 * **Mutation coalescing** — a coalesced replay must equal an
   event-by-event replay of the *net* trace (the same windowed fold,
   applied independently here), as long as the budget is ample; taut
@@ -22,7 +24,12 @@ Three fast paths, each pinned to its reference semantics:
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import functools
 import math
+import pickle
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +37,7 @@ from hypothesis import strategies as st
 
 from repro.core.errors import SimulationError
 from repro.core.pages import instance_from_counts
+from repro.core.program import AppearanceIndex
 from repro.engine.executor import (
     CellFailure,
     CellResult,
@@ -38,6 +46,7 @@ from repro.engine.executor import (
     run_cells,
 )
 from repro.engine.registry import get_scheduler
+from repro.live import service as live_service
 from repro.live.mutations import MutationEvent, MutationTrace
 from repro.live.service import LiveBroadcastService
 from repro.workload.mutations import generate_mutation_trace
@@ -81,6 +90,51 @@ def replay_cases(draw):
     return seed, horizon, mutations, listeners
 
 
+@contextlib.contextmanager
+def _counting_wait_tables():
+    """Record every dense wait table built (its index), while active."""
+    original = AppearanceIndex.__dict__["_wait_lut"]
+    built = []
+
+    def counting(index):
+        table = original.func(index)
+        if table is not None:
+            built.append(index)
+        return table
+
+    wrapper = functools.cached_property(counting)
+    wrapper.__set_name__(AppearanceIndex, "_wait_lut")
+    with mock.patch.object(AppearanceIndex, "_wait_lut", wrapper):
+        yield built
+
+
+@contextlib.contextmanager
+def _wait_kernel(mode):
+    """Force the listener wait kernel: ``never``/``always`` a table, or
+    the computed ``rule``."""
+    if mode == "never":
+        patch = mock.patch.object(AppearanceIndex, "_WAIT_LUT_MAX_CELLS", 0)
+    elif mode == "always":
+        patch = mock.patch.object(
+            AppearanceIndex, "_wait_table", lambda index, _: index._wait_lut
+        )
+    else:
+        patch = contextlib.nullcontext()
+    with patch:
+        yield
+
+
+@contextlib.contextmanager
+def _replay_chunks(chunks):
+    """Scan listener segments in the default or in 1..4-wide chunks."""
+    if chunks == "default":
+        yield
+        return
+    with mock.patch.object(live_service, "_CHUNK_MIN", 1), \
+            mock.patch.object(live_service, "_CHUNK_MAX", 4):
+        yield
+
+
 class TestBatchedListenerReplay:
     @settings(max_examples=20, deadline=None)
     @given(case=replay_cases(), taut=st.booleans())
@@ -90,7 +144,10 @@ class TestBatchedListenerReplay:
         ``taut=True`` drops the budget to the initial catalog's
         Theorem-3.1 requirement, so admission rejections and queueing
         interleave with the batches — the equality must survive that
-        too (batching only groups *listeners*, never decisions).
+        too (batching only groups *listeners*, never decisions).  Every
+        example replays under each wait kernel (never a table, always
+        one, or the computed rule) and each chunking (default, or 1..4
+        wide), so every combination meets every trace.
         """
         seed, horizon, mutations, listeners = case
         instance = _initial_instance()
@@ -103,19 +160,28 @@ class TestBatchedListenerReplay:
         )
         budget = 2 if taut else AMPLE_BUDGET
         event = _run(instance, trace, budget=budget, slo_exact=True)
-        batched = _run(
-            instance,
-            trace,
-            budget=budget,
-            batch_listeners=True,
-            slo_exact=True,
-        )
-        assert _comparable(batched) == _comparable(event)
-        assert batched.slo == event.slo
-        assert batched.counters["batched_listeners"] == (
-            batched.counters["listeners"]
-        )
         assert event.counters["batched_listeners"] == 0
+        for kernel in ("never", "always", "rule"):
+            for chunks in ("default", "tiny"):
+                with _wait_kernel(kernel), _replay_chunks(chunks), \
+                        _counting_wait_tables() as built:
+                    batched = _run(
+                        instance,
+                        trace,
+                        budget=budget,
+                        batch_listeners=True,
+                        slo_exact=True,
+                    )
+                mode = (kernel, chunks)
+                if kernel == "never":
+                    assert not built, mode
+                elif kernel == "always":
+                    assert built, mode
+                assert _comparable(batched) == _comparable(event), mode
+                assert batched.slo == event.slo, mode
+                assert batched.counters["batched_listeners"] == (
+                    batched.counters["listeners"]
+                ), mode
 
     def test_default_accumulation_agrees_within_float_tolerance(self):
         """Vectorised wait summation may reassociate float adds.
@@ -148,6 +214,102 @@ class TestBatchedListenerReplay:
         second = _run(instance, trace, batch_listeners=True)
         assert first.event_log == second.event_log
         assert first.program == second.program
+
+
+def _table_cells(index):
+    return index.page_ids.shape[0] * (index.cycle_length + 1)
+
+
+class TestWaitKernelRule:
+    """An index builds its wait table once it has answered as many
+    queries as the table has cells, and never before."""
+
+    def test_churn_sized_replay_builds_no_table(self):
+        from repro.federation import FederatedBroadcastService
+
+        # The 320-page, 8-rung ladder under catalog churn: a mutation
+        # drops the index every few listeners.
+        instance = instance_from_counts(
+            (40,) * 8, tuple(4 * 2**i for i in range(8))
+        )
+        trace = generate_mutation_trace(
+            instance, seed=3, horizon=256, mutations=250, listeners=1_000
+        )
+        with _counting_wait_tables() as built:
+            report = FederatedBroadcastService(
+                instance,
+                trace,
+                shards=4,
+                seed=0,
+                rebalance_threshold=1.5,
+                max_pages_moved=4,
+                batch_listeners=True,
+            ).run()
+        assert report.counters["batched_listeners"] == 1_000
+        assert built == []
+
+    def test_a_table_sized_batch_builds_one_table_per_index(self):
+        import numpy as np
+
+        from repro.analysis.vectorized import batch_waits
+
+        programs = [
+            get_scheduler("pamad")(_initial_instance(), channels).program
+            for channels in (2, 3)
+        ]
+        with _counting_wait_tables() as built:
+            indexes = [
+                AppearanceIndex.from_program(program) for program in programs
+            ]
+            for index in indexes:
+                cells = _table_cells(index)
+                zeros = np.zeros(cells - 1, dtype=np.int64)
+                batch_waits(index, zeros, zeros)
+                assert built.count(index) == 0
+                batch_waits(index, [0], [0.5])
+                assert built.count(index) == 1
+            for index in indexes:
+                zeros = np.zeros(3 * _table_cells(index), dtype=np.int64)
+                batch_waits(index, zeros, zeros)
+            assert built == indexes
+            # A listener replay whose one segment holds more listeners
+            # than any program's table has cells.
+            instance = _initial_instance()
+            trace = generate_mutation_trace(
+                instance, seed=4, horizon=48, mutations=0, listeners=400
+            )
+            before = len(built)
+            _run(instance, trace, batch_listeners=True)
+        replayed = built[before:]
+        assert replayed
+        assert len({id(index) for index in replayed}) == len(replayed)
+
+    @pytest.mark.parametrize(
+        "clone",
+        [
+            lambda program: pickle.loads(pickle.dumps(program)),
+            copy.copy,
+            copy.deepcopy,
+        ],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_a_pickled_or_copied_program_starts_a_fresh_count(self, clone):
+        from repro.analysis.vectorized import batch_waits
+
+        program = get_scheduler("pamad")(_initial_instance(), 2).program
+        index = AppearanceIndex.from_program(program)
+        cells = _table_cells(index)
+        batch_waits(index, [0] * (cells - 1), [0.0] * (cells - 1))
+        with _counting_wait_tables() as built:
+            fresh = AppearanceIndex.from_program(clone(program))
+            assert fresh is not index
+            batch_waits(fresh, [0], [0.0])
+            assert built == []
+            # ``BroadcastProgram.copy`` shares the index, count included.
+            shared = AppearanceIndex.from_program(program.copy())
+            assert shared is index
+            batch_waits(shared, [0], [0.0])
+            assert built == [index]
 
 
 def _fold_window(pending, catalog, flush_time):
