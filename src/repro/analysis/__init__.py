@@ -31,14 +31,11 @@ from repro.analysis.sweep import (
     sweep_table,
 )
 from repro.analysis.vectorized import (
-    BatchMeasurement,
-    batch_measure,
     program_average_delay_fast,
     program_delay_vector,
 )
 
 __all__ = [
-    "BatchMeasurement",
     "CellChange",
     "EXPERIMENTS",
     "Experiment",
@@ -50,7 +47,6 @@ __all__ = [
     "Summary",
     "SweepPoint",
     "Table",
-    "batch_measure",
     "channel_sweep",
     "default_channel_points",
     "diff_records",

@@ -3,13 +3,14 @@
 A sweep is a grid of independent (scheduler, channel-count) *cells*;
 each cell schedules (unless the engine's cache already holds the
 program) and then Monte-Carlo measures the result with
-:func:`repro.sim.clients.measure_program`, the per-request loop the
-paper methodology is pinned to.  Cells carry their own derived seeds,
-so the outcome of a cell is a pure function of its spec, which is what
-makes fanning them across a :mod:`concurrent.futures` pool safe:
-results are collected back in submission order and are bit-identical
-to a serial run.  The federation's shard replays are the other task
-family: pure functions of one payload each.
+:func:`repro.sim.clients.measure_program`, the paper's seeded
+3,000-request stream replayed in one vectorised pass.  Cells carry
+their own derived seeds, so the outcome of a cell is a pure function
+of its spec, which is what makes fanning them across a
+:mod:`concurrent.futures` pool safe: results are collected back in
+submission order and are bit-identical to a serial run.  The
+federation's shard replays are the other task family: pure functions
+of one payload each.
 
 Both families run on :class:`TaskPool` and share its one attempt loop.
 A task's exception crosses the pool boundary as a value (the worker

@@ -634,7 +634,7 @@ class LiveBroadcastService:
 
         Sequentially equivalent to calling :meth:`_on_listener` per
         event: waits come from
-        :func:`~repro.analysis.vectorized.batch_waits`, which searches the
+        :func:`~repro.core.program.batch_waits`, which searches the
         program's appearance index or, once the index has answered
         enough queries, gathers from its dense wait table (both
         bit-identical to
@@ -662,7 +662,7 @@ class LiveBroadcastService:
         """
         import numpy as np
 
-        from repro.analysis.vectorized import AppearanceIndex, batch_waits
+        from repro.core.program import AppearanceIndex, batch_waits
 
         total = int(all_times.shape[0])
         start = 0

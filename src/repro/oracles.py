@@ -31,6 +31,12 @@ paper's §3.2 comparison.
   phase is :func:`route_sequential`; its report must equal
   :meth:`~repro.federation.service.FederatedBroadcastService.run`'s
   byte for byte.
+* :func:`replay_requests_sequential` — the Figure-5 measurement as a
+  per-request loop: a :meth:`~repro.core.program.BroadcastProgram.
+  wait_time` bisect and three Welford folds per request.  The
+  vectorised :func:`~repro.sim.clients.replay_requests` and
+  :func:`~repro.sim.clients.measure_program` must return an equal
+  :class:`~repro.sim.clients.MeasurementResult`, float for float.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from repro.core.errors import (
     InsufficientChannelsError,
     SchedulingError,
     SearchSpaceError,
+    SimulationError,
 )
 from repro.core.frequencies import (
     FrequencyAssignment,
@@ -63,12 +70,15 @@ from repro.federation.service import (
     RoutedTrace,
     _RouterState,
 )
+from repro.sim.clients import MeasurementResult
+from repro.sim.metrics import StreamingStats
 
 __all__ = [
     "federate_sequential",
     "opt_frequencies_exhaustive",
     "place_by_frequency_reference",
     "place_sequential_reference",
+    "replay_requests_sequential",
     "route_sequential",
     "susc_reference",
 ]
@@ -455,3 +465,50 @@ def federate_sequential(
     ``pool``).
     """
     return service._replay(route_sequential(service), **run_kwargs)
+
+
+# ----------------------------------------------------------------------
+# Client measurement (Section 5)
+# ----------------------------------------------------------------------
+
+
+def replay_requests_sequential(
+    program: BroadcastProgram,
+    instance: ProblemInstance,
+    requests,
+) -> MeasurementResult:
+    """The per-request measurement loop: one bisect and fold per request."""
+    delay_stats = StreamingStats()
+    wait_stats = StreamingStats()
+    group_stats: dict[int, StreamingStats] = {}
+    misses = 0
+
+    for request in requests:
+        page = instance.page(request.page_id)
+        if program.broadcast_count(page.page_id) == 0:
+            raise SimulationError(
+                f"request for page {page.page_id} but the program never "
+                "broadcasts it"
+            )
+        wait = program.wait_time(page.page_id, request.arrival)
+        delay = max(0.0, wait - page.expected_time)
+        if delay > 0:
+            misses += 1
+        delay_stats.add(delay)
+        wait_stats.add(wait)
+        group_stats.setdefault(
+            page.group_index, StreamingStats()
+        ).add(delay)
+
+    if delay_stats.count == 0:
+        raise SimulationError("empty request stream")
+    return MeasurementResult(
+        average_delay=delay_stats.mean,
+        average_wait=wait_stats.mean,
+        miss_ratio=misses / delay_stats.count,
+        num_requests=delay_stats.count,
+        delay_stats=delay_stats,
+        group_delay={
+            index: stats.mean for index, stats in sorted(group_stats.items())
+        },
+    )

@@ -3,8 +3,19 @@
 The paper evaluates every scheduler by replaying client requests
 (Figure 4: 3000 per measurement) against the generated broadcast program
 and averaging the delay beyond each request's expected time.  This module
-is that measurement harness: seeded, single-pass, and reporting per-group
-breakdowns alongside the headline AvgD.
+is that measurement harness: seeded, and reporting per-group breakdowns
+alongside the headline AvgD.
+
+A measurement is one vectorised pass.  The request stream is drawn from
+the seeded :class:`random.Random` exactly as
+:func:`~repro.workload.requests.generate_requests` draws it, every wait
+comes from one :func:`~repro.core.program.batch_waits` call on the
+program's appearance index, and the statistics are folded in request
+order with the same Welford steps as
+:class:`~repro.sim.metrics.StreamingStats`.  The result equals the
+per-request loop kept as
+:func:`repro.oracles.replay_requests_sequential` bit for bit, which
+``tests/test_measurement_oracle.py`` checks.
 
 The analytic model in :mod:`repro.core.delay` computes the same
 expectation in closed form; ``tests/test_sim_clients.py`` asserts the two
@@ -15,13 +26,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import accumulate
+from typing import Callable, Iterable, Mapping
+
+import numpy as np
 
 from repro.core.errors import SimulationError
 from repro.core.pages import ProblemInstance
-from repro.core.program import BroadcastProgram
+from repro.core.program import AppearanceIndex, BroadcastProgram, batch_waits
 from repro.sim.metrics import StreamingStats
-from repro.workload.requests import generate_requests
+from repro.workload.requests import Request, check_stream
 
 __all__ = [
     "MEASUREMENT_BACKENDS",
@@ -31,9 +45,8 @@ __all__ = [
     "replay_requests",
 ]
 
-#: Measurement backends sweep cells can opt into (see
-#: :func:`measure_with_backend`).
-MEASUREMENT_BACKENDS = ("scalar", "batch")
+#: Measurement backends :func:`measure_with_backend` accepts.
+MEASUREMENT_BACKENDS = ("scalar",)
 
 
 @dataclass(frozen=True)
@@ -64,53 +77,119 @@ class MeasurementResult:
         return self.delay_stats.confidence_interval(z)
 
 
+def _measure(
+    program: BroadcastProgram,
+    instance: ProblemInstance,
+    positions: np.ndarray,
+    arrivals: np.ndarray,
+    page_of: Callable[[int], int],
+) -> MeasurementResult:
+    """Measure requests given by instance page position and arrival.
+
+    ``positions[k]`` is request ``k``'s page in ``instance.pages()``
+    order (``-1``: not in the instance) and ``page_of(k)`` its page id.
+    Raises what the per-request loop raises, for the first offending
+    request in stream order.
+    """
+    pages = np.array(
+        [
+            (page.page_id, page.expected_time, page.group_index)
+            for page in instance.pages()
+        ],
+        dtype=np.float64,
+    )
+    index = AppearanceIndex.from_program(program)
+    rows = index.rows_for(pages[:, 0].astype(np.int64))[positions]
+    offending = (positions < 0) | (rows < 0)
+    if offending.any():
+        page = instance.page(page_of(int(offending.argmax())))
+        raise SimulationError(
+            f"request for page {page.page_id} but the program never "
+            "broadcasts it"
+        )
+    count = positions.shape[0]
+    if count == 0:
+        raise SimulationError("empty request stream")
+
+    # Python's ``%`` makes an infinite or NaN arrival a NaN wait, and
+    # ``fmax`` is ``max(0.0, excess)``: a NaN excess is no delay.
+    finite = np.isfinite(arrivals)
+    waits = np.full(count, np.nan)
+    waits[finite] = batch_waits(
+        index, rows[finite], np.mod(arrivals[finite], program.cycle_length)
+    )
+    delays = np.fmax(waits - pages[positions, 1], 0.0)
+
+    # Welford in request order, the steps of StreamingStats.add; only
+    # the delays need the full statistics, the rest only their means.
+    mean = m2 = wait_mean = 0.0
+    for n, (delay, wait) in enumerate(
+        zip(delays.tolist(), waits.tolist()), 1
+    ):
+        delta = delay - mean
+        mean += delta / n
+        m2 += delta * (delay - mean)
+        wait_mean += (wait - wait_mean) / n
+    groups = pages[positions, 2].astype(np.int64)
+    group_delay = {}
+    # ``bincount`` over the 1-based indexes, not ``np.unique``, whose
+    # first call imports ``numpy.ma`` (~15 ms in every fresh worker).
+    for group in np.flatnonzero(np.bincount(groups)).tolist():
+        group_mean = 0.0
+        for n, delay in enumerate(delays[groups == group].tolist(), 1):
+            group_mean += (delay - group_mean) / n
+        group_delay[group] = group_mean
+    delay_stats = StreamingStats(
+        count=count,
+        mean=mean,
+        _m2=m2,
+        minimum=float(delays.min()),
+        maximum=float(delays.max()),
+    )
+    return MeasurementResult(
+        average_delay=mean,
+        average_wait=wait_mean,
+        miss_ratio=int(np.count_nonzero(delays > 0)) / count,
+        num_requests=count,
+        delay_stats=delay_stats,
+        group_delay=group_delay,
+    )
+
+
+def _positions(instance: ProblemInstance, page_ids) -> np.ndarray:
+    """Each page id's position in ``instance.pages()`` (``-1``: absent)."""
+    position = {page.page_id: k for k, page in enumerate(instance.pages())}
+    return np.array(
+        [position.get(page_id, -1) for page_id in page_ids], dtype=np.int64
+    )
+
+
 def replay_requests(
     program: BroadcastProgram,
     instance: ProblemInstance,
-    requests,
+    requests: Iterable[Request],
 ) -> MeasurementResult:
     """Replay an explicit request iterable and collect delay statistics.
 
     Each request waits for the next appearance of its page on any channel;
     delay is the wait beyond the page's expected time (clamped at zero).
+    Arrivals may lie anywhere: they are reduced into the cycle with
+    Python's ``%``.
 
     Raises:
-        SimulationError: If a request names a page missing from the
-            instance or the program.
+        InvalidInstanceError: If a request names a page missing from
+            the instance.
+        SimulationError: If a request names a page the program never
+            broadcasts, or the stream is empty.
     """
-    delay_stats = StreamingStats()
-    wait_stats = StreamingStats()
-    group_stats: dict[int, StreamingStats] = {}
-    misses = 0
-
-    for request in requests:
-        page = instance.page(request.page_id)
-        if program.broadcast_count(page.page_id) == 0:
-            raise SimulationError(
-                f"request for page {page.page_id} but the program never "
-                "broadcasts it"
-            )
-        wait = program.wait_time(page.page_id, request.arrival)
-        delay = max(0.0, wait - page.expected_time)
-        if delay > 0:
-            misses += 1
-        delay_stats.add(delay)
-        wait_stats.add(wait)
-        group_stats.setdefault(
-            page.group_index, StreamingStats()
-        ).add(delay)
-
-    if delay_stats.count == 0:
-        raise SimulationError("empty request stream")
-    return MeasurementResult(
-        average_delay=delay_stats.mean,
-        average_wait=wait_stats.mean,
-        miss_ratio=misses / delay_stats.count,
-        num_requests=delay_stats.count,
-        delay_stats=delay_stats,
-        group_delay={
-            index: stats.mean for index, stats in sorted(group_stats.items())
-        },
+    pairs = [(request.page_id, request.arrival) for request in requests]
+    page_ids = [page_id for page_id, _ in pairs]
+    return _measure(
+        program,
+        instance,
+        _positions(instance, page_ids),
+        np.array([arrival for _, arrival in pairs], dtype=np.float64),
+        page_ids.__getitem__,
     )
 
 
@@ -123,6 +202,10 @@ def measure_program(
 ) -> MeasurementResult:
     """Measure a program with a fresh seeded request stream.
 
+    The stream is :func:`~repro.workload.requests.generate_requests`'s
+    for ``random.Random(seed)``: the same draws in the same order, taken
+    as (page, arrival fraction) pairs without building requests.
+
     Args:
         program: The broadcast program under test.
         instance: Pages, groups and expected times.
@@ -133,15 +216,39 @@ def measure_program(
     Returns:
         A :class:`MeasurementResult`.
     """
+    cycle = program.cycle_length
+    check_stream(num_requests, cycle)
     rng = random.Random(seed)
-    stream = generate_requests(
+    draw = rng.random
+    if access_probabilities is None:
+        # ``choice`` over positions consumes the stream exactly as over
+        # the page list and returns the position itself.
+        choose = rng.choice
+        everyone = range(instance.n)
+        draws = [(choose(everyone), draw()) for _ in range(num_requests)]
+        population = [page.page_id for page in instance.pages()]
+        position_of = np.arange(instance.n, dtype=np.int64)
+    else:
+        population = list(access_probabilities)
+        cumulative = list(
+            accumulate(access_probabilities[pid] for pid in population)
+        )
+        choices = rng.choices
+        everyone = range(len(population))
+        draws = [
+            (choices(everyone, cum_weights=cumulative)[0], draw())
+            for _ in range(num_requests)
+        ]
+        position_of = _positions(instance, population)
+    chosen = np.array([k for k, _ in draws], dtype=np.int64)
+    fractions = np.array([u for _, u in draws], dtype=np.float64)
+    return _measure(
+        program,
         instance,
-        cycle_length=program.cycle_length,
-        num_requests=num_requests,
-        rng=rng,
-        access_probabilities=access_probabilities,
+        position_of[chosen],
+        fractions * cycle,
+        lambda k: population[chosen[k]],
     )
-    return replay_requests(program, instance, stream)
 
 
 def measure_with_backend(
@@ -151,24 +258,12 @@ def measure_with_backend(
     seed: int = 0,
     access_probabilities: Mapping[int, float] | None = None,
     backend: str = "scalar",
-):
-    """Measure a program with the chosen backend.
+) -> MeasurementResult:
+    """:func:`measure_program` behind a backend name.
 
-    ``"scalar"`` is :func:`measure_program` — the reference loop the
-    paper methodology is pinned to.  ``"batch"`` is
-    :func:`repro.analysis.vectorized.batch_measure` — one vectorised
-    ``searchsorted`` pass, an order of magnitude faster on big request
-    streams.  Both replay the same request model (uniform page choice or
-    the given access probabilities, arrivals uniform over the cycle) but
-    draw from *different RNG streams*, so for one seed their statistics
-    agree only in distribution; sweep manifests record which backend ran
-    so results stay attributable.
-
-    Returns:
-        :class:`MeasurementResult` for ``"scalar"``,
-        :class:`~repro.analysis.vectorized.BatchMeasurement` for
-        ``"batch"`` — both expose ``average_delay``, ``average_wait``,
-        ``miss_ratio`` and ``num_requests``.
+    ``"scalar"`` is the only backend; the ``"batch"`` backend, which drew
+    a second (numpy) request stream, was removed, so every measurement
+    now comes from the one seeded stream.
     """
     if backend == "scalar":
         return measure_program(
@@ -179,16 +274,10 @@ def measure_with_backend(
             access_probabilities=access_probabilities,
         )
     if backend == "batch":
-        # Imported lazily: the analysis layer sits above repro.sim and
-        # pulls in numpy, which serial measurement paths never need.
-        from repro.analysis.vectorized import batch_measure
-
-        return batch_measure(
-            program,
-            instance,
-            num_requests=num_requests,
-            seed=seed,
-            access_probabilities=access_probabilities,
+        raise SimulationError(
+            "the batch measurement backend and its separate numpy "
+            "request stream were removed; measure_program is the one "
+            "measurement"
         )
     raise SimulationError(
         f"unknown measurement backend {backend!r}; choose from "

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Mapping, Sequence
 
 from repro.core.errors import WorkloadError
@@ -21,6 +22,7 @@ from repro.core.pages import ProblemInstance
 
 __all__ = [
     "Request",
+    "check_stream",
     "uniform_access_model",
     "zipf_access_model",
     "generate_requests",
@@ -74,6 +76,22 @@ def zipf_access_model(
     }
 
 
+def check_stream(num_requests: int, cycle_length: int) -> None:
+    """Refuse a negative stream length or a non-positive cycle.
+
+    Raises:
+        WorkloadError: On either.
+    """
+    if num_requests < 0:
+        raise WorkloadError(
+            f"num_requests must be non-negative, got {num_requests}"
+        )
+    if cycle_length <= 0:
+        raise WorkloadError(
+            f"cycle_length must be positive, got {cycle_length}"
+        )
+
+
 def generate_requests(
     instance: ProblemInstance,
     cycle_length: int,
@@ -96,14 +114,7 @@ def generate_requests(
     Yields:
         :class:`Request` objects.
     """
-    if num_requests < 0:
-        raise WorkloadError(
-            f"num_requests must be non-negative, got {num_requests}"
-        )
-    if cycle_length <= 0:
-        raise WorkloadError(
-            f"cycle_length must be positive, got {cycle_length}"
-        )
+    check_stream(num_requests, cycle_length)
     if access_probabilities is None:
         pages: Sequence[int] = [page.page_id for page in instance.pages()]
         for _ in range(num_requests):
@@ -113,9 +124,13 @@ def generate_requests(
             )
     else:
         page_ids = list(access_probabilities)
-        weights = [access_probabilities[pid] for pid in page_ids]
+        # ``choices`` accumulates ``weights`` on every call; passing the
+        # sums once draws the same stream without the O(n) rebuild.
+        cumulative = list(
+            accumulate(access_probabilities[pid] for pid in page_ids)
+        )
         for _ in range(num_requests):
-            (page_id,) = rng.choices(page_ids, weights=weights, k=1)
+            (page_id,) = rng.choices(page_ids, cum_weights=cumulative)
             yield Request(
                 page_id=page_id,
                 arrival=rng.random() * cycle_length,

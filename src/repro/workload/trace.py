@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -125,8 +126,10 @@ def record_trace(
         chooser = lambda: rng.choice(page_ids)  # noqa: E731
     else:
         population = list(access_probabilities)
-        weights = [access_probabilities[pid] for pid in population]
-        chooser = lambda: rng.choices(population, weights=weights, k=1)[0]  # noqa: E731
+        cumulative = list(
+            accumulate(access_probabilities[pid] for pid in population)
+        )
+        chooser = lambda: rng.choices(population, cum_weights=cumulative)[0]  # noqa: E731
     return RequestTrace(
         _TraceEntry(page_id=chooser(), arrival_fraction=rng.random())
         for _ in range(num_requests)

@@ -1,4 +1,4 @@
-"""Tests for the numpy-vectorised measurement engine."""
+"""Tests for the numpy-vectorised delay and measurement kernels."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import random
 import pytest
 
 from repro.analysis.vectorized import (
-    batch_measure,
     program_average_delay_fast,
     program_delay_vector,
 )
@@ -15,8 +14,10 @@ from repro.core.delay import page_average_delay, program_average_delay
 from repro.core.errors import SimulationError
 from repro.core.pamad import schedule_pamad
 from repro.core.susc import schedule_susc
+from repro.oracles import replay_requests_sequential
+from repro.sim.clients import measure_program
 from repro.workload.generator import paper_instance, random_instance
-from repro.workload.requests import zipf_access_model
+from repro.workload.requests import generate_requests, zipf_access_model
 
 
 class TestProgramDelayVector:
@@ -75,49 +76,54 @@ class TestProgramAverageDelayFast:
 
 
 class TestBatchMeasure:
+    """The 3000-request measurement, one batched pass over the program's
+    appearance index (:func:`repro.sim.clients.measure_program`)."""
+
     def test_deterministic(self, fig2_instance):
         schedule = schedule_pamad(fig2_instance, 2)
-        a = batch_measure(schedule.program, fig2_instance, seed=3)
-        b = batch_measure(schedule.program, fig2_instance, seed=3)
-        assert a.average_delay == b.average_delay
+        a = measure_program(schedule.program, fig2_instance, seed=3)
+        b = measure_program(schedule.program, fig2_instance, seed=3)
+        assert repr(a) == repr(b)
 
     def test_zero_on_valid_program(self, fig2_instance):
         schedule = schedule_susc(fig2_instance)
-        result = batch_measure(schedule.program, fig2_instance,
-                               num_requests=2000, seed=0)
+        result = measure_program(schedule.program, fig2_instance,
+                                 num_requests=2000, seed=0)
         assert result.average_delay == 0.0
         assert result.miss_ratio == 0.0
 
     def test_converges_to_analytic(self, fig2_instance):
         schedule = schedule_pamad(fig2_instance, 2)
-        result = batch_measure(schedule.program, fig2_instance,
-                               num_requests=200_000, seed=1)
+        result = measure_program(schedule.program, fig2_instance,
+                                 num_requests=200_000, seed=1)
         assert result.average_delay == pytest.approx(
             schedule.average_delay, rel=0.05
         )
 
     def test_agrees_with_scalar_simulator_statistically(self, fig2_instance):
-        """Different RNG streams, same distribution: the two Monte-Carlo
-        paths must agree within joint sampling error."""
-        from repro.sim.clients import measure_program
-
+        """The batched pass replays the scalar simulator's own stream:
+        the two agree exactly, not just within sampling error."""
         schedule = schedule_pamad(fig2_instance, 2)
-        fast = batch_measure(schedule.program, fig2_instance,
-                             num_requests=50_000, seed=2)
-        scalar = measure_program(schedule.program, fig2_instance,
-                                 num_requests=50_000, seed=2)
-        assert fast.average_delay == pytest.approx(
-            scalar.average_delay, rel=0.1
+        fast = measure_program(schedule.program, fig2_instance,
+                               num_requests=50_000, seed=2)
+        scalar = replay_requests_sequential(
+            schedule.program,
+            fig2_instance,
+            generate_requests(
+                fig2_instance,
+                schedule.program.cycle_length,
+                50_000,
+                random.Random(2),
+            ),
         )
-        assert fast.miss_ratio == pytest.approx(
-            scalar.miss_ratio, abs=0.02
-        )
+        assert repr(fast) == repr(scalar)
+        assert fast.delay_stats._m2 == scalar.delay_stats._m2
 
     def test_weighted_access(self, fig2_instance):
         schedule = schedule_pamad(fig2_instance, 2)
         probabilities = {p.page_id: 0.0 for p in fig2_instance.pages()}
         probabilities[1] = 1.0
-        result = batch_measure(
+        result = measure_program(
             schedule.program, fig2_instance, num_requests=1000,
             seed=0, access_probabilities=probabilities,
         )
@@ -125,13 +131,14 @@ class TestBatchMeasure:
         # value in expectation.
         expected = page_average_delay(schedule.program, 1, 2)
         assert result.average_delay == pytest.approx(expected, rel=0.3)
+        assert list(result.group_delay) == [1]
 
     def test_wait_at_least_delay(self, fig2_instance):
         schedule = schedule_pamad(fig2_instance, 2)
-        result = batch_measure(schedule.program, fig2_instance, seed=0)
+        result = measure_program(schedule.program, fig2_instance, seed=0)
         assert result.average_wait >= result.average_delay
 
     def test_rejects_zero_requests(self, fig2_instance):
         schedule = schedule_pamad(fig2_instance, 2)
-        with pytest.raises(SimulationError):
-            batch_measure(schedule.program, fig2_instance, num_requests=0)
+        with pytest.raises(SimulationError, match="empty request stream"):
+            measure_program(schedule.program, fig2_instance, num_requests=0)

@@ -636,13 +636,13 @@ def _wait_probes(program):
 
 
 def _answer_a_table_of_queries(index):
-    """Answer as many queries as the wait table has cells: it is built."""
+    """Answer as many queries as the wait table costs: it is built."""
     import numpy as np
 
     from repro.analysis.vectorized import batch_waits
 
-    cells = index.page_ids.shape[0] * (index.cycle_length + 1)
-    batch_waits(index, np.zeros(cells, dtype=np.int64), np.zeros(cells))
+    price = index._wait_table_price
+    batch_waits(index, np.zeros(price, dtype=np.int64), np.zeros(price))
     assert index.__dict__["_wait_lut"] is not None
 
 
@@ -650,7 +650,7 @@ class TestWaitKernelOracle:
     """``batch_waits`` along both kernels against the linear scan.
 
     A fresh index binary-searches until the queries it has answered
-    reach its dense wait table's cell count, then gathers from the
+    reach its dense wait table's build cost, then gathers from the
     table; every mode must give the scan's float bit for bit.
     """
 
@@ -667,35 +667,34 @@ class TestWaitKernelOracle:
         rows, arrivals, want = _wait_probes(program)
         assume(rows)
         packed = program.packed_grid()
-        cells = AppearanceIndex.from_packed(packed).page_ids.shape[0] * (
-            program.cycle_length + 1
-        )
+        price = AppearanceIndex.from_packed(packed)._wait_table_price
         got = []
         if mode == "table":
             index = AppearanceIndex.from_packed(packed)
             _answer_a_table_of_queries(index)
             got = batch_waits(index, rows, arrivals).tolist()
         elif mode == "search":
-            # A fresh index per batch of fewer queries than table cells.
-            for lo in range(0, len(rows), cells - 1):
-                hi = lo + cells - 1
+            # A fresh index per batch of fewer queries than the table
+            # costs.
+            for lo in range(0, len(rows), price - 1):
+                hi = lo + price - 1
                 index = AppearanceIndex.from_packed(packed)
                 got += batch_waits(
                     index, rows[lo:hi], arrivals[lo:hi]
                 ).tolist()
                 assert "_wait_lut" not in index.__dict__
         else:
-            # Probes repeated past two tables' worth of queries, fed in
-            # batches smaller than the table: the first batches search,
-            # the table is built partway through, the last ones gather.
-            repeat = -(-2 * cells // len(rows))
+            # Probes repeated past twice the table's price, fed in
+            # batches smaller than it: the first batches search, the
+            # table is built partway through, the last ones gather.
+            repeat = -(-2 * price // len(rows))
             rows, arrivals = rows * repeat, arrivals * repeat
             want *= repeat
             index = AppearanceIndex.from_packed(packed)
             built = []
             lo = 0
             while lo < len(rows):
-                hi = lo + data.draw(st.integers(1, cells - 1))
+                hi = lo + data.draw(st.integers(1, price - 1))
                 got += batch_waits(
                     index, rows[lo:hi], arrivals[lo:hi]
                 ).tolist()
