@@ -1126,7 +1126,6 @@ def _run_ext12(
                 trace,
                 shards=shards,
                 rebalance_threshold=1.5,
-                batch_listeners=True,
             ).report
             hottest = max(
                 r["slo"]["listeners"] for r in report.shard_reports

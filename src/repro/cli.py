@@ -290,7 +290,6 @@ def _cmd_live(args: argparse.Namespace) -> int:
         slo_window=args.slo_window,
         target_miss_rate=args.target_miss_rate,
         replan_cooldown=args.cooldown,
-        batch_listeners=args.batch_listeners,
         coalesce_window=args.coalesce_window,
     )
     report = result.report
@@ -318,7 +317,7 @@ def _cmd_live(args: argparse.Namespace) -> int:
         f"repairs, {counters['full_replans']} full re-plans "
         f"({counters['slo_replans']} SLO-triggered)"
     )
-    if args.batch_listeners or args.coalesce_window:
+    if args.coalesce_window:
         print(
             f"serving: {counters.get('batched_listeners', 0)} listeners "
             f"replayed in batches, "
@@ -392,7 +391,6 @@ def _cmd_federate(args: argparse.Namespace) -> int:
         max_pages_moved=args.max_moves,
         admission=not args.no_admission,
         queue_limit=args.queue_limit,
-        batch_listeners=args.batch_listeners,
         workers=args.workers,
     )
     report = result.report
@@ -887,12 +885,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="minimum slots between SLO-triggered re-plans",
     )
     live.add_argument(
-        "--batch-listeners", action="store_true",
-        help="replay consecutive listener arrivals as one vectorised "
-        "pass (same aggregate SLO statistics, order-of-magnitude "
-        "faster on listener-heavy traces)",
-    )
-    live.add_argument(
         "--coalesce-window", type=int, default=0,
         help="fold catalog mutations arriving within this many slots "
         "into net operations before re-planning (0 = apply each "
@@ -960,11 +952,6 @@ def build_parser() -> argparse.ArgumentParser:
     federate.add_argument(
         "--queue-limit", type=int, default=16,
         help="global admission queue capacity for over-budget inserts",
-    )
-    federate.add_argument(
-        "--batch-listeners", action="store_true",
-        help="replay consecutive listener arrivals per shard as one "
-        "vectorised pass",
     )
     federate.add_argument(
         "--workers", type=int, default=None,

@@ -735,8 +735,6 @@ class BroadcastEngine:
         replan_cooldown: int = 8,
         self_check: bool = False,
         baseline: bool = True,
-        batch_listeners: bool = False,
-        slo_exact: bool = False,
         coalesce_window: int = 0,
         manifest_path: str | Path | None = None,
     ) -> "LiveServiceResult":
@@ -746,6 +744,8 @@ class BroadcastEngine:
         engine — full re-plans go through the program cache and land in
         this engine's telemetry — then optionally replays the same trace
         through the Longest-Wait-First pull baseline for comparison.
+        Listener runs replay as vectorised batches, so the manifest's
+        ``service.counters.batched_listeners`` equals its listener count.
 
         The manifest (operation ``"live"``, schema v6) is emitted
         *deterministically*: ``created_at`` is pinned, wall-clock timers
@@ -770,12 +770,6 @@ class BroadcastEngine:
             self_check: Validate the program after every applied
                 mutation (slow; meant for tests).
             baseline: Also replay the trace through the pull baseline.
-            batch_listeners: Replay listener runs vectorised (see
-                :class:`~repro.live.service.LiveBroadcastService`); the
-                ``service.counters.batched_listeners`` manifest field
-                records how many arrivals took the batched path.
-            slo_exact: Bit-identical SLO wait accumulation in batched
-                mode.
             coalesce_window: Mutation-coalescing window in slots
                 (``0`` = event-by-event); ``service.counters.
                 events_coalesced`` / ``replans_avoided`` account for it.
@@ -807,8 +801,6 @@ class BroadcastEngine:
             target_miss_rate=target_miss_rate,
             replan_cooldown=replan_cooldown,
             self_check=self_check,
-            batch_listeners=batch_listeners,
-            slo_exact=slo_exact,
             coalesce_window=coalesce_window,
         )
         with self.telemetry.timer("live.replay"):
@@ -831,7 +823,6 @@ class BroadcastEngine:
                 "slo_window": slo_window,
                 "target_miss_rate": target_miss_rate,
                 "replan_cooldown": replan_cooldown,
-                "batch_listeners": batch_listeners,
                 "coalesce_window": coalesce_window,
                 "trace": {
                     "fingerprint": trace.fingerprint(),
@@ -881,7 +872,6 @@ class BroadcastEngine:
         slo_window: int = 64,
         target_miss_rate: float = 0.05,
         replan_cooldown: int = 8,
-        batch_listeners: bool = False,
         workers: int | None = None,
         mode: str | None = None,
         pool=None,
@@ -920,8 +910,8 @@ class BroadcastEngine:
             admission: Toggle the global admission controller (shard
                 services inherit the flag).
             queue_limit: Global FIFO insert-queue capacity.
-            slo_window / target_miss_rate / replan_cooldown /
-            batch_listeners: Forwarded to every shard's live service.
+            slo_window / target_miss_rate / replan_cooldown: Forwarded to
+                every shard's live service.
             workers: Fan-out width; defaults to the engine's
                 ``workers`` attribute.
             mode: Executor mode; defaults to the engine's ``executor``
@@ -961,7 +951,6 @@ class BroadcastEngine:
             slo_window=slo_window,
             target_miss_rate=target_miss_rate,
             replan_cooldown=replan_cooldown,
-            batch_listeners=batch_listeners,
         )
         with self.telemetry.timer("federate.replay"):
             report = service.run(
@@ -983,7 +972,6 @@ class BroadcastEngine:
                 "max_pages_moved": max_pages_moved,
                 "admission": admission,
                 "queue_limit": queue_limit,
-                "batch_listeners": batch_listeners,
                 "trace": {
                     "fingerprint": trace.fingerprint(),
                     "horizon": trace.horizon,

@@ -163,7 +163,6 @@ class ShardPlan:
     slo_window: int
     target_miss_rate: float
     replan_cooldown: int
-    batch_listeners: bool
     horizon: int
     meta: Mapping[str, object]
     catalog_events: tuple[MutationEvent, ...]
@@ -290,7 +289,6 @@ def replay_shard_task(plan: ShardPlan) -> dict:
         slo_window=plan.slo_window,
         target_miss_rate=plan.target_miss_rate,
         replan_cooldown=plan.replan_cooldown,
-        batch_listeners=plan.batch_listeners,
     )
     report = service.run()
     summary = report.as_dict()
@@ -651,9 +649,11 @@ class FederatedBroadcastService:
             inherit the flag).
         queue_limit: Global FIFO insert-queue capacity (shard services
             get the same local capacity as a safety net).
-        slo_window / target_miss_rate / replan_cooldown /
-        batch_listeners: Forwarded to every shard's
-            :class:`~repro.live.service.LiveBroadcastService`.
+        slo_window / target_miss_rate / replan_cooldown: Forwarded to
+            every shard's :class:`~repro.live.service.LiveBroadcastService`.
+        batch_listeners: Only ``True`` (a no-op; shards always batch)
+            is accepted, because the benchmark still passes it; the
+            keyword goes with the next benchmark change.
     """
 
     def __init__(
@@ -672,8 +672,13 @@ class FederatedBroadcastService:
         slo_window: int = 64,
         target_miss_rate: float = 0.05,
         replan_cooldown: int = 8,
-        batch_listeners: bool = False,
+        batch_listeners: bool = True,
     ) -> None:
+        if batch_listeners is not True:
+            raise ReproError(
+                "batch_listeners must be True: every shard replays its "
+                f"listeners batched, got {batch_listeners!r}"
+            )
         if shards < 1:
             raise ReproError(f"shards must be >= 1, got {shards}")
         if rebalance_threshold and rebalance_threshold <= 1.0:
@@ -710,7 +715,6 @@ class FederatedBroadcastService:
         self.slo_window = int(slo_window)
         self.target_miss_rate = float(target_miss_rate)
         self.replan_cooldown = int(replan_cooldown)
-        self.batch_listeners = batch_listeners
 
         self._group_overrides = self._seed_empty_shards(catalog, groups)
         self.group_assignment = {
@@ -895,7 +899,6 @@ class FederatedBroadcastService:
             "slo_window": self.slo_window,
             "target_miss_rate": self.target_miss_rate,
             "replan_cooldown": self.replan_cooldown,
-            "batch_listeners": self.batch_listeners,
         }
 
     def _shard_plans(

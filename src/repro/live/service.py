@@ -149,15 +149,6 @@ class LiveBroadcastService:
         self_check: Validate the program against the live catalog after
             every applied mutation while the budget covers the bound
             (the property-test hook; raises on violation).
-        batch_listeners: Replay consecutive listener arrivals between
-            catalog changes as one vectorised pass (the million-listener
-            throughput path).  SLO counters, breach triggers and re-plan
-            decisions are sequentially equivalent to the event-by-event
-            path; the event log aggregates each batch into one
-            ``listener_batch`` entry instead of per-listener entries.
-        slo_exact: In batched mode, accumulate the SLO wait total in
-            strict listener order (bit-identical to event-by-event)
-            instead of one vectorised sum (equal within float tolerance).
         coalesce_window: When positive, catalog mutations buffer for this
             many slots and flush as one net batch: an insert+remove of
             the same page cancels, repeated retunes collapse to the
@@ -165,6 +156,11 @@ class LiveBroadcastService:
             admitted and applied exactly as if the net operations had
             arrived event by event at the window end.  ``0`` disables
             coalescing (the default, and the event-by-event contract).
+
+    :meth:`run` replays each run of listeners between catalog changes as
+    vectorised passes, equal to the event-by-event walk
+    :func:`repro.oracles.live_sequential` (the SLO wait total bit for
+    bit) up to the log: one ``listener_batch`` entry per run.
     """
 
     def __init__(
@@ -180,8 +176,6 @@ class LiveBroadcastService:
         target_miss_rate: float = 0.05,
         replan_cooldown: int = 8,
         self_check: bool = False,
-        batch_listeners: bool = False,
-        slo_exact: bool = False,
         coalesce_window: int = 0,
     ) -> None:
         self.catalog = LiveCatalog(initial)
@@ -213,8 +207,6 @@ class LiveBroadcastService:
             )
         self.replan_cooldown = replan_cooldown
         self.self_check = self_check
-        self.batch_listeners = batch_listeners
-        self.slo_exact = slo_exact
         if coalesce_window < 0:
             raise SimulationError(
                 f"coalesce_window must be >= 0, got {coalesce_window}"
@@ -252,8 +244,8 @@ class LiveBroadcastService:
     @property
     def now(self) -> float:
         # The override carries a mid-batch listener's arrival time while
-        # the batched path handles a breach, so its records match the
-        # event-by-event path (where the loop clock sits on that event).
+        # the batched path handles a breach, so its records match an
+        # event-by-event walk (where the loop clock sits on that event).
         if self._now_override is not None:
             return self._now_override
         return self._loop.now if self._loop is not None else 0.0
@@ -653,7 +645,7 @@ class LiveBroadcastService:
         re-plan-heavy traces stay linear while healthy traces quickly
         reach full-width vectorised passes.  Chunking is invisible in
         the output: the log, counters and SLO window are per segment,
-        and ``slo_exact`` accumulation stays left-to-right.
+        and the SLO wait total is folded left to right.
 
         Args:
             all_times: float64 arrival times, in trace order.
@@ -759,7 +751,6 @@ class LiveBroadcastService:
                     waits[:upto],
                     served[:upto],
                     miss[:upto],
-                    exact=self.slo_exact,
                 )
                 if all_served and upto == m:
                     seg_served += m
@@ -811,7 +802,7 @@ class LiveBroadcastService:
     def run(self) -> LiveReport:
         """Replay the whole trace; returns the structured report.
 
-        In batched mode the trace's memoised columnar arrays (see
+        The trace's memoised columnar arrays (see
         :meth:`~repro.live.mutations.MutationTrace.columns`) drive the
         schedule: listener runs between catalog mutations are located by
         a mask diff, split at coalescing flush boundaries with one
@@ -824,27 +815,14 @@ class LiveBroadcastService:
         are scheduled before the dynamically-scheduled flush callback,
         and the loop breaks ties FIFO), so runs are cut only after
         listeners strictly past a flush, matching the event-by-event
-        path.
+        walk (:func:`repro.oracles.live_sequential`).
         """
         if self._loop is not None:
             raise SimulationError(
                 "LiveBroadcastService.run() can only be called once; "
                 "build a new service to replay again"
             )
-        self._loop = EventLoop()
-        self._full_replan("initial")
-        self._self_check("initial")
-        flush_times = self._planned_flush_times()
-        if not self.batch_listeners:
-            for event in self.trace.events:
-                handler = (
-                    self._on_listener
-                    if event.kind == "listener"
-                    else self._on_mutation
-                )
-                self._loop.schedule_at(event.time, partial(handler, event))
-            self._loop.run(until=float(self.trace.horizon))
-            return self._build_report()
+        self.start()
 
         import numpy as np
 
@@ -855,7 +833,7 @@ class LiveBroadcastService:
             np.diff(np.concatenate(([False], is_listener, [False])))
         )
         runs = edges.reshape(-1, 2)  # [start, stop) listener runs
-        flushes = np.asarray(flush_times, dtype=np.float64)
+        flushes = np.asarray(self._planned_flush_times(), dtype=np.float64)
         mutations = iter(self.trace.mutations())
         cursor = 0
         for lo, hi in runs.tolist():
@@ -863,10 +841,9 @@ class LiveBroadcastService:
                 self._loop.schedule_at(
                     event.time, partial(self._on_mutation, event)
                 )
-            cuts = np.unique(
-                np.searchsorted(all_times[lo:hi], flushes, side="right")
-            )
+            cuts = np.searchsorted(all_times[lo:hi], flushes, side="right")
             cuts = cuts[(cuts > 0) & (cuts < hi - lo)]
+            # A repeated cut only adds an empty slice, which replays nothing.
             bounds = [lo, *(lo + cuts).tolist(), hi]
             for a, b in zip(bounds, bounds[1:]):
                 self._loop.schedule_at(
@@ -883,8 +860,7 @@ class LiveBroadcastService:
             self._loop.schedule_at(
                 event.time, partial(self._on_mutation, event)
             )
-        self._loop.run(until=float(self.trace.horizon))
-        return self._build_report()
+        return self.finish()
 
     def _build_report(self) -> LiveReport:
         """Flush the coalescing tail and summarise the session."""
@@ -926,12 +902,12 @@ class LiveBroadcastService:
         """Begin an online session: plan the initial catalog at ``t=0``.
 
         The online surface (:meth:`start` / :meth:`offer` /
-        :meth:`finish`) drives the same per-event machinery as
-        :meth:`run`, but accepts events one at a time as they arrive
-        over the control plane instead of replaying a pre-built trace.
-        The two paths are behaviourally identical for the same event
-        sequence; online mode simply never uses the batched listener
-        kernel (events arrive singly, so there is nothing to batch).
+        :meth:`finish`) accepts events one at a time as they arrive over
+        the control plane instead of replaying a pre-built trace.  Its
+        report equals :func:`repro.oracles.live_sequential`'s for the
+        same event sequence, event log included, and :meth:`run`'s up to
+        the log's listener entries: each listener is judged on its own
+        (events arrive singly, so there is nothing to batch).
         """
         if self._loop is not None:
             raise SimulationError(
@@ -945,9 +921,11 @@ class LiveBroadcastService:
         """Feed one event into a started session and process it.
 
         Events must arrive in non-decreasing time order (the loop
-        refuses to schedule into the past).  Advancing the clock to the
-        event's time first fires any coalescing-window flush that falls
-        due before it, exactly as in trace replay.
+        refuses to run backwards).  Advancing the clock to the event's
+        time first fires any coalescing-window flush due strictly before
+        it; a flush due at exactly that time fires on the next later
+        offer or in :meth:`finish`, because trace replay runs every
+        event at a time before the flush that falls due then.
         """
         if self._loop is None:
             raise SimulationError(
@@ -955,13 +933,11 @@ class LiveBroadcastService:
             )
         if self._finished:
             raise SimulationError("service already finished")
-        handler = (
-            self._on_listener
-            if event.kind == "listener"
-            else self._on_mutation
-        )
-        self._loop.schedule_at(event.time, partial(handler, event))
-        self._loop.run(until=event.time)
+        self._loop.advance(event.time)
+        if event.kind == "listener":
+            self._on_listener(event)
+        else:
+            self._on_mutation(event)
 
     def finish(self) -> LiveReport:
         """End an online session: drain to the horizon and report."""

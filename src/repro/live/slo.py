@@ -119,27 +119,19 @@ class SloTracker:
             miss=miss,
         )
 
-    def observe_batch(
-        self,
-        expected_times,
-        waits,
-        served,
-        misses,
-        exact: bool = False,
-    ) -> None:
+    def observe_batch(self, expected_times, waits, served, misses) -> None:
         """Fold a whole batch of judged listeners into the tracker.
 
         Equivalent to calling :meth:`observe` once per listener in
         order, but with the per-listener bookkeeping done in bulk — the
         batched listener engine's half of the determinism contract.
         Counters, the rolling window and per-class buckets are exactly
-        sequential (integer arithmetic and ordered appends); only
-        ``total_wait`` depends on float summation order.  With
-        ``exact=True`` it accumulates left to right, bit-identical to
-        the event-by-event path; the default adds the batch's
-        ``ndarray.sum`` (numpy's pairwise summation) to the running
-        total, which can differ from the sequential sum by a few ULP —
-        the tolerance the agreement tests pin.
+        sequential (integer arithmetic and ordered appends).
+        ``total_wait`` is folded left to right too: ``np.cumsum`` over
+        the served waits, the first seeded with the running total, adds
+        in strict order, so its last element is the total
+        :meth:`observe` would reach, bit for bit (``ndarray.sum`` sums
+        pairwise and would not be).
 
         Args:
             expected_times: Promised deadline per listener (ints).
@@ -149,8 +141,6 @@ class SloTracker:
             misses: Bool per listener — deadline missed (off air or
                 ``wait > expected``)?  Judged by the caller so the wait
                 comparison happens once, vectorised.
-            exact: Accumulate ``total_wait`` in listener order instead
-                of in one vectorised sum.
         """
         import numpy as np
 
@@ -170,13 +160,10 @@ class SloTracker:
             )
         self.listeners += count
         self.misses += int(miss_arr.sum())
-        if exact:
-            total = self.total_wait
-            for wait in waits_arr[served_arr].tolist():
-                total += wait
-            self.total_wait = total
-        else:
-            self.total_wait += float(waits_arr[served_arr].sum())
+        fold = waits_arr[served_arr]  # a copy, so it is folded in place
+        if fold.size:
+            fold[0] += self.total_wait
+            self.total_wait = float(np.cumsum(fold, out=fold)[-1])
         self.served += int(served_arr.sum())
         # Only the last `window` observations can survive in the deque,
         # so extending with that tail is sequentially equivalent.

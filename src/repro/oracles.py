@@ -31,6 +31,12 @@ paper's §3.2 comparison.
   phase is :func:`route_sequential`; its report must equal
   :meth:`~repro.federation.service.FederatedBroadcastService.run`'s
   byte for byte.
+* :func:`live_sequential` — a live-service trace replay that walks the
+  trace event by event on the loop, one listener at a time; its
+  :class:`~repro.live.service.LiveReport` must equal
+  :meth:`~repro.live.service.LiveBroadcastService.run`'s, the SLO wait
+  total bit for bit, up to the event log's listener entries (one per
+  listener here, one ``listener_batch`` per run of listeners there).
 * :func:`replay_requests_sequential` — the Figure-5 measurement as a
   per-request loop: a :meth:`~repro.core.program.BroadcastProgram.
   wait_time` bisect and three Welford folds per request.  The
@@ -41,6 +47,7 @@ paper's §3.2 comparison.
 
 from __future__ import annotations
 
+from functools import partial
 import math
 from typing import Sequence
 
@@ -70,11 +77,13 @@ from repro.federation.service import (
     RoutedTrace,
     _RouterState,
 )
+from repro.live.service import LiveBroadcastService, LiveReport
 from repro.sim.clients import MeasurementResult
 from repro.sim.metrics import StreamingStats
 
 __all__ = [
     "federate_sequential",
+    "live_sequential",
     "opt_frequencies_exhaustive",
     "place_by_frequency_reference",
     "place_sequential_reference",
@@ -465,6 +474,28 @@ def federate_sequential(
     ``pool``).
     """
     return service._replay(route_sequential(service), **run_kwargs)
+
+
+# ----------------------------------------------------------------------
+# Live service
+# ----------------------------------------------------------------------
+
+
+def live_sequential(service: LiveBroadcastService) -> LiveReport:
+    """Replay ``service``'s trace event by event (once per service).
+
+    Every trace event is scheduled on the loop up front, so an event at
+    a coalescing flush's due time runs before that flush.
+    """
+    service.start()
+    for event in service.trace.events:
+        handler = (
+            service._on_listener
+            if event.kind == "listener"
+            else service._on_mutation
+        )
+        service._loop.schedule_at(event.time, partial(handler, event))
+    return service.finish()
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -87,6 +88,16 @@ class EventLoop:
     def cancel(self, event: _ScheduledEvent) -> None:
         """Cancel a scheduled event (lazy removal)."""
         event.cancelled = True
+
+    def advance(self, time: float) -> None:
+        """Fire every event due strictly before ``time``, then set the
+        clock to ``time``; events due at ``time`` itself stay queued."""
+        if time < self._now:
+            raise SimulationError(
+                f"cannot advance to {time}; simulation time is {self._now}"
+            )
+        self.run(until=math.nextafter(time, -math.inf))
+        self._now = time
 
     def run(self, until: float | None = None) -> float:
         """Process events in time order.

@@ -1,7 +1,8 @@
 """Tests for repro.control: online stepping, dispatch, remediation, CLI.
 
 Covers the live service's online surface (``start`` / ``offer`` /
-``finish`` must replay exactly like the batch ``run``), the synchronous
+``finish`` must replay exactly like the event-by-event oracle, and like
+the batched ``run`` up to its listener log entries), the synchronous
 :class:`ControlPlane` dispatcher, the detector → proposer → verifier
 remediation loop action by action, the byte-identical scripted-session
 determinism contract, the Theorem-3.1 SLO verdict checked against the
@@ -14,6 +15,8 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.api import (
     Ack,
@@ -48,6 +51,7 @@ from repro.core.pages import instance_from_counts
 from repro.engine import BroadcastEngine
 from repro.engine.telemetry import MANIFEST_VERSION
 from repro.live import LiveBroadcastService, MutationTrace
+from repro.oracles import live_sequential
 from repro.workload.mutations import generate_mutation_trace
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -137,7 +141,63 @@ class TestOnlineStepping:
 
         batch_report.pop("trace_fingerprint")
         streamed_report.pop("trace_fingerprint")
+        # Online listeners are judged one at a time, never batched.
+        assert batch_report["counters"].pop("batched_listeners") == (
+            batch_report["counters"]["listeners"]
+        )
+        assert streamed_report["counters"].pop("batched_listeners") == 0
         assert streamed_report == batch_report
+
+    @settings(max_examples=25, deadline=None)
+    # The mutation at t=9.0 is due when the window opened at t=8.0
+    # closes, and must join it.
+    @example(
+        seed=1, horizon=64, mutations=12, listeners=80, window=1, budget=2
+    )
+    @given(
+        seed=st.integers(0, 10_000),
+        horizon=st.integers(16, 96),
+        mutations=st.integers(0, 16),
+        listeners=st.integers(0, 80),
+        window=st.integers(0, 8),
+        budget=st.sampled_from((2, 3, 12)),
+    )
+    def test_online_drive_matches_sequential_oracle(
+        self, seed, horizon, mutations, listeners, window, budget
+    ):
+        """Offering a trace event by event equals the event-by-event
+        oracle in full, coalescing windows and taut budgets included: an
+        event at a flush's due time runs before that flush in both."""
+        instance = instance_from_counts((2, 3, 2), (2, 4, 8))
+        trace = generate_mutation_trace(
+            instance,
+            seed=seed,
+            horizon=horizon,
+            mutations=mutations,
+            listeners=listeners,
+        )
+        kwargs = dict(budget=budget, coalesce_window=window)
+        reference = LiveBroadcastService(instance, trace, **kwargs)
+        expected = live_sequential(reference)
+
+        online = LiveBroadcastService(
+            instance,
+            MutationTrace(horizon=trace.horizon, events=(), meta={}),
+            **kwargs,
+        )
+        online.start()
+        for event in trace.events:
+            online.offer(event)
+        report = online.finish()
+
+        assert report.event_log == expected.event_log
+        assert report.decisions == expected.decisions
+        assert report.program == expected.program
+        got, want = report.as_dict(), expected.as_dict()
+        got.pop("trace_fingerprint")
+        want.pop("trace_fingerprint")
+        assert got == want
+        assert online.slo.total_wait == reference.slo.total_wait
 
     def test_offer_before_start_rejected(self):
         service = LiveBroadcastService(

@@ -485,6 +485,78 @@ class TestPackedPatchEquality:
         else:
             assert packed.grid_rows() == reference.grid_rows()
 
+    def test_try_patch_serves_a_solid_window_through_cyclic_fallback(
+        self, monkeypatch
+    ):
+        """The overflow path, end to end through ``try_patch``.
+
+        Two channels, rungs t=2/4/8 with 2/6/3 pages: PAMAD gives
+        S=(2, 2, 1) on a 10-slot cycle.  Dropping page 1 raises the t=2
+        rung (now page 2 alone) to four copies while the cycle stays 10,
+        so its second window (columns 3..4) is packed solid: the packed
+        path declines, and the reference patcher's cyclic fallback scans
+        on from that window's start to column 5.
+        """
+        instance = instance_from_counts((2, 6, 3), (2, 4, 8))
+        schedule = schedule_pamad(instance, 2)
+        program = schedule.program
+        assert program.grid_rows() == [
+            [1, 3, 5, 7, 9, 1, 3, 5, 7, 11],
+            [2, 4, 6, 8, 10, 2, 4, 6, 8, None],
+        ]
+        catalog = {p.page_id: p.expected_time for p in instance.pages()}
+        replanner = FastReplanner()
+        replanner.remember(
+            catalog=catalog,
+            times=instance.expected_times,
+            frequencies=tuple(schedule.meta["frequencies"]),
+            cycle=program.cycle_length,
+            budget=2,
+        )
+        declined = []
+        packed = FastReplanner._patch_packed
+
+        def spy(*args):
+            result = packed(*args)
+            declined.append(result is NotImplemented)
+            return result
+
+        monkeypatch.setattr(FastReplanner, "_patch_packed", spy)
+        del catalog[1]
+        patched = replanner.try_patch(catalog, program)
+
+        assert declined == [True]
+        assert patched is not None
+        assert patched.cycle_length == program.cycle_length
+        assert patched.num_channels == 2
+        assert replanner.state.frequencies == (4, 2, 1)
+        copies = 4
+        old_rows, new_rows = program.grid_rows(), patched.grid_rows()
+        cells = [
+            (old_rows[c][s], new_rows[c][s])
+            for c in range(2)
+            for s in range(program.cycle_length)
+        ]
+        rung, cleared = {2}, {1, 2}
+        # Every rung page appears exactly `copies` times ...
+        for page_id in rung:
+            assert sum(new == page_id for _, new in cells) == copies
+        # ... the cleared page is gone ...
+        assert all(new not in cleared - rung for _, new in cells)
+        # ... no cell holds two pages: each rung copy took its own cell,
+        # one that was free or held the rung before the patch ...
+        taken = [old for old, new in cells if new in rung]
+        assert len(taken) == len(rung) * copies
+        assert all(old is None or old in cleared for old in taken)
+        # ... and every cell outside the rung is unchanged.
+        for old, new in cells:
+            if old not in cleared and new not in rung:
+                assert old == new
+        assert new_rows == [
+            [2, 3, 5, 7, 9, 2, 3, 5, 7, 11],
+            [None, 4, 6, 8, 10, 2, 4, 6, 8, 2],
+        ]
+
     def test_empty_rung_patch_just_clears(self):
         instance = instance_from_counts((2, 3), (4, 8))
         program = schedule_pamad(instance, 2).program

@@ -35,6 +35,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.errors import ReproError
 from repro.core.pages import instance_from_counts
 from repro.engine.executor import TaskPool
 from repro.federation import FederatedBroadcastService
@@ -173,7 +174,6 @@ class TestRouterEquivalence:
             budget=None,
             rebalance_threshold=1.5,
             max_pages_moved=4,
-            batch_listeners=True,
         )
         assert report.counters["batched_listeners"] == 800
         if shards == 8:
@@ -232,9 +232,8 @@ class TestSparseLocationPath:
             {},
             dict(shards=4, rebalance_threshold=1.1, max_pages_moved=8),
             dict(shards=2, budget=2, queue_limit=2),
-            dict(batch_listeners=True),
         ],
-        ids=["basic", "rebalance-storm", "taut", "batched"],
+        ids=["basic", "rebalance-storm", "taut"],
     )
     def test_sparse_router_matches_oracle_and_dense_report(
         self, monkeypatch, kwargs
@@ -252,6 +251,28 @@ class TestSparseLocationPath:
         report = _assert_matches_oracle(instance=instance, trace=trace)
         assert report.routing["orphan_listeners"] >= _ORPHANS
         assert _dumps(report) == dense
+
+
+class TestBatchListenersKeyword:
+    """``batch_listeners`` is accepted only as the no-op ``True``."""
+
+    def test_true_is_a_no_op(self):
+        kwargs = dict(shards=4, rebalance_threshold=1.5)
+        instance = _instance(
+            counts=(10,) * 8, ladder=tuple(4 * 2**i for i in range(8))
+        )
+        trace = _trace(instance, listeners=400, mutations=40, horizon=128)
+        plain = _report(instance=instance, trace=trace, **kwargs)
+        kept = _report(
+            instance=instance, trace=trace, batch_listeners=True, **kwargs
+        )
+        assert _dumps(plain) == _dumps(kept)
+        assert plain.counters["batched_listeners"] == 400
+
+    @pytest.mark.parametrize("value", [False, 0, 1, None])
+    def test_anything_else_is_refused(self, value):
+        with pytest.raises(ReproError, match="batch_listeners"):
+            _service(batch_listeners=value)
 
 
 class TestTransports:

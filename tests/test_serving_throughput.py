@@ -2,12 +2,12 @@
 
 Three fast paths, each pinned to its reference semantics:
 
-* **Batched listener replay** — ``batch_listeners=True`` must produce
-  the same programs, admission verdicts, SLO statistics and counters as
-  the event-by-event path (bit-identical with ``slo_exact=True``; the
-  default vectorised accumulation agrees within float tolerance),
-  whichever wait kernel answers; an index builds its dense wait table
-  only once the queries it has answered pay for building it.
+* **Batched listener replay** — :meth:`LiveBroadcastService.run` must
+  produce the same programs, admission verdicts, SLO statistics (the
+  wait total bit for bit) and counters as the event-by-event walk
+  :func:`repro.oracles.live_sequential`, whichever wait kernel answers
+  and however segments are chunked; an index builds its dense wait
+  table only once the queries it has answered pay for building it.
 * **Mutation coalescing** — a coalesced replay must equal an
   event-by-event replay of the *net* trace (the same windowed fold,
   applied independently here), as long as the budget is ample; taut
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import dataclasses
 import functools
 import pickle
 from unittest import mock
@@ -47,6 +48,7 @@ from repro.engine.registry import get_scheduler
 from repro.live import service as live_service
 from repro.live.mutations import MutationEvent, MutationTrace
 from repro.live.service import LiveBroadcastService
+from repro.oracles import live_sequential
 from repro.workload.mutations import generate_mutation_trace
 
 #: Ample channel budget for the (2, 3, 2) x (2, 4, 8) instance: every
@@ -77,6 +79,49 @@ def _comparable(report):
         "slo_replans": report.counters["slo_replans"],
         "full_replans": report.counters["full_replans"],
     }
+
+
+def _assert_matches_oracle(batched, event):
+    """``batched`` (a :meth:`run` report) equals ``event`` (an
+    :func:`live_sequential` report) field for field, up to the event
+    log's listener entries and the ``batched_listeners`` counter.
+
+    Non-listener log entries must agree in order, and each
+    ``listener_batch`` entry must stand exactly where the oracle logs a
+    run of ``listener`` entries, summarising that run.
+    """
+    for field in dataclasses.fields(event):
+        if field.name in ("counters", "event_log"):
+            continue
+        assert getattr(batched, field.name) == getattr(event, field.name), (
+            field.name
+        )
+    counters = dict(batched.counters)
+    assert counters.pop("batched_listeners") == counters["listeners"]
+    expected_counters = dict(event.counters)
+    assert expected_counters.pop("batched_listeners") == 0
+    assert counters == expected_counters
+    runs: list = []
+    for entry in event.event_log:
+        if entry["type"] != "listener":
+            runs.append(entry)
+        elif runs and isinstance(runs[-1], list):
+            runs[-1].append(entry)
+        else:
+            runs.append([entry])
+    assert len(batched.event_log) == len(runs)
+    for entry, expected in zip(batched.event_log, runs):
+        if not isinstance(expected, list):
+            assert entry == expected
+            continue
+        assert entry["type"] == "listener_batch", entry
+        served = [e["wait"] for e in expected if e["wait"] is not None]
+        assert entry["count"] == len(expected)
+        assert entry["first_time"] == expected[0]["t"]
+        assert entry["last_time"] == expected[-1]["t"]
+        assert entry["served"] == len(served)
+        assert entry["misses"] == sum(e["miss"] for e in expected)
+        assert entry["wait_total"] == pytest.approx(sum(served), abs=1e-6)
 
 
 @st.composite
@@ -135,9 +180,14 @@ def _replay_chunks(chunks):
 
 class TestBatchedListenerReplay:
     @settings(max_examples=20, deadline=None)
-    @given(case=replay_cases(), taut=st.booleans())
-    def test_batched_replay_matches_event_by_event(self, case, taut):
-        """Exact mode is bit-identical, including mid-batch SLO replans.
+    @given(
+        case=replay_cases(),
+        taut=st.booleans(),
+        window=st.one_of(st.just(0), st.integers(1, 8)),
+    )
+    def test_batched_replay_matches_event_by_event(self, case, taut, window):
+        """The batched run equals the event-by-event oracle bit for bit,
+        including mid-batch SLO replans and coalescing flushes.
 
         ``taut=True`` drops the budget to the initial catalog's
         Theorem-3.1 requirement, so admission rejections and queueing
@@ -157,59 +207,37 @@ class TestBatchedListenerReplay:
             listeners=listeners,
         )
         budget = 2 if taut else AMPLE_BUDGET
-        event = _run(instance, trace, budget=budget, slo_exact=True)
+        kwargs = dict(budget=budget, coalesce_window=window)
+        reference = LiveBroadcastService(instance, trace, **kwargs)
+        event = live_sequential(reference)
         assert event.counters["batched_listeners"] == 0
         for kernel in ("never", "always", "rule"):
             for chunks in ("default", "tiny"):
                 with _wait_kernel(kernel), _replay_chunks(chunks), \
                         _counting_wait_tables() as built:
-                    batched = _run(
-                        instance,
-                        trace,
-                        budget=budget,
-                        batch_listeners=True,
-                        slo_exact=True,
+                    service = LiveBroadcastService(
+                        instance, trace, **kwargs
                     )
+                    batched = service.run()
                 mode = (kernel, chunks)
                 if kernel == "never":
                     assert not built, mode
-                elif kernel == "always":
+                elif kernel == "always" and service.slo.served:
+                    # (Off-air listeners, e.g. a page still held in a
+                    # coalescing window, ask the kernel nothing.)
                     assert built, mode
-                assert _comparable(batched) == _comparable(event), mode
-                assert batched.slo == event.slo, mode
-                assert batched.counters["batched_listeners"] == (
-                    batched.counters["listeners"]
+                _assert_matches_oracle(batched, event)
+                assert service.slo.total_wait == (
+                    reference.slo.total_wait
                 ), mode
-
-    def test_default_accumulation_agrees_within_float_tolerance(self):
-        """Vectorised wait summation may reassociate float adds.
-
-        The batched path's default (non-exact) SLO accumulation uses
-        ``ndarray.sum`` — pairwise summation — so the mean wait can
-        differ from the sequential left-to-right fold by accumulated
-        rounding only.  Everything integral stays identical.
-        """
-        instance = _initial_instance()
-        trace = generate_mutation_trace(
-            instance, seed=5, horizon=64, mutations=8, listeners=200
-        )
-        event = _run(instance, trace)
-        batched = _run(instance, trace, batch_listeners=True)
-        assert _comparable(batched) == _comparable(event)
-        assert batched.slo["listeners"] == event.slo["listeners"]
-        assert batched.slo["misses"] == event.slo["misses"]
-        assert batched.slo["per_class"] == event.slo["per_class"]
-        assert batched.slo["average_wait"] == pytest.approx(
-            event.slo["average_wait"], abs=1e-9
-        )
 
     def test_batched_replay_is_deterministic(self):
         instance = _initial_instance()
         trace = generate_mutation_trace(
             instance, seed=9, horizon=48, mutations=6, listeners=90
         )
-        first = _run(instance, trace, batch_listeners=True)
-        second = _run(instance, trace, batch_listeners=True)
+        first = _run(instance, trace)
+        second = _run(instance, trace)
         assert first.event_log == second.event_log
         assert first.program == second.program
 
@@ -242,7 +270,6 @@ class TestWaitKernelRule:
                 seed=0,
                 rebalance_threshold=1.5,
                 max_pages_moved=4,
-                batch_listeners=True,
             ).run()
         assert report.counters["batched_listeners"] == 1_000
         assert built == []
@@ -278,7 +305,7 @@ class TestWaitKernelRule:
                 instance, seed=4, horizon=48, mutations=0, listeners=1_000
             )
             before = len(built)
-            _run(instance, trace, batch_listeners=True)
+            _run(instance, trace)
         replayed = built[before:]
         assert replayed
         assert len({id(index) for index in replayed}) == len(replayed)
@@ -676,11 +703,9 @@ class TestServeManifest:
             instance,
             trace,
             budget=AMPLE_BUDGET,
-            batch_listeners=True,
             coalesce_window=2,
         )
         manifest = result.manifest.to_dict()
-        assert manifest["parameters"]["batch_listeners"] is True
         assert manifest["parameters"]["coalesce_window"] == 2
         counters = manifest["service"]["counters"]
         assert counters["batched_listeners"] == counters["listeners"] > 0
@@ -695,8 +720,7 @@ class TestServingCli:
         code = main([
             "live", "--sizes", "2,3,2", "--times", "2,4,8",
             "--budget", "12", "--seed", "3", "--mutations", "6",
-            "--listeners", "30", "--batch-listeners",
-            "--coalesce-window", "2",
+            "--listeners", "30", "--coalesce-window", "2",
         ])
         out = capsys.readouterr().out
         assert code == 0

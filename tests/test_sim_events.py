@@ -55,6 +55,27 @@ class TestScheduling:
             loop.schedule_after(-1.0, lambda: None)
 
 
+class TestAdvance:
+    def test_fires_only_events_strictly_before(self):
+        loop = EventLoop()
+        fired = []
+        loop.schedule_at(1.0, lambda: fired.append("a"))
+        loop.schedule_at(2.0, lambda: fired.append("b"))
+        loop.advance(2.0)
+        assert fired == ["a"]
+        assert loop.now == 2.0
+        loop.advance(2.0)  # same time again: still held
+        assert fired == ["a"]
+        loop.run(until=2.0)
+        assert fired == ["a", "b"]
+
+    def test_cannot_advance_into_the_past(self):
+        loop = EventLoop()
+        loop.advance(3.0)
+        with pytest.raises(SimulationError, match="cannot advance"):
+            loop.advance(1.0)
+
+
 class TestRun:
     def test_run_until_leaves_future_events(self):
         loop = EventLoop()
