@@ -18,9 +18,13 @@ marking empty cells) serves the array consumers.
 Every question a client asks of a program — when does page ``p`` next
 air, how often, on which channels — is answered by one
 :class:`AppearanceIndex`, built from the packed grid by a single stable
-argsort.  The program builds it on first demand, drops it on every
-:meth:`~BroadcastProgram.assign`/:meth:`~BroadcastProgram.clear` and
-shares it with its copies; the index's arrays never change.
+argsort.  The program builds it on first demand and shares it with
+its copies; the index's arrays never change.  A page-level edit
+(:meth:`~BroadcastProgram.assign_page`/:meth:`~BroadcastProgram.
+clear_page`) swaps in a new index with that one page's row spliced
+(:meth:`AppearanceIndex.with_row`), while a single-cell
+:meth:`~BroadcastProgram.assign`/:meth:`~BroadcastProgram.clear` drops
+it: the schedulers build grids cell by cell before anything is asked.
 """
 
 from __future__ import annotations
@@ -91,6 +95,33 @@ def _gather(
     np.cumsum(counts, out=packed[1:])
     take = np.repeat(starts - packed[:-1], counts) + np.arange(packed[-1])
     return packed, take
+
+
+def _splice(
+    values: np.ndarray, start: int, stop: int, middle: np.ndarray
+) -> np.ndarray:
+    """``values`` with ``values[start:stop]`` replaced by ``middle``."""
+    return np.concatenate((values[:start], middle, values[stop:]))
+
+
+def _splice_offsets(
+    offsets: np.ndarray, row: int, present: bool, length: int
+) -> tuple[np.ndarray, int, int]:
+    """Row offsets after row ``row`` takes ``length`` entries.
+
+    ``present`` says whether the row exists now; a zero ``length``
+    leaves the row out.  Returns the new offsets and the flat span
+    ``[start, stop)`` the row occupies in the old arrays (empty when it
+    is new).
+    """
+    start = int(offsets[row])
+    stop = int(offsets[row + 1]) if present else start
+    tail = offsets[row + 1 + present:] + (length - (stop - start))
+    head = offsets[:row + 1]
+    if length:
+        middle = np.array([start + length], dtype=np.int64)
+        return np.concatenate((head, middle, tail)), start, stop
+    return np.concatenate((head, tail)), start, stop
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,6 +214,102 @@ class AppearanceIndex:
             cell_offsets=cell_offsets,
             cell_slots=index.cell_slots[cell_take],
             cell_channels=index.cell_channels[cell_take],
+        )
+
+    # ------------------------------------------------------------------
+    # One page's row
+    # ------------------------------------------------------------------
+
+    def _find_row(self, page_id: int) -> int:
+        """The row of ``page_id``, or ``-1`` when it is not indexed."""
+        row = int(np.searchsorted(self.page_ids, page_id))
+        if row < self.page_ids.shape[0] and self.page_ids[row] == page_id:
+            return row
+        return -1
+
+    def row_cells(self, page_id: int) -> tuple[np.ndarray, np.ndarray]:
+        """``page_id``'s cells as ``(channels, slots)``, in airtime order.
+
+        Both arrays are empty for a page the index does not hold.
+        """
+        row = self._find_row(page_id)
+        if row < 0:
+            return self.cell_channels[:0], self.cell_slots[:0]
+        start, stop = self.cell_offsets[row:row + 2].tolist()
+        return (
+            self.cell_channels[start:stop],
+            self.cell_slots[start:stop],
+        )
+
+    def row_slots(self, page_id: int) -> tuple[np.ndarray, np.ndarray]:
+        """``page_id``'s ascending distinct slots and their cyclic gaps.
+
+        Both arrays are empty for a page the index does not hold.
+        """
+        row = self._find_row(page_id)
+        if row < 0:
+            return self.slots[:0], self.gaps[:0]
+        start, stop = self.offsets[row:row + 2].tolist()
+        return self.slots[start:stop], self.gaps[start:stop]
+
+    def with_row(
+        self, page_id: int, channels, slots
+    ) -> "AppearanceIndex":
+        """A new index whose row for ``page_id`` holds exactly these cells.
+
+        ``channels[k], slots[k]`` name the page's cells, in any order;
+        none removes its row (and an absent page with none returns this
+        index unchanged).  Every other row is sliced out of this index's
+        arrays and concatenated around the new one, so the result equals
+        :meth:`from_packed` of the edited grid array for array, dtypes
+        included, at a cost set by the array lengths rather than by a
+        sort of the grid.  Like any fresh index, it has answered no wait
+        queries and built no derived table yet.
+        """
+        channels = np.asarray(channels, dtype=np.int64)
+        slots = np.asarray(slots, dtype=np.int64)
+        count = slots.shape[0]
+        row = int(np.searchsorted(self.page_ids, page_id))
+        present = bool(
+            row < self.page_ids.shape[0] and self.page_ids[row] == page_id
+        )
+        if not present and not count:
+            return self
+        if count > 1:
+            order = np.lexsort((channels, slots))
+            channels, slots = channels[order], slots[order]
+        distinct = np.ones(count, dtype=bool)
+        distinct[1:] = slots[1:] != slots[:-1]
+        row_slots = slots[distinct]
+        row_gaps = np.empty_like(row_slots)
+        if count:
+            np.subtract(row_slots[1:], row_slots[:-1], out=row_gaps[:-1])
+            row_gaps[-1] = row_slots[0] + self.cycle_length - row_slots[-1]
+        page_ids = self.page_ids
+        if not (present and count):
+            page_ids = _splice(
+                page_ids,
+                row,
+                row + present,
+                np.array([page_id] if count else [], dtype=np.int64),
+            )
+        offsets, start, stop = _splice_offsets(
+            self.offsets, row, present, row_slots.shape[0]
+        )
+        cell_offsets, cell_start, cell_stop = _splice_offsets(
+            self.cell_offsets, row, present, count
+        )
+        return AppearanceIndex(
+            cycle_length=self.cycle_length,
+            page_ids=page_ids,
+            offsets=offsets,
+            slots=_splice(self.slots, start, stop, row_slots),
+            gaps=_splice(self.gaps, start, stop, row_gaps),
+            cell_offsets=cell_offsets,
+            cell_slots=_splice(self.cell_slots, cell_start, cell_stop, slots),
+            cell_channels=_splice(
+                self.cell_channels, cell_start, cell_stop, channels
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -325,9 +452,10 @@ class AppearanceIndex:
         answered, this batch included, cost less than building the
         table (:attr:`_wait_table_price`), and builds the table once
         they reach that price.  The total then never exceeds about
-        twice the cheaper choice made in hindsight.  A program drops its
-        index on every mutation, so under catalog churn the few
-        listeners between two mutations never pay for a table, while
+        twice the cheaper choice made in hindsight.  Every mutation
+        gives a program a fresh index (a row patch or, later, a
+        rebuild), so under catalog churn the few listeners between two
+        mutations never pay for a table, while
         long listener runs on one program build it in their first
         batches.  ``None`` also when :attr:`_wait_lut` is.
         """
@@ -574,6 +702,85 @@ class BroadcastProgram:
             self._version += 1
         return occupant
 
+    def assign_page(self, page_id: int, channels, slots) -> None:
+        """Place ``page_id`` at every cell ``(channels[k], slots[k])``.
+
+        The checks and the :attr:`version` count of one :meth:`assign`
+        per cell, all made on the packed mirror before any cell is
+        written; a built appearance index is kept current by patching
+        ``page_id``'s row (:meth:`AppearanceIndex.with_row`) instead of
+        being dropped.
+
+        Raises:
+            InvalidInstanceError: If ``page_id`` is :data:`FREE`, a cell
+                is out of range or the two sequences differ in shape.
+            SlotConflictError: If a cell is occupied or named twice.
+        """
+        channels = np.asarray(channels, dtype=np.int64)
+        slots = np.asarray(slots, dtype=np.int64)
+        if channels.ndim != 1 or channels.shape != slots.shape:
+            raise InvalidInstanceError(
+                f"page {page_id}: {channels.shape} channels for "
+                f"{slots.shape} slots"
+            )
+        if page_id == FREE:
+            raise InvalidInstanceError(
+                f"page id {FREE} is reserved for free cells"
+            )
+        if not slots.size:
+            return
+        self._check_cell(int(channels.min()), int(slots.min()))
+        self._check_cell(int(channels.max()), int(slots.max()))
+        packed = self.packed_grid()
+        occupants = packed[channels, slots]
+        if (occupants != FREE).any():
+            at = int(np.flatnonzero(occupants != FREE)[0])
+            raise SlotConflictError(
+                f"slot (ch={int(channels[at])}, slot={int(slots[at])}) "
+                f"already holds page {int(occupants[at])}; cannot place "
+                f"page {page_id}"
+            )
+        keys = np.sort(slots * self._num_channels + channels)
+        if (keys[1:] == keys[:-1]).any():
+            raise SlotConflictError(f"page {page_id} names one cell twice")
+        packed[channels, slots] = page_id
+        grid = self._grid
+        for channel, slot in zip(channels.tolist(), slots.tolist()):
+            grid[channel][slot] = page_id
+        self._version += slots.shape[0]
+        index = self._index
+        if index is not None:
+            held_channels, held_slots = index.row_cells(page_id)
+            if held_slots.size:
+                channels = np.concatenate((held_channels, channels))
+                slots = np.concatenate((held_slots, slots))
+            self._index = index.with_row(page_id, channels, slots)
+
+    def clear_page(self, page_id: int) -> int:
+        """Free every cell holding ``page_id``; returns how many it freed.
+
+        One :meth:`clear` per cell, except that a built appearance index
+        loses ``page_id``'s row (:meth:`AppearanceIndex.with_row`)
+        instead of being dropped.
+        """
+        index = self._index
+        if index is not None:
+            channels, slots = index.row_cells(page_id)
+        else:
+            channels, slots = np.nonzero(self.packed_grid() == page_id)
+        freed = int(slots.shape[0])
+        if not freed:
+            return 0
+        grid = self._grid
+        for channel, slot in zip(channels.tolist(), slots.tolist()):
+            grid[channel][slot] = None
+        if self._packed is not None:
+            self._packed[channels, slots] = FREE
+        self._version += freed
+        if index is not None:
+            self._index = index.with_row(page_id, (), ())
+        return freed
+
     # ------------------------------------------------------------------
     # Scans used by the schedulers
     # ------------------------------------------------------------------
@@ -638,17 +845,10 @@ class BroadcastProgram:
 
     def appearances(self, page_id: int) -> list[SlotRef]:
         """All cells holding ``page_id``, sorted by airtime."""
-        index = self._appearance_index()
-        row = int(np.searchsorted(index.page_ids, page_id))
-        if row == index.page_ids.shape[0] or index.page_ids[row] != page_id:
-            return []
-        start, stop = index.cell_offsets[row:row + 2].tolist()
+        channels, slots = self._appearance_index().row_cells(page_id)
         return [
             SlotRef(slot=slot, channel=channel)
-            for slot, channel in zip(
-                index.cell_slots[start:stop].tolist(),
-                index.cell_channels[start:stop].tolist(),
-            )
+            for slot, channel in zip(slots.tolist(), channels.tolist())
         ]
 
     def appearance_slots(self, page_id: int) -> list[int]:

@@ -22,13 +22,12 @@ cross-shard verdicts (``spilled`` placement, the global queue).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from repro.core.errors import SimulationError
-from repro.core.intmath import ceil_div
+from repro.live.catalog import required_channels_of
 from repro.live.mutations import MutationEvent
 
 __all__ = [
@@ -36,23 +35,6 @@ __all__ = [
     "GlobalAdmissionController",
     "required_channels_of",
 ]
-
-
-def required_channels_of(histogram: Mapping[int, int]) -> int:
-    """Theorem 3.1's bound from an ``expected_time -> page count`` histogram.
-
-    Exact integer arithmetic over the distinct deadlines, matching
-    :meth:`~repro.live.catalog.LiveCatalog.required_channels` on every
-    catalog; an empty histogram needs zero channels.
-    """
-    if not histogram:
-        return 0
-    common = math.lcm(*histogram.keys())
-    numerator = sum(
-        (common // expected) * count
-        for expected, count in histogram.items()
-    )
-    return ceil_div(numerator, common)
 
 
 @dataclass(frozen=True, slots=True)

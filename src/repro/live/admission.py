@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.core.errors import SimulationError
-from repro.live.catalog import LiveCatalog
+from repro.live.catalog import LiveCatalog, required_channels_of
 from repro.live.mutations import MutationEvent
 
 __all__ = ["VERDICTS", "AdmissionDecision", "AdmissionController"]
@@ -132,13 +132,14 @@ class AdmissionController:
         admitted: list[MutationEvent] = []
         decisions: list[AdmissionDecision] = []
         remaining: list[MutationEvent] = []
-        probe = catalog.copy()
+        # The per-deadline page counts of the catalog plus the inserts
+        # admitted so far in this drain.
+        histogram = catalog.deadline_counts()
         for event in self._queue:
-            candidate = probe.copy()
-            candidate.insert(event.page_id, event.expected_time)
-            required = candidate.required_channels()
+            expected = event.expected_time
+            histogram[expected] = histogram.get(expected, 0) + 1
+            required = required_channels_of(histogram)
             if required <= self.budget:
-                probe = candidate
                 admitted.append(event)
                 self.counters["drained"] += 1
                 self.counters["admitted"] += 1
@@ -154,6 +155,9 @@ class AdmissionController:
                     )
                 )
             else:
+                histogram[expected] -= 1
+                if not histogram[expected]:
+                    del histogram[expected]
                 remaining.append(event)
         self._queue = remaining
         return admitted, decisions
@@ -189,9 +193,7 @@ class AdmissionController:
                 event, "rejected", catalog.required_channels(),
                 "duplicate-page",
             )
-        candidate = catalog.copy()
-        candidate.insert(event.page_id, event.expected_time)
-        required = candidate.required_channels()
+        required = catalog.required_after(add=event.expected_time)
         if not self.enabled:
             return self._decision(
                 event, "admitted", required, "admission-disabled"
@@ -212,9 +214,10 @@ class AdmissionController:
                 event, "rejected", catalog.required_channels(),
                 "unknown-page",
             )
-        candidate = catalog.copy()
-        candidate.retune(event.page_id, event.expected_time)
-        required = candidate.required_channels()
+        required = catalog.required_after(
+            add=event.expected_time,
+            drop=catalog.expected_time(event.page_id),
+        )
         if not self.enabled:
             return self._decision(
                 event, "admitted", required, "admission-disabled"
@@ -237,11 +240,10 @@ class AdmissionController:
                 event, "rejected", catalog.required_channels(),
                 "last-page",
             )
-        candidate = catalog.copy()
-        candidate.remove(event.page_id)
-        return self._decision(
-            event, "admitted", candidate.required_channels(), "shrinks-load"
+        required = catalog.required_after(
+            drop=catalog.expected_time(event.page_id)
         )
+        return self._decision(event, "admitted", required, "shrinks-load")
 
     def as_dict(self) -> dict:
         """Summary block for run manifests."""

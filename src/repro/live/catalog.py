@@ -25,11 +25,33 @@ from repro.core.errors import InvalidInstanceError
 from repro.core.intmath import ceil_div
 from repro.core.pages import Group, Page, ProblemInstance
 
-__all__ = ["LiveCatalog"]
+__all__ = ["LiveCatalog", "required_channels_of"]
+
+
+def required_channels_of(histogram: Mapping[int, int]) -> int:
+    """Theorem 3.1's bound from an ``expected_time -> page count`` histogram.
+
+    Exact integer arithmetic over the distinct deadlines, matching
+    :func:`repro.core.bounds.minimum_channels` on every ladder catalog;
+    an empty histogram needs zero channels.
+    """
+    if not histogram:
+        return 0
+    common = math.lcm(*histogram.keys())
+    numerator = sum(
+        (common // expected) * count
+        for expected, count in histogram.items()
+    )
+    return ceil_div(numerator, common)
 
 
 class LiveCatalog:
-    """A mutable ``page_id -> expected_time`` catalog with exact load math."""
+    """A mutable ``page_id -> expected_time`` catalog with exact load math.
+
+    Beside the mapping it keeps a page count per deadline, so the
+    Theorem-3.1 load — of the catalog or of a one-page edit of it —
+    costs one pass over the distinct deadlines, not over the pages.
+    """
 
     def __init__(self, pages: ProblemInstance | Mapping[int, int]) -> None:
         if isinstance(pages, ProblemInstance):
@@ -46,6 +68,10 @@ class LiveCatalog:
                     f"page {page_id}: expected_time must be positive, "
                     f"got {expected}"
                 )
+        self._counts: dict[int, int] = {}
+        for expected in self._times.values():
+            self._counts[expected] = self._counts.get(expected, 0) + 1
+        self._required: int | None = None
 
     # ------------------------------------------------------------------
     # Read access
@@ -70,15 +96,9 @@ class LiveCatalog:
         """A snapshot copy of the ``page_id -> expected_time`` mapping."""
         return dict(self._times)
 
-    def copy(self) -> "LiveCatalog":
-        """An independent copy (admission control probes candidates on it).
-
-        The entries were validated on their way in, so the copy takes
-        them as they are instead of going back through ``__init__``.
-        """
-        clone = LiveCatalog.__new__(LiveCatalog)
-        clone._times = dict(self._times)
-        return clone
+    def deadline_counts(self) -> dict[int, int]:
+        """A snapshot copy of the ``expected_time -> page count`` histogram."""
+        return dict(self._counts)
 
     # ------------------------------------------------------------------
     # Mutation primitives
@@ -95,6 +115,7 @@ class LiveCatalog:
                 f"expected_time must be positive, got {expected_time}"
             )
         self._times[page_id] = expected_time
+        self._count(expected_time, 1)
 
     def remove(self, page_id: int) -> None:
         """Drop a page; the catalog must never become empty."""
@@ -104,7 +125,7 @@ class LiveCatalog:
             raise InvalidInstanceError(
                 "cannot remove the last page of the catalog"
             )
-        del self._times[page_id]
+        self._count(self._times.pop(page_id), -1)
 
     def retune(self, page_id: int, expected_time: int) -> None:
         """Change a page's deadline in place."""
@@ -114,7 +135,18 @@ class LiveCatalog:
             raise InvalidInstanceError(
                 f"expected_time must be positive, got {expected_time}"
             )
+        self._count(self._times[page_id], -1)
         self._times[page_id] = expected_time
+        self._count(expected_time, 1)
+
+    def _count(self, expected_time: int, delta: int) -> None:
+        """Move one page into (``+1``) or out of (``-1``) a deadline."""
+        count = self._counts.get(expected_time, 0) + delta
+        if count:
+            self._counts[expected_time] = count
+        else:
+            del self._counts[expected_time]
+        self._required = None
 
     # ------------------------------------------------------------------
     # Theorem-3.1 load
@@ -123,15 +155,30 @@ class LiveCatalog:
     def required_channels(self) -> int:
         """Theorem 3.1's ``ceil(sum_i P_i / t_i)`` in exact arithmetic.
 
-        Computed directly on the mapping (no instance construction), so
-        admission control can probe candidate catalogs cheaply; matches
+        Computed from the per-deadline page counts (no instance
+        construction) and kept until the next mutation; matches
         :func:`repro.core.bounds.minimum_channels` on every snapshot.
         """
-        common = math.lcm(*set(self._times.values()))
-        numerator = sum(
-            common // expected for expected in self._times.values()
-        )
-        return ceil_div(numerator, common)
+        if self._required is None:
+            self._required = required_channels_of(self._counts)
+        return self._required
+
+    def required_after(
+        self, *, add: int | None = None, drop: int | None = None
+    ) -> int:
+        """The requirement with one more page of deadline ``add`` and/or
+        one fewer of deadline ``drop``, priced without mutating the
+        catalog — admission's what-if probe: an insert adds, a removal
+        drops, a retune does both.
+        """
+        histogram = dict(self._counts)
+        if drop is not None:
+            histogram[drop] -= 1
+            if not histogram[drop]:
+                del histogram[drop]
+        if add is not None:
+            histogram[add] = histogram.get(add, 0) + 1
+        return required_channels_of(histogram)
 
     def channel_load(self) -> float:
         """The fractional demand ``sum_i P_i / t_i`` in channel units."""

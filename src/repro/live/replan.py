@@ -41,12 +41,13 @@ the Algorithm-4 window scan.  Two implementations share that contract:
   the cyclic fallback and steal cells across windows.
 
 The patched program is a legitimate Algorithm-4 placement for the
-current catalog — exact per-page counts, Equation-8 cycle — and the
-whole procedure is deterministic, so live replay stays byte-identical
-run to run.  Capacity is guaranteed by the cycle check (``sum S_i P_i <=
-N * cycle``), hence the cyclic-fallback scan can never come up empty for
-an eligible patch; the ``None`` return on a full grid is kept as a
-belt-and-braces downgrade to a full re-plan rather than an error.
+current catalog — exact per-page counts, Equation-8 cycle, no page
+twice in one column — and the whole procedure is deterministic, so
+live replay stays byte-identical run to run.  The cycle check (``sum
+S_i P_i <= N * cycle``) guarantees free cells for every copy, but not
+in distinct columns: when the cyclic fallback finds only columns that
+already air the page, the patch returns ``None`` and the caller
+re-plans in full.
 """
 
 from __future__ import annotations
@@ -351,8 +352,7 @@ class FastReplanner:
         """Cell-by-cell patch — the oracle the packed path must match."""
         clone = program.copy()
         for page_id in clear_pages:
-            for ref in clone.appearances(page_id):
-                clone.clear(ref.channel, ref.slot)
+            clone.clear_page(page_id)
         cycle = clone.cycle_length
         full = (1 << num_channels) - 1
         masks = [0] * cycle  # bit c set <=> channel c occupied in column
@@ -362,12 +362,17 @@ class FastReplanner:
                 if occupant is not None:
                     masks[slot] |= bit
         for page_id in sorted(place_pages):
+            # Columns already airing this page: a second copy in one
+            # column serves no listener.  Windows are disjoint, but a
+            # fallback copy lands in a later window, so both scans skip
+            # these columns.
+            held: set[int] = set()
             for k in range(copies):
                 window_start = ceil_div(cycle * k, copies)
                 window_end = min(ceil_div(cycle * (k + 1), copies), cycle)
                 column = -1
                 for col in range(window_start, window_end):
-                    if masks[col] != full:
+                    if masks[col] != full and col not in held:
                         column = col
                         break
                 else:
@@ -375,11 +380,12 @@ class FastReplanner:
                     # reference placement, starting at the window start.
                     for offset in range(cycle):
                         col = (window_start + offset) % cycle
-                        if masks[col] != full:
+                        if masks[col] != full and col not in held:
                             column = col
                             break
                 if column < 0:
                     return None
+                held.add(column)
                 free = ~masks[column] & full
                 channel = (free & -free).bit_length() - 1
                 clone.assign(channel, column, page_id)

@@ -46,9 +46,16 @@ from itertools import islice
 import json
 from typing import TYPE_CHECKING, Mapping
 
+import numpy as np
+
 from repro.core.errors import SimulationError
 from repro.core.pages import ProblemInstance
-from repro.core.program import BroadcastProgram
+from repro.core.program import (
+    FREE,
+    AppearanceIndex,
+    BroadcastProgram,
+    batch_waits,
+)
 from repro.core.validate import validate_program
 from repro.live.admission import AdmissionController, AdmissionDecision
 from repro.live.catalog import LiveCatalog
@@ -250,8 +257,10 @@ class LiveBroadcastService:
             return self._now_override
         return self._loop.now if self._loop is not None else 0.0
 
-    def _record(self, entry_type: str, **details: object) -> None:
-        entry = {"t": self.now, "type": entry_type}
+    def _record(
+        self, entry_type: str, *, t: float | None = None, **details: object
+    ) -> None:
+        entry = {"t": self.now if t is None else t, "type": entry_type}
         entry.update(details)
         self._log.append(entry)
 
@@ -323,44 +332,52 @@ class LiveBroadcastService:
             pages=len(self.catalog),
         )
 
-    def _try_place(self, page_id: int, expected_time: int) -> bool:
-        """Incremental insert: place ``page_id`` without moving any page."""
-        program = self.program
-        if program is None:
-            return False
-        cycle = program.cycle_length
-        if expected_time >= cycle:
-            for ref in program.free_cells():
-                program.assign(ref.channel, ref.slot, page_id)
-                return True
-            return False
-        if cycle % expected_time != 0:
-            # Off-ladder deadline: no periodic column pattern exists.
-            return False
-        period = expected_time
-        for offset in range(period):
-            columns = range(offset, cycle, period)
-            channels = []
-            for slot in columns:
-                channel = program.free_channel_in_column(slot)
-                if channel is None:
-                    break
-                channels.append((channel, slot))
-            else:
-                for channel, slot in channels:
-                    program.assign(channel, slot, page_id)
-                return True
-        return False
+    def _try_place(self, page_id: int, expected_time: int) -> int:
+        """Incremental insert: place ``page_id`` without moving any page.
 
-    def _unplace(self, page_id: int) -> int:
-        """Clear every appearance of ``page_id``; returns cells freed."""
+        Returns the cells the page took, ``0`` when no placement fits.
+        The first feasible offset comes from one pass over the packed
+        grid: a column is open when any channel is free in it, and
+        offset ``o`` is feasible when every column ``o + k*t`` is open —
+        an ``all`` over the ``(cycle // t, t)`` reshape of the open
+        columns.  Each column takes its lowest free channel, as the
+        column-by-column scan (:func:`repro.oracles.try_place_reference`)
+        does.
+        """
         program = self.program
         if program is None:
             return 0
-        refs = program.appearances(page_id)
-        for ref in refs:
-            program.clear(ref.channel, ref.slot)
-        return len(refs)
+        cycle = program.cycle_length
+        free = program.packed_grid() == FREE
+        if expected_time >= cycle:
+            # One appearance anywhere: the first free cell by airtime.
+            airtime = free.T.ravel()
+            cell = int(airtime.argmax())
+            if not airtime[cell]:
+                return 0
+            slot, channel = divmod(cell, program.num_channels)
+            program.assign_page(page_id, (channel,), (slot,))
+            return 1
+        if cycle % expected_time != 0:
+            # Off-ladder deadline: no periodic column pattern exists.
+            return 0
+        feasible = (
+            free.any(axis=0)
+            .reshape(cycle // expected_time, expected_time)
+            .all(axis=0)
+        )
+        offset = int(feasible.argmax())
+        if not feasible[offset]:
+            return 0
+        slots = np.arange(offset, cycle, expected_time)
+        program.assign_page(page_id, free[:, slots].argmax(axis=0), slots)
+        return slots.shape[0]
+
+    def _unplace(self, page_id: int) -> int:
+        """Clear every appearance of ``page_id``; returns cells freed."""
+        if self.program is None:
+            return 0
+        return self.program.clear_page(page_id)
 
     def _self_check(self, context: str) -> None:
         if not self.self_check or self.program is None:
@@ -383,12 +400,12 @@ class LiveBroadcastService:
             # Degraded (admission off): PAMAD must re-weigh every page.
             self._full_replan(f"insert-degraded:{page_id}")
             return
-        if self._try_place(page_id, expected_time):
+        placed = self._try_place(page_id, expected_time)
+        if placed:
             self._count("incremental_repairs")
             self._record(
                 "repair", action="insert", page_id=page_id,
-                expected_time=expected_time,
-                appearances=self.program.broadcast_count(page_id),
+                expected_time=expected_time, appearances=placed,
             )
         else:
             self._full_replan(f"insert-no-slack:{page_id}")
@@ -405,23 +422,27 @@ class LiveBroadcastService:
         if self.catalog.required_channels() > self.budget:
             self._full_replan(f"retune-degraded:{page_id}")
             return
-        if program is not None and program.broadcast_count(page_id) > 0:
-            slots = program.appearance_slots(page_id)
-            gaps = program.cyclic_gaps(page_id)
-            if max(gaps) <= expected_time and slots[0] < expected_time:
-                self._count("incremental_repairs")
-                self._record(
-                    "repair", action="retune-keep", page_id=page_id,
-                    expected_time=expected_time,
-                )
-                return
-            self._unplace(page_id)
-        if self._try_place(page_id, expected_time):
+        if program is not None:
+            index = AppearanceIndex.from_program(program)
+            slots, gaps = index.row_slots(page_id)
+            if slots.size:
+                if (
+                    int(gaps.max()) <= expected_time
+                    and int(slots[0]) < expected_time
+                ):
+                    self._count("incremental_repairs")
+                    self._record(
+                        "repair", action="retune-keep", page_id=page_id,
+                        expected_time=expected_time,
+                    )
+                    return
+                self._unplace(page_id)
+        placed = self._try_place(page_id, expected_time)
+        if placed:
             self._count("incremental_repairs")
             self._record(
                 "repair", action="retune-replace", page_id=page_id,
-                expected_time=expected_time,
-                appearances=program.broadcast_count(page_id),
+                expected_time=expected_time, appearances=placed,
             )
         else:
             self._full_replan(f"retune-no-slack:{page_id}")
@@ -652,10 +673,6 @@ class LiveBroadcastService:
             all_expected: int64 promised deadlines per listener.
             all_pages: int64 requested page per listener.
         """
-        import numpy as np
-
-        from repro.core.program import AppearanceIndex, batch_waits
-
         total = int(all_times.shape[0])
         start = 0
         while start < total:
@@ -769,10 +786,14 @@ class LiveBroadcastService:
             self._count("batched_listeners", count)
             if seg_misses:
                 self._count("misses", seg_misses)
+            # Stamped at its own first arrival: a segment after a
+            # mid-run re-plan starts later than the run's callback.
+            first_time = float(all_times[seg_start])
             self._record(
                 "listener_batch",
+                t=first_time,
                 count=count,
-                first_time=float(all_times[seg_start]),
+                first_time=first_time,
                 last_time=float(all_times[start - 1]),
                 served=seg_served,
                 misses=seg_misses,
@@ -823,8 +844,6 @@ class LiveBroadcastService:
                 "build a new service to replay again"
             )
         self.start()
-
-        import numpy as np
 
         all_times, is_listener, all_pages, all_expected = (
             self.trace.columns()

@@ -37,6 +37,10 @@ paper's §3.2 comparison.
   :meth:`~repro.live.service.LiveBroadcastService.run`'s, the SLO wait
   total bit for bit, up to the event log's listener entries (one per
   listener here, one ``listener_batch`` per run of listeners there).
+* :func:`try_place_reference` — the live service's incremental insert
+  as a column-by-column scan of every offset; the one-pass array
+  search of ``LiveBroadcastService._try_place`` must take the same
+  cells.
 * :func:`replay_requests_sequential` — the Figure-5 measurement as a
   per-request loop: a :meth:`~repro.core.program.BroadcastProgram.
   wait_time` bisect and three Welford folds per request.  The
@@ -90,6 +94,7 @@ __all__ = [
     "replay_requests_sequential",
     "route_sequential",
     "susc_reference",
+    "try_place_reference",
 ]
 
 
@@ -496,6 +501,44 @@ def live_sequential(service: LiveBroadcastService) -> LiveReport:
         )
         service._loop.schedule_at(event.time, partial(handler, event))
     return service.finish()
+
+
+def try_place_reference(
+    program: BroadcastProgram, page_id: int, expected_time: int
+) -> bool:
+    """The live incremental insert as a column-by-column scan.
+
+    Places ``page_id`` without moving any page: one appearance in the
+    first free cell by airtime when ``expected_time >= cycle``, else the
+    first offset ``o < t`` whose columns ``o, o + t, ...`` each have a
+    free channel, taking the lowest one per column; an off-ladder
+    deadline (``t`` not dividing the cycle) places nothing.  The array
+    search in ``LiveBroadcastService._try_place`` must take the same
+    cells.
+    """
+    cycle = program.cycle_length
+    if expected_time >= cycle:
+        for ref in program.free_cells():
+            program.assign(ref.channel, ref.slot, page_id)
+            return True
+        return False
+    if cycle % expected_time != 0:
+        # Off-ladder deadline: no periodic column pattern exists.
+        return False
+    period = expected_time
+    for offset in range(period):
+        columns = range(offset, cycle, period)
+        channels = []
+        for slot in columns:
+            channel = program.free_channel_in_column(slot)
+            if channel is None:
+                break
+            channels.append((channel, slot))
+        else:
+            for channel, slot in channels:
+                program.assign(channel, slot, page_id)
+            return True
+    return False
 
 
 # ----------------------------------------------------------------------

@@ -328,7 +328,7 @@ class TestFastReplanner:
 
     def test_patch_is_a_valid_plan_for_the_new_catalog(self):
         catalog, schedule, replanner = self._planned()
-        mutated = catalog.copy()
+        mutated = LiveCatalog(catalog.pages())
         new_page = max(catalog.pages()) + 1
         mutated.insert(new_page, self.TIMES[-1])
         patched = replanner.try_patch(mutated.pages(), schedule.program)
@@ -348,7 +348,7 @@ class TestFastReplanner:
         grids = []
         for _ in range(2):
             catalog, schedule, replanner = self._planned()
-            mutated = catalog.copy()
+            mutated = LiveCatalog(catalog.pages())
             mutated.insert(max(catalog.pages()) + 1, self.TIMES[-1])
             patched = replanner.try_patch(
                 mutated.pages(), schedule.program
@@ -363,7 +363,7 @@ class TestFastReplanner:
 
     def test_two_rung_change_is_ineligible(self):
         catalog, schedule, replanner = self._planned()
-        mutated = catalog.copy()
+        mutated = LiveCatalog(catalog.pages())
         base = max(catalog.pages())
         mutated.insert(base + 1, self.TIMES[-1])
         mutated.insert(base + 2, self.TIMES[-2])
@@ -373,7 +373,7 @@ class TestFastReplanner:
 
     def test_new_rung_is_ineligible(self):
         catalog, schedule, replanner = self._planned()
-        mutated = catalog.copy()
+        mutated = LiveCatalog(catalog.pages())
         mutated.insert(max(catalog.pages()) + 1, 64)
         assert (
             replanner.try_patch(mutated.pages(), schedule.program) is None
@@ -384,7 +384,7 @@ class TestFastReplanner:
         # cycle; the patcher must hand back to the full re-plan then.
         catalog, schedule, replanner = self._planned()
         state = replanner.state
-        mutated = catalog.copy()
+        mutated = LiveCatalog(catalog.pages())
         base = max(catalog.pages())
         sizes = list(self.SIZES)
         grew = False
@@ -419,7 +419,7 @@ class TestFastReplanner:
         schedule = schedule_pamad(catalog.to_instance(), budget)
         replanner = FastReplanner()
         _remember(replanner, catalog, budget, schedule)
-        mutated = catalog.copy()
+        mutated = LiveCatalog(catalog.pages())
         mutated.insert(max(catalog.pages()) + 1, self.TIMES[-1])
         program = schedule.program
         for toggle in range(8):
@@ -485,33 +485,20 @@ class TestPackedPatchEquality:
         else:
             assert packed.grid_rows() == reference.grid_rows()
 
-    def test_try_patch_serves_a_solid_window_through_cyclic_fallback(
-        self, monkeypatch
-    ):
-        """The overflow path, end to end through ``try_patch``.
-
-        Two channels, rungs t=2/4/8 with 2/6/3 pages: PAMAD gives
-        S=(2, 2, 1) on a 10-slot cycle.  Dropping page 1 raises the t=2
-        rung (now page 2 alone) to four copies while the cycle stays 10,
-        so its second window (columns 3..4) is packed solid: the packed
-        path declines, and the reference patcher's cyclic fallback scans
-        on from that window's start to column 5.
-        """
-        instance = instance_from_counts((2, 6, 3), (2, 4, 8))
-        schedule = schedule_pamad(instance, 2)
-        program = schedule.program
-        assert program.grid_rows() == [
-            [1, 3, 5, 7, 9, 1, 3, 5, 7, 11],
-            [2, 4, 6, 8, 10, 2, 4, 6, 8, None],
-        ]
+    @staticmethod
+    def _planned_patch(sizes, times, budget, monkeypatch):
+        """A replanner remembering PAMAD's plan, and a spy recording
+        whether the packed path declined each patch it was offered."""
+        instance = instance_from_counts(sizes, times)
+        schedule = schedule_pamad(instance, budget)
         catalog = {p.page_id: p.expected_time for p in instance.pages()}
         replanner = FastReplanner()
         replanner.remember(
             catalog=catalog,
             times=instance.expected_times,
             frequencies=tuple(schedule.meta["frequencies"]),
-            cycle=program.cycle_length,
-            budget=2,
+            cycle=schedule.program.cycle_length,
+            budget=budget,
         )
         declined = []
         packed = FastReplanner._patch_packed
@@ -522,22 +509,46 @@ class TestPackedPatchEquality:
             return result
 
         monkeypatch.setattr(FastReplanner, "_patch_packed", spy)
-        del catalog[1]
+        return schedule.program, catalog, replanner, declined
+
+    def test_try_patch_serves_a_solid_window_through_cyclic_fallback(
+        self, monkeypatch
+    ):
+        """The overflow path, end to end through ``try_patch``.
+
+        Three channels, rungs t=2/4/8/16 with 1/4/3/7 pages: PAMAD gives
+        S=(6, 6, 2, 1) on a 15-slot cycle.  Dropping page 6 raises the
+        t=8 rung (now pages 7 and 8) to three copies while the cycle
+        stays 15.  Page 7 takes column 9, which packs the second window
+        (columns 5..9) solid for page 8: the packed path declines, and
+        the reference patcher's cyclic fallback scans on to column 12.
+        The third window (10..14) then skips column 12, which already
+        airs page 8, for column 14.
+        """
+        program, catalog, replanner, declined = self._planned_patch(
+            (1, 4, 3, 7), (2, 4, 8, 16), 3, monkeypatch
+        )
+        assert program.grid_rows() == [
+            [1, 4, 7, 1, 4, 1, 4, 12, 1, 4, 1, 4, 8, 1, 4],
+            [2, 5, 8, 2, 5, 2, 5, 13, 2, 5, 2, 5, 15, 2, 5],
+            [3, 6, 9, 3, 10, 3, 11, 14, 3, 6, 3, 7, None, 3, None],
+        ]
+        del catalog[6]
         patched = replanner.try_patch(catalog, program)
 
         assert declined == [True]
         assert patched is not None
         assert patched.cycle_length == program.cycle_length
-        assert patched.num_channels == 2
-        assert replanner.state.frequencies == (4, 2, 1)
-        copies = 4
+        assert patched.num_channels == 3
+        assert replanner.state.frequencies == (6, 6, 3, 1)
+        copies = 3
         old_rows, new_rows = program.grid_rows(), patched.grid_rows()
         cells = [
             (old_rows[c][s], new_rows[c][s])
-            for c in range(2)
+            for c in range(3)
             for s in range(program.cycle_length)
         ]
-        rung, cleared = {2}, {1, 2}
+        rung, cleared = {7, 8}, {6, 7, 8}
         # Every rung page appears exactly `copies` times ...
         for page_id in rung:
             assert sum(new == page_id for _, new in cells) == copies
@@ -548,14 +559,40 @@ class TestPackedPatchEquality:
         taken = [old for old, new in cells if new in rung]
         assert len(taken) == len(rung) * copies
         assert all(old is None or old in cleared for old in taken)
+        # ... no column airs a page twice ...
+        for column in zip(*new_rows):
+            aired = [page for page in column if page is not None]
+            assert len(aired) == len(set(aired)), column
         # ... and every cell outside the rung is unchanged.
         for old, new in cells:
             if old not in cleared and new not in rung:
                 assert old == new
         assert new_rows == [
-            [2, 3, 5, 7, 9, 2, 3, 5, 7, 11],
-            [None, 4, 6, 8, 10, 2, 4, 6, 8, 2],
+            [1, 4, 8, 1, 4, 1, 4, 12, 1, 4, 1, 4, 8, 1, 4],
+            [2, 5, None, 2, 5, 2, 5, 13, 2, 5, 2, 5, 15, 2, 5],
+            [3, 7, 9, 3, 10, 3, 11, 14, 3, 7, 3, 7, None, 3, 8],
         ]
+
+    def test_try_patch_declines_when_copies_would_share_a_column(
+        self, monkeypatch
+    ):
+        """Two channels, rungs t=2/4/8 with 2/6/3 pages: PAMAD gives
+        S=(2, 2, 1) on a 10-slot cycle.  Dropping page 1 raises page 2
+        alone to four copies, but once pages 1 and 2 are cleared the
+        free cells sit in three columns (0, 5 and 9).  A fourth copy
+        could only double up in one of them, so the patch declines and
+        the service re-plans in full."""
+        program, catalog, replanner, declined = self._planned_patch(
+            (2, 6, 3), (2, 4, 8), 2, monkeypatch
+        )
+        assert program.grid_rows() == [
+            [1, 3, 5, 7, 9, 1, 3, 5, 7, 11],
+            [2, 4, 6, 8, 10, 2, 4, 6, 8, None],
+        ]
+        del catalog[1]
+        assert replanner.try_patch(catalog, program) is None
+        assert declined == [True]
+        assert replanner.state.catalog != catalog  # nothing committed
 
     def test_empty_rung_patch_just_clears(self):
         instance = instance_from_counts((2, 3), (4, 8))

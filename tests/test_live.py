@@ -176,12 +176,6 @@ class TestLiveCatalog:
         with pytest.raises(InvalidInstanceError):
             catalog.to_instance()
 
-    def test_copy_is_independent(self, fig2_instance):
-        catalog = LiveCatalog(fig2_instance)
-        clone = catalog.copy()
-        clone.insert(99, 8)
-        assert 99 not in catalog
-
 
 # ----------------------------------------------------------------------
 # Admission

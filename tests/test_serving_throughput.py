@@ -230,6 +230,13 @@ class TestBatchedListenerReplay:
                 assert service.slo.total_wait == (
                     reference.slo.total_wait
                 ), mode
+                # The log is time-ordered: a segment after a mid-run
+                # re-plan is stamped at its own first arrival.
+                stamps = [entry["t"] for entry in batched.event_log]
+                assert stamps == sorted(stamps), mode
+                for entry in batched.event_log:
+                    if entry["type"] == "listener_batch":
+                        assert entry["t"] == entry["first_time"], mode
 
     def test_batched_replay_is_deterministic(self):
         instance = _initial_instance()
