@@ -25,6 +25,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
+import numpy as np
+
 from repro.core.errors import InvalidInstanceError
 
 __all__ = ["Page", "Group", "ProblemInstance", "instance_from_counts"]
@@ -146,6 +148,9 @@ class ProblemInstance:
     _pages_by_id: Mapping[int, Page] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
+    _page_table: np.ndarray | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self) -> None:
         if not self.groups:
@@ -252,6 +257,30 @@ class ProblemInstance:
     def pages(self) -> Iterator[Page]:
         """Iterate over all pages in ascending-expected-time group order."""
         return itertools.chain.from_iterable(self.groups)
+
+    def page_table(self) -> np.ndarray:
+        """Per page, in :meth:`pages` order, the read-only float64 row
+        ``(page_id, expected_time, group_index)``.
+
+        Built on first call and kept for the instance's lifetime: the
+        client measurement indexes it once per request stream, and a
+        sweep measures one instance many times.
+        """
+        if self._page_table is None:
+            table = np.array(
+                [
+                    (page.page_id, page.expected_time, page.group_index)
+                    for page in self.pages()
+                ],
+                dtype=np.float64,
+            )
+            table.flags.writeable = False
+            object.__setattr__(self, "_page_table", table)
+        return self._page_table
+
+    def __getstate__(self) -> dict:
+        """Pickle without the page table; the copy rebuilds it on demand."""
+        return {**self.__dict__, "_page_table": None}
 
     def pages_sorted_for_susc(self) -> list[Page]:
         """All pages in the order Algorithm 1 consumes them.

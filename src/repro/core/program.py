@@ -9,11 +9,16 @@ Indexing convention: **0-based** channels and slots throughout the code
 (the paper is 1-based; :meth:`BroadcastProgram.render` shows 1-based labels
 so its output can be compared against the paper's Figure 2 directly).
 
-The grid is deliberately a plain list-of-lists rather than a numpy array:
-cells hold optional page ids, programs are small (``N x t_major``), and the
-schedulers probe single cells far more often than they scan rows.  An
-int64 mirror of it (:meth:`BroadcastProgram.packed_grid`, :data:`FREE`
-marking empty cells) serves the array consumers.
+The schedulers' grid is deliberately a plain list-of-lists rather than a
+numpy array: cells hold optional page ids, programs are small (``N x
+t_major``), and the schedulers probe single cells far more often than they
+scan rows.  An int64 twin of it (:meth:`BroadcastProgram.packed_grid`,
+:data:`FREE` marking empty cells) serves the array consumers.  Either
+form is derived from the other on first use and then kept in step by
+every edit; programs from the array kernels or from a pickle hold only
+the packed grid until something reads a list (:meth:`~BroadcastProgram.
+get`, :meth:`~BroadcastProgram.grid_rows`, :meth:`~BroadcastProgram.
+render`, ...).
 
 Every question a client asks of a program — when does page ``p`` next
 air, how often, on which channels — is answered by one
@@ -599,13 +604,15 @@ class BroadcastProgram:
             )
         self._num_channels = num_channels
         self._cycle_length = cycle_length
-        self._grid: list[list[int | None]] = [
+        # The list grid, or None until first read when the packed grid
+        # below came first (:meth:`_load_packed`); at least one is set.
+        self._grid: list[list[int | None]] | None = [
             [None] * cycle_length for _ in range(num_channels)
         ]
         # Appearance index of the grid; None until queried, and again
         # after any mutation.
         self._index: AppearanceIndex | None = None
-        # Packed int64 mirror of the grid (FREE = empty), built lazily by
+        # Packed int64 twin of the grid (FREE = empty), built lazily by
         # :meth:`packed_grid` and kept in sync cell-by-cell on mutation.
         # The array-kernel constructors seed it for free, so consumers
         # like the live re-plan patcher never pay an O(grid) conversion.
@@ -656,10 +663,25 @@ class BroadcastProgram:
                 f"slot {slot} out of range 0..{self._cycle_length - 1}"
             )
 
+    def _rows(self) -> list[list[int | None]]:
+        """The list grid, derived from the packed grid on first use."""
+        if self._grid is None:
+            cells = self._packed.astype(object)
+            cells[self._packed == FREE] = None
+            self._grid = cells.tolist()
+        return self._grid
+
+    def _occupant(self, channel: int, slot: int) -> int | None:
+        """The page at a checked cell, read without building the list."""
+        if self._grid is not None:
+            return self._grid[channel][slot]
+        page = int(self._packed[channel, slot])
+        return None if page == FREE else page
+
     def get(self, channel: int, slot: int) -> int | None:
         """Return the page id at a cell, or ``None`` if the cell is free."""
         self._check_cell(channel, slot)
-        return self._grid[channel][slot]
+        return (self._grid or self._rows())[channel][slot]
 
     def is_free(self, channel: int, slot: int) -> bool:
         """True if the cell holds no page."""
@@ -678,13 +700,14 @@ class BroadcastProgram:
             raise InvalidInstanceError(
                 f"page id {FREE} is reserved for free cells"
             )
-        occupant = self._grid[channel][slot]
+        occupant = self._occupant(channel, slot)
         if occupant is not None:
             raise SlotConflictError(
                 f"slot (ch={channel}, slot={slot}) already holds page "
                 f"{occupant}; cannot place page {page_id}"
             )
-        self._grid[channel][slot] = page_id
+        if self._grid is not None:
+            self._grid[channel][slot] = page_id
         self._index = None
         if self._packed is not None:
             self._packed[channel, slot] = page_id
@@ -693,9 +716,10 @@ class BroadcastProgram:
     def clear(self, channel: int, slot: int) -> int | None:
         """Remove and return the page at a cell (``None`` if it was free)."""
         self._check_cell(channel, slot)
-        occupant = self._grid[channel][slot]
+        occupant = self._occupant(channel, slot)
         if occupant is not None:
-            self._grid[channel][slot] = None
+            if self._grid is not None:
+                self._grid[channel][slot] = None
             self._index = None
             if self._packed is not None:
                 self._packed[channel, slot] = FREE
@@ -745,8 +769,9 @@ class BroadcastProgram:
             raise SlotConflictError(f"page {page_id} names one cell twice")
         packed[channels, slots] = page_id
         grid = self._grid
-        for channel, slot in zip(channels.tolist(), slots.tolist()):
-            grid[channel][slot] = page_id
+        if grid is not None:
+            for channel, slot in zip(channels.tolist(), slots.tolist()):
+                grid[channel][slot] = page_id
         self._version += slots.shape[0]
         index = self._index
         if index is not None:
@@ -772,8 +797,9 @@ class BroadcastProgram:
         if not freed:
             return 0
         grid = self._grid
-        for channel, slot in zip(channels.tolist(), slots.tolist()):
-            grid[channel][slot] = None
+        if grid is not None:
+            for channel, slot in zip(channels.tolist(), slots.tolist()):
+                grid[channel][slot] = None
         if self._packed is not None:
             self._packed[channels, slots] = FREE
         self._version += freed
@@ -794,7 +820,7 @@ class BroadcastProgram:
         the window is the page's expected time ``t_i``.
         """
         limit = min(window, self._cycle_length)
-        row = self._grid[channel]
+        row = (self._grid or self._rows())[channel]
         for slot in range(limit):
             if row[slot] is None:
                 return slot
@@ -803,23 +829,28 @@ class BroadcastProgram:
     def free_channel_in_column(self, slot: int) -> int | None:
         """First channel with a free cell in column ``slot`` (Algorithm 4 scan)."""
         self._check_cell(0, slot)
+        grid = self._grid or self._rows()
         for channel in range(self._num_channels):
-            if self._grid[channel][slot] is None:
+            if grid[channel][slot] is None:
                 return channel
         return None
 
     def free_cells(self) -> Iterator[SlotRef]:
         """Iterate over all free cells in (slot, channel) order."""
+        grid = self._rows()
         for slot in range(self._cycle_length):
             for channel in range(self._num_channels):
-                if self._grid[channel][slot] is None:
+                if grid[channel][slot] is None:
                     yield SlotRef(slot=slot, channel=channel)
 
     def occupancy(self) -> float:
         """Fraction of cells holding a page."""
-        used = self.total_slots - sum(
-            row.count(None) for row in self._grid
-        )
+        if self._grid is None:
+            used = int(np.count_nonzero(self._packed != FREE))
+        else:
+            used = self.total_slots - sum(
+                row.count(None) for row in self._grid
+            )
         return used / self.total_slots
 
     # ------------------------------------------------------------------
@@ -946,51 +977,53 @@ class BroadcastProgram:
 
         The vectorised placement kernels finish holding a numpy
         ``(num_channels, cycle_length)`` int grid; this converts it in
-        bulk (one C-level pass per row, no per-cell Python loop).
+        bulk: the program adopts a copy as its packed grid and builds
+        neither the list grid nor the index until they are read.
         """
         arr = np.asarray(array)
         if arr.ndim != 2 or arr.size == 0:
             raise InvalidInstanceError("grid must be a non-empty 2-D array")
-        program = cls(
-            num_channels=arr.shape[0], cycle_length=arr.shape[1]
-        )
-        program._load_packed(arr.astype(np.int64))
+        program = cls.__new__(cls)
+        program._load_packed(arr.astype(np.int64), version=0)
         return program
 
-    def _load_packed(self, packed) -> None:
-        """Adopt an owned int64 ``packed`` grid; the index is deferred.
+    def _load_packed(self, packed, version: int) -> None:
+        """Become the program whose owned int64 grid is ``packed``.
 
-        Shape, list grid and packed mirror all come from ``packed``.
-        :attr:`version` is the caller's.
+        The packed grid is the only state built here: the list grid
+        (:meth:`_rows`) and the appearance index wait for their first
+        reader, and the edits keep whichever exist in step.
         """
-        cells = packed.astype(object)
-        cells[packed == FREE] = None
         self._num_channels, self._cycle_length = packed.shape
-        self._grid = cells.tolist()
+        self._grid = None
         self._index = None
         self._packed = packed
+        self._version = version
 
     def copy(self) -> "BroadcastProgram":
         """An independent copy of this program.
 
-        The grid rows and the packed mirror are duplicated; the
-        appearance index is immutable, so the clone shares it until
-        either side mutates.  The live re-plan patcher copies the on-air
-        program this way before editing one group's cells.
+        Whichever of the list grid and the packed grid exist are
+        duplicated (the clone derives the other on first use, as this
+        program would); the appearance index is immutable, so the clone
+        shares it until either side mutates.  The live re-plan patcher
+        copies the on-air program this way before editing one group's
+        cells.
         """
-        clone = BroadcastProgram(
-            num_channels=self._num_channels,
-            cycle_length=self._cycle_length,
+        clone = BroadcastProgram.__new__(BroadcastProgram)
+        clone._num_channels = self._num_channels
+        clone._cycle_length = self._cycle_length
+        clone._grid = (
+            None if self._grid is None else [list(row) for row in self._grid]
         )
-        clone._grid = [list(row) for row in self._grid]
         clone._index = self._index
-        if self._packed is not None:
-            clone._packed = self._packed.copy()
+        clone._packed = None if self._packed is None else self._packed.copy()
+        clone._version = 0
         return clone
 
     def grid_rows(self) -> list[list[int | None]]:
         """A copy of the raw grid, row per channel (for bulk consumers)."""
-        return [list(row) for row in self._grid]
+        return [list(row) for row in self._rows()]
 
     def packed_grid(self):
         """The grid as an int64 numpy array, :data:`FREE` marking free cells.
@@ -1022,7 +1055,7 @@ class BroadcastProgram:
         return {
             "num_channels": self._num_channels,
             "cycle_length": self._cycle_length,
-            "grid": [list(row) for row in self._grid],
+            "grid": [list(row) for row in self._rows()],
         }
 
     @classmethod
@@ -1054,15 +1087,19 @@ class BroadcastProgram:
         Everything else — the nested-list grid and the appearance index —
         is derived from the grid, outweighs it several times over and
         costs far more to pickle.  Sweep results cross the process pool
-        this way, so the wire carries one contiguous array per program
-        and the receiving side rebuilds the rest lazily on first use.
+        this way, so the wire carries one contiguous array per program.
         """
         return {"packed": self.packed_grid(), "version": self._version}
 
     def __setstate__(self, state: dict) -> None:
-        """Rebuild a pickled program the way :meth:`from_array` does."""
-        self._load_packed(state["packed"].astype(np.int64))
-        self._version = state["version"]
+        """Adopt the pickled packed grid, as :meth:`from_array` does.
+
+        Nothing else is built: the list grid and the appearance index
+        wait for their first reader.
+        """
+        self._load_packed(
+            np.asarray(state["packed"], dtype=np.int64), state["version"]
+        )
 
     def to_json(self, indent: int | None = None) -> str:
         """Serialise to a JSON string."""
@@ -1091,7 +1128,7 @@ class BroadcastProgram:
             for slot in range(self._cycle_length)
         )
         lines.append(header)
-        for channel, row in enumerate(self._grid):
+        for channel, row in enumerate(self._rows()):
             cells = "".join(
                 (str(page) if page is not None else ".").rjust(cell_width)
                 for page in row
@@ -1102,7 +1139,7 @@ class BroadcastProgram:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BroadcastProgram):
             return NotImplemented
-        return self._grid == other._grid
+        return self._rows() == other._rows()
 
     def __repr__(self) -> str:
         return (

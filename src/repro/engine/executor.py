@@ -27,22 +27,25 @@ batch at once.  Pool infrastructure failures rebuild the pool once and
 then fall back to a serial rerun of the whole batch.
 
 Process runs of the sweep post the shared ``ProblemInstance`` once
-into a :mod:`multiprocessing.shared_memory` block; each cell payload
-carries only the block's name, and each worker attaches and unpickles
-it once, caching by name.  When the block cannot be created the run
-degrades to pickling the instance with every cell, and the report
-records the transport that ran.  Schedules still carry their instance
-back: every fresh cell's :class:`CellResult` and every cache hit's
-:class:`CachedSchedule` pickles it (~24 KB at the paper's n=1000).
-Programs cross the pool as packed int64 grids
-(:meth:`~repro.core.program.BroadcastProgram.__getstate__`): the
-nested-list grid and the appearance index stay behind and rebuild
-lazily on first use.
+into a :mod:`multiprocessing.shared_memory` block; each worker attaches
+and unpickles it once, caching by name.  When the block cannot be
+created the run degrades to pickling the instance with every cell, and
+the report records the transport that ran.  Either way the instance
+crosses the process boundary in no other pickle: a cell goes out, and
+its :class:`CellResult` comes back, pickled with every reference to the
+instance (its own field, a cache hit's schedule, a fresh schedule)
+left as a persistent id, which each side resolves to its own copy.  A
+fresh schedule thus reaches the engine's cache holding the caller's
+instance object, as in a serial run.  Programs cross the pool as packed
+int64 grids (:meth:`~repro.core.program.BroadcastProgram.__getstate__`):
+the nested-list grid and the appearance index stay behind and are
+built on first use.
 """
 
 from __future__ import annotations
 
 import functools
+import io
 import pickle
 import time
 import traceback
@@ -153,6 +156,8 @@ class CellResult:
 
     ``schedule`` is populated only for freshly computed cells — cache
     hits return ``None`` there so nothing is pickled back needlessly.
+    A process worker pickles the result without the cell's instance,
+    and the parent puts its own instance object back in its place.
     ``attempts`` counts executions including retries (1 = first try).
     """
 
@@ -392,48 +397,94 @@ def _from_shm(name: str, size: int):
     return _SHM_ATTACHED[name]
 
 
+#: The persistent id standing for a cell's instance in the pickles a
+#: process cell and its result travel in.
+_INSTANCE = "instance"
+
+
+def _dumps(obj: object, instance: ProblemInstance) -> bytes:
+    """Pickle ``obj`` with every reference to ``instance`` left out."""
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+    pickler.persistent_id = lambda item: (
+        _INSTANCE if item is instance else None
+    )
+    pickler.dump(obj)
+    return buffer.getvalue()
+
+
+def _loads(data: bytes, instance: ProblemInstance):
+    """Unpickle :func:`_dumps` output, putting ``instance`` back."""
+    unpickler = pickle.Unpickler(io.BytesIO(data))
+    unpickler.persistent_load = lambda pid: instance
+    return unpickler.load()
+
+
 @dataclass(frozen=True)
-class _PostedCell:
-    """A cell payload whose instance waits in a shared-memory post."""
+class _ProcessCell:
+    """A cell bound for a process worker, without its instance inside.
 
-    spec: CellSpec  # with ``instance=None``
-    shm: tuple[str, int]  # the post's (name, size)
-
-
-def _post_cells(
-    specs: list[CellSpec], posts: dict[int, _ShmPost]
-) -> list[_PostedCell]:
-    """Post each distinct instance once; cells name their post.
-
-    New posts are added to ``posts`` as they are made, so the caller
-    can close every one of them even when a later post fails.
+    ``spec`` is the :class:`CellSpec` pickled by :func:`_dumps`.  The
+    instance is the shared-memory post ``shm`` names (its name and
+    size) or, on the pickle transport, ``instance``.
     """
+
+    spec: bytes
+    shm: tuple[str, int] | None = None
+    instance: ProblemInstance | None = None
+
+
+def _ship_cells(
+    specs: list[CellSpec], posts: dict[int, _ShmPost]
+) -> tuple[list[_ProcessCell], bool]:
+    """Pickle every cell for the pool; ``True`` when the posts carry the
+    instances.
+
+    Each distinct instance is posted once, and new posts are added to
+    ``posts`` as they are made, so the caller can close every one of
+    them even when a later post fails.  If a post cannot be made, every
+    cell carries its instance instead.
+    """
+    try:
+        for spec in specs:
+            if id(spec.instance) not in posts:
+                posts[id(spec.instance)] = _ShmPost(spec.instance)
+        shared = True
+    except OSError:
+        shared = False
     payloads = []
     for spec in specs:
-        post = posts.get(id(spec.instance))
-        if post is None:
-            post = posts[id(spec.instance)] = _ShmPost(spec.instance)
+        post = posts[id(spec.instance)] if shared else None
         payloads.append(
-            _PostedCell(
-                replace(spec, instance=None), (post.name, post.size)
+            _ProcessCell(
+                _dumps(spec, spec.instance),
+                shm=None if post is None else (post.name, post.size),
+                instance=None if shared else spec.instance,
             )
         )
-    return payloads
+    return payloads, shared
 
 
 def _guarded_execute_chunk(
-    cell: CellSpec | _PostedCell,
-) -> CellResult | _CellError:
-    """Cell worker entry point: attach a posted instance, run guarded.
+    cell: CellSpec | _ProcessCell,
+) -> CellResult | _CellError | bytes:
+    """Cell worker entry point: unpack a process cell, run guarded.
 
-    Only the cell itself is guarded: a post that cannot be attached
-    raises out of the worker, a pool infrastructure failure that
-    rebuilds the pool and then reruns the grid serially.  The
-    benchmark's span tracer looks this entry point up by name.
+    A :class:`_ProcessCell` gets its instance back (from the post or
+    its own field) and returns its :class:`CellResult` pickled by
+    :func:`_dumps`, for the parent to finish with :func:`_loads`.  Only
+    the cell itself is guarded: a post that cannot be attached raises
+    out of the worker, a pool infrastructure failure that rebuilds the
+    pool and then reruns the grid serially.  The benchmark's span
+    tracer looks this entry point up by name.
     """
-    if isinstance(cell, _PostedCell):
-        cell = replace(cell.spec, instance=_from_shm(*cell.shm))
-    return _guarded_execute(cell)
+    if not isinstance(cell, _ProcessCell):
+        return _guarded_execute(cell)
+    instance = _from_shm(*cell.shm) if cell.shm else cell.instance
+    result = _guarded_execute(_loads(cell.spec, instance))
+    if isinstance(result, _CellError):
+        return result
+    return _dumps(result, instance)
 
 
 class _CircuitBreaker:
@@ -855,7 +906,9 @@ def run_cells(
     A one-shot :class:`TaskPool` run of the cell family: the breaker
     and the lazy submission window are on, and process runs post each
     shared instance to shared memory (degrading to pickled payloads if
-    the block cannot be made).
+    the block cannot be made).  No process cell or result pickles the
+    instance itself; a fresh schedule comes back holding the spec's own
+    instance object.
 
     Args:
         specs: The grid, in the order results must come back.
@@ -887,12 +940,15 @@ def run_cells(
         max(1, min(workers, len(specs))), mode, policy=policy
     ) as pool:
         payloads: list = specs
+        shared = False
         try:
             if mode == "process" and pool.workers > 1:
                 try:
-                    payloads = _post_cells(specs, posts)
-                except (OSError, pickle.PicklingError):
-                    pass  # each cell pickles its own instance
+                    payloads, shared = _ship_cells(specs, posts)
+                except (pickle.PicklingError, AttributeError, TypeError):
+                    # An unpicklable cell: the pool fails on it too and
+                    # the grid ends on its serial rerun.
+                    pass
             settled, report = pool._run(
                 _guarded_execute_chunk,
                 payloads,
@@ -904,7 +960,7 @@ def run_cells(
         finally:
             for post in posts.values():
                 post.close()
-    if report.mode == "process" and payloads is not specs:
+    if report.mode == "process" and shared:
         report.transport = "shm"
     return [
         CellFailure(
@@ -916,6 +972,11 @@ def run_cells(
             circuit_open=circuit_open,
         )
         if isinstance(value, _CellError)
-        else replace(value, attempts=attempts)
+        else replace(
+            _loads(value, spec.instance)
+            if isinstance(value, bytes)
+            else value,
+            attempts=attempts,
+        )
         for spec, (value, attempts, circuit_open) in zip(specs, settled)
     ], report

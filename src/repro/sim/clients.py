@@ -91,13 +91,7 @@ def _measure(
     Raises what the per-request loop raises, for the first offending
     request in stream order.
     """
-    pages = np.array(
-        [
-            (page.page_id, page.expected_time, page.group_index)
-            for page in instance.pages()
-        ],
-        dtype=np.float64,
-    )
+    pages = instance.page_table()
     index = AppearanceIndex.from_program(program)
     rows = index.rows_for(pages[:, 0].astype(np.int64))[positions]
     offending = (positions < 0) | (rows < 0)

@@ -461,6 +461,170 @@ class TestPickleProperties:
         assert (program.version, _program_view(program)) == before
 
 
+@st.composite
+def grids(draw):
+    """A random list grid: 1-4 channels, 1-12 slots, some cells free."""
+    from repro.core.program import FREE
+
+    channels = draw(st.integers(1, 4))
+    cycle = draw(st.integers(1, 12))
+    page_ids = st.integers(-3, 20).filter(lambda pid: pid != FREE)
+    return [
+        draw(st.lists(st.none() | page_ids, min_size=cycle, max_size=cycle))
+        for _ in range(channels)
+    ]
+
+
+def _lazy_programs(grid):
+    """Makers of the grid's program with only its packed grid built."""
+    import pickle
+
+    import numpy as np
+
+    from repro.core.program import FREE, BroadcastProgram
+
+    packed = np.array(
+        [[FREE if cell is None else cell for cell in row] for row in grid]
+    )
+    built = BroadcastProgram.from_grid(grid)
+    return {
+        "from_array": lambda: BroadcastProgram.from_array(packed),
+        "unpickled": lambda: pickle.loads(pickle.dumps(built)),
+    }
+
+
+def _equalities(program):
+    """``==`` against a lazy twin and against an empty program."""
+    import pickle
+
+    from repro.core.program import BroadcastProgram
+
+    return (
+        program == pickle.loads(pickle.dumps(program)),
+        program == BroadcastProgram(
+            program.num_channels, program.cycle_length
+        ),
+    )
+
+
+#: Every method that reads the list grid, as a comparable answer.
+_LIST_READERS = {
+    "get": lambda p: [
+        p.get(channel, slot)
+        for channel in range(p.num_channels)
+        for slot in range(p.cycle_length)
+    ],
+    "is_free": lambda p: [
+        p.is_free(channel, slot)
+        for channel in range(p.num_channels)
+        for slot in range(p.cycle_length)
+    ],
+    "free_slot_in_channel_window": lambda p: [
+        p.free_slot_in_channel_window(channel, window)
+        for channel in range(p.num_channels)
+        for window in range(p.cycle_length + 2)
+    ],
+    "free_channel_in_column": lambda p: [
+        p.free_channel_in_column(slot) for slot in range(p.cycle_length)
+    ],
+    "free_cells": lambda p: list(p.free_cells()),
+    "occupancy": lambda p: p.occupancy(),
+    "grid_rows": lambda p: p.grid_rows(),
+    "to_dict": lambda p: p.to_dict(),
+    "to_json": lambda p: p.to_json(),
+    "render": lambda p: p.render(),
+    "repr": repr,
+    "eq": _equalities,
+    "copy": lambda p: (p.copy().version, _program_view(p.copy())),
+    "view": _program_view,
+}
+
+
+class TestLazyListGrid:
+    """Programs built from a packed grid derive their list grid on demand.
+
+    ``from_array`` and unpickling build only the packed grid; every
+    list-reading method must answer as a ``from_grid`` build does, and
+    every edit must keep the two grids in step whether or not the list
+    exists yet.
+    """
+
+    @given(grid=grids())
+    @settings(max_examples=60, deadline=None)
+    def test_every_list_reader_matches_a_list_build(self, grid):
+        from repro.core.program import BroadcastProgram
+
+        expected = BroadcastProgram.from_grid(grid)
+        for make in _lazy_programs(grid).values():
+            for name, read in _LIST_READERS.items():
+                program = make()
+                assert program._grid is None, name
+                assert read(program) == read(expected), name
+
+    @given(grid=grids(), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_edits_keep_both_grids_in_step(self, grid, data):
+        from repro.core.program import FREE, BroadcastProgram
+
+        maker = data.draw(st.sampled_from(sorted(_lazy_programs(grid))))
+        program = _lazy_programs(grid)[maker]()
+        expected = BroadcastProgram.from_grid(grid)
+        channels, cycle = expected.num_channels, expected.cycle_length
+        cells = st.tuples(
+            st.integers(0, channels - 1), st.integers(0, cycle - 1)
+        )
+        page_ids = st.integers(0, 6)
+        steps = data.draw(st.integers(0, 12))
+        build_at = data.draw(st.integers(0, steps))
+        for step in range(steps):
+            if step == build_at:
+                program.grid_rows()  # the list exists from here on
+            if data.draw(st.booleans()):
+                program.page_ids()  # a built index gets patched
+            op = data.draw(
+                st.sampled_from(
+                    ("assign", "clear", "assign_page", "clear_page")
+                )
+            )
+            if op == "assign":
+                channel, slot = data.draw(cells)
+                if expected.is_free(channel, slot):
+                    page_id = data.draw(page_ids)
+                    expected.assign(channel, slot, page_id)
+                    program.assign(channel, slot, page_id)
+            elif op == "clear":
+                channel, slot = data.draw(cells)
+                assert program.clear(channel, slot) == expected.clear(
+                    channel, slot
+                )
+            elif op == "assign_page":
+                page_id = data.draw(page_ids)
+                chosen = sorted(
+                    cell
+                    for cell in set(data.draw(st.lists(cells, max_size=4)))
+                    if expected.is_free(*cell)
+                )
+                for cell in chosen:
+                    expected.assign(*cell, page_id)
+                program.assign_page(
+                    page_id,
+                    [channel for channel, _ in chosen],
+                    [slot for _, slot in chosen],
+                )
+            else:
+                page_id = data.draw(page_ids)
+                freed = expected.clear_page(page_id)
+                assert program.clear_page(page_id) == freed
+        assert program.version == expected.version
+        packed = program.packed_grid().tolist()
+        rows = program.grid_rows()
+        assert packed == [
+            [FREE if cell is None else cell for cell in row] for row in rows
+        ]
+        assert rows == expected.grid_rows()
+        assert _program_view(program) == _program_view(expected)
+
+
 def _oracle_table(program):
     """The per-page appearance table, built the obvious way.
 

@@ -19,7 +19,14 @@ from multiprocessing import shared_memory
 import pytest
 
 from repro.core.pages import instance_from_counts
-from repro.engine import BroadcastEngine
+from repro.core.pamad import schedule_pamad
+from repro.engine import (
+    BroadcastEngine,
+    ExecutionPolicy,
+    SchedulerRegistry,
+    get_scheduler,
+    program_key,
+)
 from repro.engine import executor
 from repro.federation import FederatedBroadcastService
 from repro.workload.mutations import generate_mutation_trace
@@ -131,6 +138,104 @@ class TestNoLeakedBlocks:
         report = _federation(workers=2, mode="process")
         assert report.transport == "shm"
         _assert_unlinked(shm_posts)
+
+
+def _crashing_scheduler(instance, num_channels):
+    """A picklable scheduler that always raises."""
+    raise ValueError("deliberate crash")
+
+
+#: Sweep flavours whose outcomes must agree: ``(workers, executor,
+#: shared memory allowed)``.
+FLAVOURS = {
+    "serial": (1, "serial", True),
+    "thread": (2, "thread", True),
+    "shm": (2, "process", True),
+    "pickle": (2, "process", False),
+}
+
+
+class TestPoolMatchesSerial:
+    """Every executor flavour leaves the same points, failures and cache.
+
+    A pooled result is unpickled in the parent with the caller's own
+    instance put back, so cached schedules must hold that very object,
+    as a serial run's do, on a fresh sweep and on a cache-hit re-sweep.
+    """
+
+    ALGORITHMS = ("pamad", "m-pb", "opt", "crash")
+
+    def _run(self, instance, flavour, monkeypatch):
+        workers, mode, shared = FLAVOURS[flavour]
+        registry = SchedulerRegistry()
+        for name in self.ALGORITHMS[:-1]:
+            registry.register(name, get_scheduler(name))
+        registry.register("crash", _crashing_scheduler)
+        engine = BroadcastEngine(
+            registry=registry,
+            workers=workers,
+            executor=mode,
+            execution=ExecutionPolicy(
+                retries=0, backoff=0.0, breaker_threshold=0
+            ),
+        )
+        grid = {**SWEEP_KWARGS, "algorithms": self.ALGORITHMS}
+        with monkeypatch.context() as patch:
+            if not shared:
+                def refuse(*args, **kwargs):
+                    raise OSError(28, "No space left on device")
+
+                patch.setattr(shared_memory, "SharedMemory", refuse)
+            first = engine.sweep(instance, **grid)
+            second = engine.sweep(instance, **grid)
+        entries = {}
+        for channels in SWEEP_KWARGS["channel_points"]:
+            for name in self.ALGORITHMS[:-1]:
+                entry = engine.cache.get(
+                    program_key(
+                        instance, name, channels, registry.get(name)
+                    )
+                )
+                entries[name, channels] = entry.schedule
+        return first, second, entries
+
+    @staticmethod
+    def _cache_view(entries):
+        return {
+            key: (
+                schedule.program.packed_grid().tolist(),
+                schedule.average_delay,
+                dict(schedule.meta),
+            )
+            for key, schedule in entries.items()
+        }
+
+    @pytest.mark.parametrize("flavour", ["thread", "shm", "pickle"])
+    def test_flavour_matches_serial(
+        self, fig2_instance, flavour, monkeypatch
+    ):
+        serial = self._run(fig2_instance, "serial", monkeypatch)
+        pooled = self._run(fig2_instance, flavour, monkeypatch)
+        for (first, second, entries), expected_mode in (
+            (serial, "serial"),
+            (pooled, FLAVOURS[flavour][1]),
+        ):
+            assert first.manifest.executor["mode"] == expected_mode
+            assert second.manifest.executor["mode"] == expected_mode
+            # Every schedule is a hit; only the crashing cells miss.
+            assert second.manifest.cache_run.hits == len(second.points)
+            assert second.points == first.points
+            assert second.failures == first.failures
+            assert all(
+                schedule.instance is fig2_instance
+                for schedule in entries.values()
+            )
+        if flavour in ("shm", "pickle"):
+            assert pooled[0].manifest.executor["transport"] == flavour
+        assert _measured(pooled[0].points) == _measured(serial[0].points)
+        assert pooled[0].failures == serial[0].failures
+        assert len(pooled[0].failures) == len(SWEEP_KWARGS["channel_points"])
+        assert self._cache_view(pooled[2]) == self._cache_view(serial[2])
 
 
 class TestAttachCache:
