@@ -12,9 +12,18 @@ where ``frame`` is exactly the versioned envelope
 :func:`repro.api.encode` produces (so the journal speaks the same
 canonical codec as the wire), ``seq`` is a contiguous 1-based sequence
 number and ``sha`` is the first 16 hex digits of the SHA-256 of the
-record's canonical frame line.  Records are written *before* the
+record's canonical frame line — the request's
+:func:`repro.api.encode_line` text.  Records are written *before* the
 request is dispatched (write-ahead), so an accepted mutation survives a
 crash at any point after its ``append`` returns.
+
+A record is built from that one line: ``sha`` hashes it and the record
+text splices it, newline dropped, between ``{"frame":`` and the
+``seq``/``sha`` tail.  Both are canonical JSON with sorted keys and
+compact separators, and ``frame`` < ``seq`` < ``sha``, so the splice is
+byte-equal to dumping the whole record and the request is serialised
+once per append.  The control plane passes in the line it encoded for
+the session's durability trail.
 
 Durability knobs and guarantees:
 
@@ -51,7 +60,7 @@ import os
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
-from repro.api.codec import decode, encode
+from repro.api.codec import decode, encode_line
 from repro.core.errors import JournalError, ReproError
 
 __all__ = [
@@ -71,10 +80,22 @@ def _canonical(payload: Mapping) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _line_checksum(line: str) -> str:
+    return hashlib.sha256(line.encode("utf-8")).hexdigest()[:16]
+
+
 def _frame_checksum(frame: Mapping) -> str:
-    return hashlib.sha256(
-        (_canonical(frame) + "\n").encode("utf-8")
-    ).hexdigest()[:16]
+    return _line_checksum(_canonical(frame) + "\n")
+
+
+def _record_line(line: str, seq: int) -> bytes:
+    """The journal record of the request whose canonical frame line is
+    ``line``: ``_canonical({"frame": ..., "seq": seq, "sha": ...})``
+    and its newline, built around the line instead of re-encoding it."""
+    return (
+        f'{{"frame":{line[:-1]},"seq":{seq},'
+        f'"sha":"{_line_checksum(line)}"}}\n'
+    ).encode("utf-8")
 
 
 class Journal:
@@ -244,21 +265,19 @@ class Journal:
     # Appending
     # ------------------------------------------------------------------
 
-    def append(self, message: object) -> int:
+    def append(self, message: object, line: str | None = None) -> int:
         """Journal one typed request; returns its sequence number.
 
-        The record is durable (to the configured fsync policy) before
-        this method returns — callers dispatch *after* appending, the
-        write-ahead contract.
+        ``line`` is the request's :func:`~repro.api.codec.encode_line`
+        frame when the caller already holds it; it is encoded here
+        otherwise.  The record is durable (to the configured fsync
+        policy) before this method returns — callers dispatch *after*
+        appending, the write-ahead contract.
         """
         handle = self._require_handle()
-        frame = encode(message)
-        record = {
-            "frame": frame,
-            "seq": self._next_seq,
-            "sha": _frame_checksum(frame),
-        }
-        handle.write((_canonical(record) + "\n").encode("utf-8"))
+        if line is None:
+            line = encode_line(message)
+        handle.write(_record_line(line, self._next_seq))
         handle.flush()
         self._unsynced += 1
         if self.fsync == "always" or (
@@ -311,7 +330,7 @@ class Journal:
         """Stable digest of the journaled request stream."""
         digest = hashlib.sha256()
         for message in self._messages:
-            digest.update((_canonical(encode(message)) + "\n").encode())
+            digest.update(encode_line(message).encode("utf-8"))
         return digest.hexdigest()[:16]
 
     # ------------------------------------------------------------------
@@ -344,15 +363,7 @@ class Journal:
             }
             writer.write((_canonical(header) + "\n").encode("utf-8"))
             for seq, message in enumerate(messages, start=1):
-                frame = encode(message)
-                record = {
-                    "frame": frame,
-                    "seq": seq,
-                    "sha": _frame_checksum(frame),
-                }
-                writer.write(
-                    (_canonical(record) + "\n").encode("utf-8")
-                )
+                writer.write(_record_line(encode_line(message), seq))
             writer.flush()
             os.fsync(writer.fileno())
         handle.close()

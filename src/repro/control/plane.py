@@ -10,9 +10,11 @@ Layering, innermost out:
   is appended (write-ahead) before it is dispatched, and
   :meth:`ControlPlane.recover` replays a journaled prefix through the
   deterministic dispatcher to rebuild byte-identical session state
-  after a crash.  ``MutationBatch`` requests carrying a ``request_id``
-  are deduplicated inside a bounded window, so an ambiguous retry never
-  double-applies.
+  after a crash.  Each state-mutating request is encoded once, as its
+  canonical :func:`repro.api.encode_line` frame: that one line is the
+  journal record's frame and the session's durability-trail entry.
+  ``MutationBatch`` requests carrying a ``request_id`` are deduplicated
+  inside a bounded window, so an ambiguous retry never double-applies.
 * :class:`ControlPlaneServer` — the asyncio shell: newline-delimited
   JSON frames (see :func:`repro.api.encode_line`) over a UNIX or TCP
   socket, one request → one response per line, stdlib ``asyncio`` only.
@@ -60,6 +62,7 @@ from repro.api.types import (
 )
 from repro.control.session import ServiceSession
 from repro.core.errors import ControlPlaneDisconnected, ReproError
+from repro.live.catalog import deadline_histogram, required_channels_of
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.control.chaos import ChaosPolicy
@@ -209,7 +212,8 @@ class ControlPlane:
 
         Order of operations for mutating requests: duplicate check
         first (a dedup hit answers from the window without touching the
-        journal), then the write-ahead append, then dispatch.
+        journal), then the one canonical encoding, the write-ahead
+        append, then dispatch.
         Structural errors (:class:`~repro.core.errors.ReproError`) map
         to ``bad-request`` :class:`ApiError` responses; anything else is
         reported as ``internal`` so one poisoned request cannot take
@@ -223,20 +227,19 @@ class ControlPlane:
             if cached is not None:
                 self._dedup.move_to_end(dedup_key)
                 return cached
-        if (
-            self.journal is not None
-            and not self._replaying
-            and isinstance(message, _MUTATING_TYPES)
-        ):
-            try:
-                self.journal.append(message)
-            except OSError as error:  # pragma: no cover - disk faults
-                return ApiError(
-                    code="internal",
-                    message=f"journal append failed: {error}",
-                )
+        line = ""
+        if isinstance(message, _MUTATING_TYPES):
+            line = encode_line(message)
+            if self.journal is not None and not self._replaying:
+                try:
+                    self.journal.append(message, line)
+                except OSError as error:  # pragma: no cover - disk faults
+                    return ApiError(
+                        code="internal",
+                        message=f"journal append failed: {error}",
+                    )
         try:
-            response = self._dispatch(message)
+            response = self._dispatch(message, line)
         except ReproError as error:
             response = ApiError(code="bad-request", message=str(error))
         except Exception as error:  # pragma: no cover - defensive
@@ -260,7 +263,9 @@ class ControlPlane:
             )
         return encode_line(self.handle(message))
 
-    def _dispatch(self, message: object) -> object:
+    def _dispatch(self, message: object, line: str) -> object:
+        """Answer one request; ``line`` is a mutating request's
+        canonical frame (empty for queries)."""
         if isinstance(message, CreateServiceRequest):
             if message.name in self._sessions:
                 return ApiError(
@@ -269,14 +274,14 @@ class ControlPlane:
                         f"a service named {message.name!r} already exists"
                     ),
                 )
-            session = ServiceSession(message)
+            session = ServiceSession(message, line)
             self._sessions[message.name] = session
             return session.created()
         if isinstance(message, MutationBatch):
             session = self._sessions.get(message.service)
             if session is None:
                 return self._unknown(message.service)
-            return session.apply_batch(message)
+            return session.apply_batch(message, line)
         if isinstance(message, SloQuery):
             session = self._sessions.get(message.service)
             if session is None:
@@ -321,7 +326,6 @@ class ControlPlane:
         # A pure planning probe: partition the catalog on the ring and
         # judge each shard against Theorem 3.1.  No session is created
         # and nothing is journaled, so probing is free and replay-safe.
-        from repro.federation.admission import required_channels_of
         from repro.federation.ring import ShardRing, partition_catalog
 
         groups = len(set(message.catalog.values()))
@@ -340,10 +344,9 @@ class ControlPlane:
         requirements = []
         for shard in ring.shards:
             catalog = partitions[shard]
-            histogram: dict[int, int] = {}
-            for expected in catalog.values():
-                histogram[expected] = histogram.get(expected, 0) + 1
-            required = required_channels_of(histogram)
+            required = required_channels_of(
+                deadline_histogram(catalog.values())
+            )
             requirements.append(required)
             entries.append(
                 {

@@ -42,7 +42,7 @@ contract of the control plane's byte-identical replay.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Collection, Mapping, Sequence
 
 from repro.api.types import (
     RemediationCandidate,
@@ -51,40 +51,35 @@ from repro.api.types import (
 )
 from repro.core.frequencies import pamad_frequencies_for
 from repro.core.intmath import ceil_div
-from repro.live.catalog import LiveCatalog
+from repro.live.catalog import required_channels_of
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.live.service import LiveBroadcastService
 
-__all__ = ["RemediationEngine", "plan_stats"]
+__all__ = ["RemediationEngine", "plan_stats", "queued_deadlines"]
 
 #: Strict-improvement tolerance for the model-delay comparison.
 _DELAY_EPS = 1e-9
 
 
-def _grouped(catalog: Mapping[int, int]) -> tuple[list[int], list[int]]:
-    """Group a ``page_id -> expected_time`` map into (sizes, times)."""
-    by_time: dict[int, int] = {}
-    for expected in catalog.values():
-        by_time[expected] = by_time.get(expected, 0) + 1
-    times = sorted(by_time)
-    return [by_time[t] for t in times], times
-
-
 def plan_stats(
-    catalog: Mapping[int, int], budget: int
+    histogram: Mapping[int, int], budget: int
 ) -> tuple[int, float, int]:
     """Judge a candidate catalog against a channel budget.
 
+    The catalog is given as its ``expected_time -> page count``
+    histogram (:meth:`~repro.live.catalog.LiveCatalog.deadline_counts`):
+    Theorem 3.1 and the Eq. 2/3/5/7 model read nothing else, so every
+    what-if is a histogram edit, never a copy of the page mapping.
+
     Returns ``(required_channels, predicted_delay, cycle_length)``:
-    the exact Theorem-3.1 requirement, the Eq. 2/3/5/7 model delay of
-    the plan the budget affords (0.0 when the budget covers the
-    requirement — a valid program exists), and that plan's major-cycle
-    length.  Works on raw vectors; no :class:`ProblemInstance` is built,
-    so probing candidates stays cheap.
+    the exact Theorem-3.1 requirement, the model delay of the plan the
+    budget affords (0.0 when the budget covers the requirement — a
+    valid program exists), and that plan's major-cycle length.
     """
-    required = LiveCatalog(catalog).required_channels()
-    sizes, times = _grouped(catalog)
+    required = required_channels_of(histogram)
+    times = sorted(histogram)
+    sizes = [histogram[t] for t in times]
     if required <= budget:
         t_h = times[-1]
         frequencies = [ceil_div(t_h, t) for t in times]
@@ -96,6 +91,23 @@ def plan_stats(
         assignment.predicted_delay,
         assignment.cycle_length(sizes),
     )
+
+
+def queued_deadlines(live: "LiveBroadcastService") -> list[int]:
+    """Deadlines of the pages the admission queue would add.
+
+    FIFO order; a queued insert whose page id is already catalogued, or
+    already queued ahead of it, adds no page and is skipped.  This is
+    the load the queue has been promised, which an SLO answer and the
+    grown-budget candidate both count as committed.
+    """
+    seen: set[int] = set()
+    deadlines = []
+    for event in live.admission.queued:
+        if event.page_id not in live.catalog and event.page_id not in seen:
+            seen.add(event.page_id)
+            deadlines.append(event.expected_time)
+    return deadlines
 
 
 class RemediationEngine:
@@ -199,15 +211,14 @@ class RemediationEngine:
     # Proposer
     # ------------------------------------------------------------------
 
-    def _worst_class(self, catalog: Mapping[int, int]) -> int:
+    def _worst_class(self, live_times: Collection[int]) -> int:
         """The catalog deadline class most in breach of its SLO.
 
         Ranked by per-class miss rate (then miss count, then tightness)
-        over classes that still have pages in the catalog; with no
-        listener evidence yet, the tightest class carries the most load
-        per page and is the default suspect.
+        over ``live_times``, the classes that still have pages in the
+        catalog; with no listener evidence yet, the tightest class
+        carries the most load per page and is the default suspect.
         """
-        live_times = set(catalog.values())
         ranked = sorted(
             (
                 (stats["miss_rate"], stats["misses"], -expected, expected)
@@ -240,15 +251,49 @@ class RemediationEngine:
     def _remediate(
         self, trigger: str, evidence: dict, now: float
     ) -> RemediationRecord:
+        candidates, retune_pages, retune_to, shed_pages = self._propose()
+        applied = self._pick(candidates)
+        applied_detail: Mapping[str, object] = {}
+        if applied is not None:
+            applied_detail = applied.detail
+            self._apply(applied, retune_pages, retune_to, shed_pages)
+        self.live._record(
+            "remediation",
+            trigger=trigger,
+            candidates=len(candidates),
+            applied=None if applied is None else applied.action,
+        )
+        return RemediationRecord(
+            service=self.name,
+            time=now,
+            trigger=trigger,
+            evidence=evidence,
+            candidates=tuple(candidates),
+            applied=None if applied is None else applied.action,
+            applied_detail=applied_detail,
+        )
+
+    def _propose(
+        self,
+    ) -> tuple[list[RemediationCandidate], list[int], int | None, list[int]]:
+        """Price every enabled candidate action, in proposal order.
+
+        Each candidate is an edit of the catalog's deadline histogram,
+        priced by :func:`plan_stats`; only the retune and shed page
+        lists read page ids.  Returns the candidates plus what
+        :meth:`_apply` needs: the pages to retune and their new
+        deadline, and the pages to shed.
+        """
         live = self.live
-        catalog = live.catalog.pages()
+        catalog = live.catalog
+        histogram = catalog.deadline_counts()
         budget = live.budget
         total = len(catalog)
         current_required, current_delay, current_cycle = plan_stats(
-            catalog, budget
+            histogram, budget
         )
-        worst = self._worst_class(catalog)
-        ladder = sorted(set(catalog.values()))
+        worst = self._worst_class(histogram)
+        ladder = sorted(histogram)
         candidates: list[RemediationCandidate] = []
 
         retune_to: int | None = None
@@ -260,12 +305,9 @@ class RemediationEngine:
             retune_to = (
                 ladder[rung + 1] if rung + 1 < len(ladder) else worst * 2
             )
-            retune_pages = sorted(
-                p for p, t in catalog.items() if t == worst
-            )
-            cand = dict(catalog)
-            for page in retune_pages:
-                cand[page] = retune_to
+            retune_pages = catalog.pages_at(worst)
+            cand = dict(histogram)
+            cand[retune_to] = cand.get(retune_to, 0) + cand.pop(worst)
             required, delay, cycle = plan_stats(cand, budget)
             moved = total if cycle != current_cycle else len(retune_pages)
             passed, reason = self._judge(
@@ -294,16 +336,15 @@ class RemediationEngine:
             # Shed highest page ids of the worst class until the load
             # fits the budget (never the whole catalog); when the load
             # already fits, shed one page to relieve SLO pressure.
-            cand = dict(catalog)
-            for page in sorted(
-                (p for p, t in catalog.items() if t == worst),
-                reverse=True,
-            ):
-                if len(cand) == 1:
+            cand = dict(histogram)
+            for page in reversed(catalog.pages_at(worst)):
+                if total - len(shed_pages) == 1:
                     break
-                del cand[page]
+                cand[worst] -= 1
+                if not cand[worst]:
+                    del cand[worst]
                 shed_pages.append(page)
-                if LiveCatalog(cand).required_channels() <= budget:
+                if required_channels_of(cand) <= budget:
                     break
             if shed_pages:
                 required, delay, _ = plan_stats(cand, budget)
@@ -336,10 +377,9 @@ class RemediationEngine:
             # Growing the budget re-plans everything and lets the
             # admission queue drain, so judge the catalog plus its
             # queued inserts at the grown budget.
-            cand = dict(catalog)
-            for event in live.admission.queued:
-                if event.page_id not in cand:
-                    cand[event.page_id] = event.expected_time
+            cand = dict(histogram)
+            for expected in queued_deadlines(live):
+                cand[expected] = cand.get(expected, 0) + 1
             required, delay, _ = plan_stats(cand, budget + 1)
             if self.extra_channels >= self.policy.max_extra_channels:
                 passed, reason = False, "channel-cap"
@@ -364,44 +404,24 @@ class RemediationEngine:
                 )
             )
 
-        required, delay, _ = plan_stats(catalog, budget)
+        # A re-plan keeps the catalog: it is priced as it stands.
         passed, reason = self._judge(
-            required, budget, delay, current_delay, total
+            current_required, budget, current_delay, current_delay, total
         )
         candidates.append(
             RemediationCandidate(
                 action="full_replan",
                 detail={},
-                required_channels=required,
+                required_channels=current_required,
                 budget=budget,
-                predicted_delay=delay,
+                predicted_delay=current_delay,
                 pages_moved=total,
                 move_budget=self.policy.max_pages_moved,
                 passed=passed,
                 reason=reason,
             )
         )
-
-        applied = self._pick(candidates)
-        applied_detail: Mapping[str, object] = {}
-        if applied is not None:
-            applied_detail = applied.detail
-            self._apply(applied, retune_pages, retune_to, shed_pages)
-        live._record(
-            "remediation",
-            trigger=trigger,
-            candidates=len(candidates),
-            applied=None if applied is None else applied.action,
-        )
-        return RemediationRecord(
-            service=self.name,
-            time=now,
-            trigger=trigger,
-            evidence=evidence,
-            candidates=tuple(candidates),
-            applied=None if applied is None else applied.action,
-            applied_detail=applied_detail,
-        )
+        return candidates, retune_pages, retune_to, shed_pages
 
     @staticmethod
     def _pick(

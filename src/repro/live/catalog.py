@@ -19,13 +19,25 @@ divisibility automatically.
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from collections import Counter
+from itertools import chain
+from typing import Iterable, Mapping
 
 from repro.core.errors import InvalidInstanceError
 from repro.core.intmath import ceil_div
 from repro.core.pages import Group, Page, ProblemInstance
 
-__all__ = ["LiveCatalog", "required_channels_of"]
+__all__ = ["LiveCatalog", "deadline_histogram", "required_channels_of"]
+
+
+def deadline_histogram(expected_times: Iterable[int]) -> dict[int, int]:
+    """Count pages per deadline: the ``expected_time -> page count``
+    histogram of a sequence of page deadlines, keyed in first-seen order.
+
+    Theorem 3.1's floor (:func:`required_channels_of`) and the PAMAD
+    delay model both read a catalog through this histogram alone.
+    """
+    return dict(Counter(expected_times))
 
 
 def required_channels_of(histogram: Mapping[int, int]) -> int:
@@ -68,10 +80,10 @@ class LiveCatalog:
                     f"page {page_id}: expected_time must be positive, "
                     f"got {expected}"
                 )
-        self._counts: dict[int, int] = {}
-        for expected in self._times.values():
-            self._counts[expected] = self._counts.get(expected, 0) + 1
+        self._counts = deadline_histogram(self._times.values())
         self._required: int | None = None
+        self._instance: ProblemInstance | None = None
+        self._load_terms: list[float] | None = None
 
     # ------------------------------------------------------------------
     # Read access
@@ -99,6 +111,14 @@ class LiveCatalog:
     def deadline_counts(self) -> dict[int, int]:
         """A snapshot copy of the ``expected_time -> page count`` histogram."""
         return dict(self._counts)
+
+    def pages_at(self, expected_time: int) -> list[int]:
+        """The ids of the pages with deadline ``expected_time``, ascending."""
+        return sorted(
+            page_id
+            for page_id, expected in self._times.items()
+            if expected == expected_time
+        )
 
     # ------------------------------------------------------------------
     # Mutation primitives
@@ -147,6 +167,8 @@ class LiveCatalog:
         else:
             del self._counts[expected_time]
         self._required = None
+        self._instance = None
+        self._load_terms = None
 
     # ------------------------------------------------------------------
     # Theorem-3.1 load
@@ -180,9 +202,22 @@ class LiveCatalog:
             histogram[add] = histogram.get(add, 0) + 1
         return required_channels_of(histogram)
 
-    def channel_load(self) -> float:
-        """The fractional demand ``sum_i P_i / t_i`` in channel units."""
-        return sum(1.0 / expected for expected in self._times.values())
+    def channel_load(self, extra: Iterable[int] = ()) -> float:
+        """The fractional demand ``sum_i P_i / t_i`` in channel units.
+
+        ``extra`` appends the deadlines of pages not in the catalog.  The
+        terms are one builtin ``sum`` in catalog order, then ``extra``'s
+        order, so the result is the float a mapping of the same pages in
+        that order sums to, on every interpreter's ``sum``.  The
+        catalog's terms are kept until its next mutation.
+        """
+        if self._load_terms is None:
+            self._load_terms = [
+                1.0 / expected for expected in self._times.values()
+            ]
+        return sum(
+            chain(self._load_terms, (1.0 / expected for expected in extra))
+        )
 
     # ------------------------------------------------------------------
     # Snapshots
@@ -194,12 +229,18 @@ class LiveCatalog:
         Pages sharing an expected time become one group; groups are
         numbered 1..h in ascending-deadline order with pages in page-id
         order, so equal catalogs produce fingerprint-equal instances
-        (the engine's program cache keys on that).
+        (the engine's program cache keys on that).  The snapshot is
+        kept until the next mutation.
 
         Raises:
             InvalidInstanceError: If the live expected times no longer
                 form a divisibility ladder.
         """
+        if self._instance is None:
+            self._instance = self._snapshot()
+        return self._instance
+
+    def _snapshot(self) -> ProblemInstance:
         by_time: dict[int, list[int]] = {}
         for page_id, expected in self._times.items():
             by_time.setdefault(expected, []).append(page_id)

@@ -47,16 +47,25 @@ paper's §3.2 comparison.
   vectorised :func:`~repro.sim.clients.replay_requests` and
   :func:`~repro.sim.clients.measure_program` must return an equal
   :class:`~repro.sim.clients.MeasurementResult`, float for float.
+* :func:`plan_stats_reference`, :func:`slo_verdict_reference` and
+  :func:`propose_reference` — the control plane's what-if pricing over
+  a ``page_id -> expected_time`` mapping: a copy of the catalog per
+  what-if, edited page by page and judged through a fresh
+  :class:`~repro.live.catalog.LiveCatalog`, the shed loop rebuilding
+  one per shed page.  The histogram-edit pricing of
+  ``ServiceSession.slo_query`` and ``RemediationEngine._propose`` must
+  return equal verdicts and candidates, ``channel_load`` bit for bit.
 """
 
 from __future__ import annotations
 
 from functools import partial
 import math
-from typing import Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
+from repro.api.types import RemediationCandidate, SloQuery, SloVerdict
 from repro.core.bounds import minimum_channels
 from repro.core.delay import paper_group_delay
 from repro.core.errors import (
@@ -66,6 +75,7 @@ from repro.core.errors import (
     SimulationError,
 )
 from repro.core.frequencies import (
+    pamad_frequencies_for,
     FrequencyAssignment,
     frequencies_from_r,
     r_upper_bound,
@@ -81,9 +91,14 @@ from repro.federation.service import (
     RoutedTrace,
     _RouterState,
 )
+from repro.live.catalog import LiveCatalog, deadline_histogram
 from repro.live.service import LiveBroadcastService, LiveReport
 from repro.sim.clients import MeasurementResult
 from repro.sim.metrics import StreamingStats
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.control.remediation import RemediationEngine
+    from repro.control.session import ServiceSession
 
 __all__ = [
     "federate_sequential",
@@ -91,8 +106,11 @@ __all__ = [
     "opt_frequencies_exhaustive",
     "place_by_frequency_reference",
     "place_sequential_reference",
+    "plan_stats_reference",
+    "propose_reference",
     "replay_requests_sequential",
     "route_sequential",
+    "slo_verdict_reference",
     "susc_reference",
     "try_place_reference",
 ]
@@ -586,3 +604,183 @@ def replay_requests_sequential(
             index: stats.mean for index, stats in sorted(group_stats.items())
         },
     )
+
+
+# ----------------------------------------------------------------------
+# Control plane what-ifs
+# ----------------------------------------------------------------------
+
+
+def plan_stats_reference(
+    catalog: Mapping[int, int], budget: int
+) -> tuple[int, float, int]:
+    """``plan_stats`` over a ``page_id -> expected_time`` mapping.
+
+    The requirement comes from a fresh :class:`LiveCatalog` of the
+    mapping, the model from its grouped (sizes, times) vectors.
+    """
+    required = LiveCatalog(catalog).required_channels()
+    by_time = deadline_histogram(catalog.values())
+    times = sorted(by_time)
+    sizes = [by_time[t] for t in times]
+    if required <= budget:
+        t_h = times[-1]
+        frequencies = [ceil_div(t_h, t) for t in times]
+        slots = sum(s * p for s, p in zip(frequencies, sizes))
+        return required, 0.0, ceil_div(slots, budget)
+    assignment = pamad_frequencies_for(sizes, times, budget)
+    return (
+        required,
+        assignment.predicted_delay,
+        assignment.cycle_length(sizes),
+    )
+
+
+def slo_verdict_reference(
+    session: "ServiceSession", query: SloQuery
+) -> SloVerdict:
+    """``ServiceSession.slo_query`` over a copy of the page mapping.
+
+    The queue's new pages and the query's pages are added to the copy
+    under their own ids (the query's above every id in use), and the
+    load is summed over the copy's values in insertion order.
+    """
+    live = session.live
+    candidate = live.catalog.pages()
+    queued_pages = 0
+    for event in live.admission.queued:
+        if event.page_id not in candidate:
+            candidate[event.page_id] = event.expected_time
+            queued_pages += 1
+    next_id = max(candidate) + 1
+    for offset in range(query.pages):
+        candidate[next_id + offset] = query.expected_time
+    required, predicted_delay, _ = plan_stats_reference(
+        candidate, live.budget
+    )
+    achievable = required <= live.budget
+    return SloVerdict(
+        service=session.request.name,
+        achievable=achievable,
+        required_channels=required,
+        budget=live.budget,
+        headroom=live.budget - required,
+        channel_load=sum(1.0 / t for t in candidate.values()),
+        predicted_delay=predicted_delay,
+        queued_pages=queued_pages,
+        reason="fits-budget" if achievable else "exceeds-budget",
+    )
+
+
+def propose_reference(
+    engine: "RemediationEngine",
+) -> tuple[list[RemediationCandidate], list[int], int | None, list[int]]:
+    """``RemediationEngine._propose`` over copies of the page mapping.
+
+    Every candidate edits its own copy of the catalog page by page; the
+    shed loop judges each removal through a fresh :class:`LiveCatalog`
+    and every candidate, the plain re-plan included, is priced by
+    :func:`plan_stats_reference`.
+    """
+    live = engine.live
+    policy = engine.policy
+    catalog = live.catalog.pages()
+    budget = live.budget
+    total = len(catalog)
+    current_required, current_delay, current_cycle = plan_stats_reference(
+        catalog, budget
+    )
+    worst = engine._worst_class(set(catalog.values()))
+    ladder = sorted(set(catalog.values()))
+    candidates: list[RemediationCandidate] = []
+
+    def candidate(action, detail, required, budget, delay, moved, verdict):
+        passed, reason = verdict
+        return RemediationCandidate(
+            action=action,
+            detail=detail,
+            required_channels=required,
+            budget=budget,
+            predicted_delay=delay,
+            pages_moved=moved,
+            move_budget=policy.max_pages_moved,
+            passed=passed,
+            reason=reason,
+        )
+
+    retune_to: int | None = None
+    retune_pages: list[int] = []
+    if policy.allow_retune:
+        rung = ladder.index(worst)
+        retune_to = ladder[rung + 1] if rung + 1 < len(ladder) else worst * 2
+        retune_pages = sorted(p for p, t in catalog.items() if t == worst)
+        cand = dict(catalog)
+        for page in retune_pages:
+            cand[page] = retune_to
+        required, delay, cycle = plan_stats_reference(cand, budget)
+        moved = total if cycle != current_cycle else len(retune_pages)
+        candidates.append(candidate(
+            "retune",
+            {
+                "expected_time": worst,
+                "new_expected_time": retune_to,
+                "pages": len(retune_pages),
+            },
+            required, budget, delay, moved,
+            engine._judge(required, budget, delay, current_delay, moved),
+        ))
+
+    shed_pages: list[int] = []
+    if policy.allow_shed:
+        cand = dict(catalog)
+        for page in sorted(
+            (p for p, t in catalog.items() if t == worst), reverse=True
+        ):
+            if len(cand) == 1:
+                break
+            del cand[page]
+            shed_pages.append(page)
+            if LiveCatalog(cand).required_channels() <= budget:
+                break
+        if shed_pages:
+            required, delay, _ = plan_stats_reference(cand, budget)
+            moved = len(shed_pages)
+            verdict = engine._judge(
+                required, budget, delay, current_delay, moved
+            )
+        else:
+            required, delay = current_required, current_delay
+            moved, verdict = 0, (False, "nothing-to-shed")
+        candidates.append(candidate(
+            "shed",
+            {"expected_time": worst, "pages": list(shed_pages)},
+            required, budget, delay, moved, verdict,
+        ))
+
+    if policy.allow_add_channel:
+        cand = dict(catalog)
+        for event in live.admission.queued:
+            if event.page_id not in cand:
+                cand[event.page_id] = event.expected_time
+        required, delay, _ = plan_stats_reference(cand, budget + 1)
+        if engine.extra_channels >= policy.max_extra_channels:
+            verdict = (False, "channel-cap")
+        else:
+            verdict = engine._judge(
+                required, budget + 1, delay, current_delay, total
+            )
+        candidates.append(candidate(
+            "add_channel",
+            {
+                "channels": budget + 1,
+                "queued_inserts": len(live.admission.queued),
+            },
+            required, budget + 1, delay, total, verdict,
+        ))
+
+    required, delay, _ = plan_stats_reference(catalog, budget)
+    candidates.append(candidate(
+        "full_replan", {}, required, budget, delay, total,
+        engine._judge(required, budget, delay, current_delay, total),
+    ))
+    return candidates, retune_pages, retune_to, shed_pages

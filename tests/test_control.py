@@ -6,11 +6,14 @@ the batched ``run`` up to its listener log entries), the synchronous
 :class:`ControlPlane` dispatcher, the detector → proposer → verifier
 remediation loop action by action, the byte-identical scripted-session
 determinism contract, the Theorem-3.1 SLO verdict checked against the
-brute-force frequency search, and the ``repro-air serve`` CLI.
+brute-force frequency search, the histogram-edit what-if pricing
+against the page-mapping oracles of :mod:`repro.oracles`, and the
+``repro-air serve`` CLI.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pathlib
 
@@ -36,6 +39,7 @@ from repro.api import (
     SloQuery,
     SloVerdict,
     decode_line,
+    encode_line,
 )
 from repro.baselines.opt import brute_force_frequencies
 from repro.cli import main
@@ -51,7 +55,13 @@ from repro.core.pages import instance_from_counts
 from repro.engine import BroadcastEngine
 from repro.engine.telemetry import MANIFEST_VERSION
 from repro.live import LiveBroadcastService, MutationTrace
-from repro.oracles import live_sequential
+from repro.live.catalog import LiveCatalog
+from repro.live.mutations import MutationEvent
+from repro.oracles import (
+    live_sequential,
+    propose_reference,
+    slo_verdict_reference,
+)
 from repro.workload.mutations import generate_mutation_trace
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -603,16 +613,181 @@ class TestSloVerdicts:
         assert stats["budget_remaining"] == 0.0
 
     def test_plan_stats_consistency(self):
-        catalog = {1: 2, 2: 4, 3: 4}
-        required, delay, cycle = plan_stats(catalog, 2)
+        # plan_stats reads a deadline histogram: pages 1..3 at t=2,4,4.
+        histogram = {2: 1, 4: 2}
+        required, delay, cycle = plan_stats(histogram, 2)
         assert required == 1
         assert delay == 0.0
         assert cycle >= 1
-        required_short, delay_short, _ = plan_stats(
-            {1: 2, 2: 2, 3: 2}, 1
-        )
+        required_short, delay_short, _ = plan_stats({2: 3}, 1)
         assert required_short == 2
         assert delay_short > 0.0
+
+
+# ----------------------------------------------------------------------
+# What-if pricing: deadline-histogram edits vs the page-mapping oracle
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def whatif_states(draw):
+    """A hosted catalog plus an admission queue and an SLO question.
+
+    Ladder catalogs in shuffled page order (``1/3`` and ``1/6`` are not
+    exact binary fractions, so the load's summation order shows), a
+    budget below, at or above the Theorem-3.1 floor, a queue holding
+    duplicate and already-catalogued page ids, and 0..5 queried pages.
+    """
+    base = draw(st.sampled_from((2, 3)))
+    ladder = [base * 2 ** k for k in range(draw(st.integers(1, 4)))]
+    sizes = draw(
+        st.lists(
+            st.integers(0, 6), min_size=len(ladder), max_size=len(ladder)
+        ).filter(any)
+    )
+    times = [t for t, n in zip(ladder, sizes) for _ in range(n)]
+    order = draw(st.permutations(range(1, len(times) + 1)))
+    catalog = {page: times[page - 1] for page in order}
+    floor = LiveCatalog(catalog).required_channels()
+    budget = max(1, floor + draw(st.integers(-2, 1)))
+    deadlines = ladder + [2 * ladder[-1]]
+    ids = list(catalog) + [len(times) + k for k in (1, 2, 3)]
+    queue = draw(
+        st.lists(
+            st.tuples(st.sampled_from(ids), st.sampled_from(deadlines)),
+            max_size=6,
+        )
+    )
+    query = (draw(st.sampled_from(deadlines)), draw(st.integers(0, 5)))
+    return catalog, budget, queue, query
+
+
+def host_whatif_state(catalog, budget, queue, policy=None):
+    """A session hosting ``catalog`` with ``queue`` in its admission
+    queue (placed there directly: the queue's contents, not how they
+    arrived, are what the pricing reads)."""
+    plane = ControlPlane()
+    plane.handle(
+        CreateServiceRequest(
+            name="svc",
+            catalog=catalog,
+            budget=budget,
+            remediation=policy or RemediationPolicy(),
+        )
+    )
+    session = plane.session("svc")
+    session.live.admission._queue.extend(
+        MutationEvent(
+            time=0.0, kind="page_insert", page_id=page, expected_time=t
+        )
+        for page, t in queue
+    )
+    return session
+
+
+def assert_verdicts_equal(got: SloVerdict, want: SloVerdict) -> None:
+    for field in dataclasses.fields(SloVerdict):
+        assert getattr(got, field.name) == getattr(want, field.name), (
+            field.name
+        )
+    assert repr(got.channel_load) == repr(want.channel_load)
+
+
+class TestWhatIfOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        state=whatif_states(),
+        moves=st.integers(0, 40),
+        extra_channels=st.integers(0, 1),
+    )
+    def test_histogram_pricing_matches_mapping_oracle(
+        self, state, moves, extra_channels
+    ):
+        catalog, budget, queue, (expected_time, pages) = state
+        policy = RemediationPolicy(
+            max_pages_moved=moves, max_extra_channels=extra_channels
+        )
+        session = host_whatif_state(catalog, budget, queue, policy)
+        query = SloQuery(
+            service="svc", expected_time=expected_time, pages=pages
+        )
+        assert_verdicts_equal(
+            session.slo_query(query), slo_verdict_reference(session, query)
+        )
+        engine = session.remediation
+        assert engine._propose() == propose_reference(engine)
+
+    def test_verdicts_cover_both_regimes(self):
+        """Fixed states on both sides of the floor: a fitting verdict
+        prices zero delay, a refused one a positive PAMAD delay."""
+        catalog = {5: 3, 1: 6, 4: 3, 2: 12, 3: 6, 6: 12}
+        queue = [(7, 3), (7, 6), (1, 3), (8, 12)]
+        delays = []
+        for budget in (1, 2, 3):
+            session = host_whatif_state(catalog, budget, queue)
+            for pages in (0, 1, 4):
+                query = SloQuery(service="svc", expected_time=3, pages=pages)
+                verdict = session.slo_query(query)
+                assert_verdicts_equal(
+                    verdict, slo_verdict_reference(session, query)
+                )
+                assert verdict.queued_pages == 2
+                assert (verdict.predicted_delay > 0) == (
+                    not verdict.achievable
+                )
+                delays.append(verdict.predicted_delay)
+        assert min(delays) == 0.0 and max(delays) > 0.0
+
+    @pytest.mark.parametrize(
+        "policy",
+        (
+            RemediationPolicy(
+                miss_streak=4, cooldown=4, max_pages_moved=8,
+                allow_retune=False, allow_shed=False, max_extra_channels=1,
+            ),
+            RemediationPolicy(
+                miss_streak=4, cooldown=4, max_pages_moved=8,
+                allow_shed=False, allow_add_channel=False,
+            ),
+            RemediationPolicy(
+                miss_streak=4, cooldown=4, max_pages_moved=8,
+                allow_retune=False, allow_add_channel=False,
+            ),
+            RemediationPolicy(miss_streak=4, cooldown=4, max_pages_moved=8),
+            RemediationPolicy(miss_streak=4, cooldown=4, max_pages_moved=0),
+            RemediationPolicy(
+                miss_streak=2, cooldown=2, max_pages_moved=8,
+                max_extra_channels=0,
+            ),
+        ),
+        ids=("add-channel", "retune", "shed", "all", "no-moves", "no-cap"),
+    )
+    def test_taut_scenario_records_match_mapping_oracle(
+        self, policy, monkeypatch
+    ):
+        """Every proposal of the taut-budget scenario equals the oracle's
+        on the same state, so the records and manifests are the ones the
+        page-mapping pricing writes."""
+        fast_propose = RemediationEngine._propose
+        proposals = []
+
+        def checked(engine):
+            proposal = fast_propose(engine)
+            assert proposal == propose_reference(engine)
+            proposals.append(proposal)
+            return proposal
+
+        manifests = []
+        for propose in (checked, propose_reference):
+            monkeypatch.setattr(RemediationEngine, "_propose", propose)
+            plane, _ = make_plane_with_service(remediation=policy)
+            plane.handle(
+                MutationBatch(service="svc", events=tuple(breach_events()))
+            )
+            manifest = plane.handle(FinishService(service="svc"))
+            manifests.append(encode_line(manifest))
+        assert proposals
+        assert manifests[0] == manifests[1]
 
 
 # ----------------------------------------------------------------------

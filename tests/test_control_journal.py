@@ -28,10 +28,18 @@ from repro.api import (
     Shutdown,
     SloQuery,
     decode_line,
+    encode,
+    encode_line,
 )
 from repro.control import ControlPlane, Journal
 from repro.control.chaos import final_manifest_bytes
-from repro.control.journal import FSYNC_POLICIES, JOURNAL_VERSION
+from repro.control.journal import (
+    FSYNC_POLICIES,
+    JOURNAL_VERSION,
+    _canonical,
+    _frame_checksum,
+    _record_line,
+)
 from repro.core.errors import ControlPlaneDisconnected, JournalError, ReproError
 from repro.live.mutations import MutationEvent
 
@@ -418,6 +426,75 @@ class TestCompaction:
     def test_compact_without_journal_rejected(self):
         with pytest.raises(ReproError, match="no journal"):
             ControlPlane().compact_journal()
+
+
+def mutating_messages(name: str) -> list[object]:
+    """One of every journaled request type, batches with and without a
+    ``request_id``, all addressed to service ``name``."""
+    return [
+        CreateServiceRequest(
+            name=name, catalog={1: 4, 2: 8, 3: 8}, horizon=32, budget=1
+        ),
+        make_batch(name),
+        make_batch(name, time=2.0, request_id="ré-1"),
+        FinishService(service=name),
+        Shutdown(),
+    ]
+
+
+def dumped_record(message: object, seq: int) -> bytes:
+    """A journal record as a full canonical dump of its fields."""
+    frame = encode(message)
+    record = {"frame": frame, "seq": seq, "sha": _frame_checksum(frame)}
+    return (_canonical(record) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("name", ("svc", "sërvice-β→☃"))
+class TestRecordFromCanonicalLine:
+    """A record spliced around the wire's canonical line is the record
+    a full dump of ``{"frame", "seq", "sha"}`` writes, byte for byte."""
+
+    def test_spliced_record_equals_dumped_record(self, name):
+        for seq, message in enumerate(mutating_messages(name), start=1):
+            spliced = _record_line(encode_line(message), seq)
+            assert spliced == dumped_record(message, seq)
+            assert spliced.isascii()
+
+    def test_open_validates_spliced_records(self, name, tmp_path):
+        path = tmp_path / "wal.journal"
+        messages = mutating_messages(name)
+        with Journal.open(path) as journal:
+            for message in messages:
+                journal.append(message, encode_line(message))
+        with Journal.open(path) as reopened:
+            assert reopened.stats()["truncated_bytes"] == 0
+            assert reopened.replay() == tuple(messages)
+
+    def test_recovery_and_compaction_round_trips(self, name, tmp_path):
+        messages = mutating_messages(name)[:3]
+        path = tmp_path / "wal.journal"
+        with Journal.open(path) as journal:
+            plane = ControlPlane(journal)
+            for message in messages:
+                plane.handle(message)
+        assert path.read_bytes().splitlines(keepends=True)[1:] == [
+            dumped_record(m, seq) for seq, m in enumerate(messages, start=1)
+        ]
+        original = plane.session(name)
+        with Journal.open(path) as journal:
+            recovered = ControlPlane.recover(journal)
+            session = recovered.session(name)
+            assert session._requests.digest() == original._requests.digest()
+            assert session._stream.digest() == original._stream.digest()
+            snapshot = recovered.snapshot_requests()
+            recovered.compact_journal()
+        assert path.read_bytes().splitlines(keepends=True)[1:] == [
+            dumped_record(m, seq) for seq, m in enumerate(snapshot, start=1)
+        ]
+        with Journal.open(path) as journal:
+            assert journal.replay() == tuple(snapshot)
+            rebuilt = ControlPlane.recover(journal).session(name)
+        assert rebuilt._stream.digest() == original._stream.digest()
 
 
 class TestTypedErrors:

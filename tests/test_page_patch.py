@@ -318,6 +318,10 @@ class TestDeadlineLoad:
     ):
         catalog = LiveCatalog(initial)
         for kind, page_id, expected in steps:
+            # Warm the kept snapshot and load terms: a mutation must
+            # drop them.
+            catalog.to_instance()
+            catalog.channel_load()
             if kind == "insert":
                 if page_id in catalog:
                     continue
@@ -342,4 +346,12 @@ class TestDeadlineLoad:
             assert catalog.required_channels() == required
             assert catalog.deadline_counts() == dict(
                 Counter(catalog.pages().values())
+            )
+            pages = catalog.pages()
+            assert catalog.to_instance() == LiveCatalog(pages).to_instance()
+            assert repr(catalog.channel_load((expected, 3))) == repr(
+                sum(1.0 / t for t in [*pages.values(), expected, 3])
+            )
+            assert catalog.pages_at(expected) == sorted(
+                p for p, t in pages.items() if t == expected
             )
