@@ -62,7 +62,7 @@ from repro.api.types import (
 )
 from repro.control.session import ServiceSession
 from repro.core.errors import ControlPlaneDisconnected, ReproError
-from repro.live.catalog import deadline_histogram, required_channels_of
+from repro.live.catalog import LiveCatalog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.control.chaos import ChaosPolicy
@@ -323,10 +323,11 @@ class ControlPlane:
 
     @staticmethod
     def _plan_federation(message: FederationCreate) -> object:
-        # A pure planning probe: partition the catalog on the ring and
-        # judge each shard against Theorem 3.1.  No session is created
-        # and nothing is journaled, so probing is free and replay-safe.
-        from repro.federation.ring import ShardRing, partition_catalog
+        # A pure planning probe: place the catalog exactly as the
+        # federation would (ring plus empty-shard seeding) and judge each
+        # shard's ledger against Theorem 3.1.  No session is created and
+        # nothing is journaled, so probing is free and replay-safe.
+        from repro.federation.ring import ShardRing, place_catalog
 
         groups = len(set(message.catalog.values()))
         if message.shards > groups:
@@ -339,23 +340,19 @@ class ControlPlane:
                 ),
             )
         ring = ShardRing(message.shards, seed=message.seed)
-        partitions = partition_catalog(message.catalog, ring)
+        _, partition = place_catalog(message.catalog, ring)
         entries = []
         requirements = []
         for shard in ring.shards:
-            catalog = partitions[shard]
-            required = required_channels_of(
-                deadline_histogram(catalog.values())
-            )
+            ledger = LiveCatalog(partition[shard])
+            required = ledger.required_channels()
             requirements.append(required)
             entries.append(
                 {
                     "shard": shard,
-                    "pages": len(catalog),
+                    "pages": len(ledger),
                     "required_channels": required,
-                    "channel_load": round(
-                        sum(1.0 / t for t in catalog.values()), 6
-                    ),
+                    "channel_load": round(ledger.channel_load(), 6),
                 }
             )
         budget = (

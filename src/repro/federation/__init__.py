@@ -4,18 +4,14 @@ One station serves one catalog under one channel budget; production
 scale means many.  This package partitions a catalog across N station
 shards via a deterministic group-aware consistent-hash ring
 (:mod:`repro.federation.ring`), enforces the paper's Theorem-3.1
-admission bound *federation-wide* (:mod:`repro.federation.admission`),
-and replays each shard through its own live service with popularity-
-drift rebalancing under a bounded reallocation budget
+admission bound *federation-wide* (one
+:class:`~repro.live.admission.AdmissionController` over a ledger per
+shard), and replays each shard through its own live service with
+popularity-drift rebalancing under a bounded reallocation budget
 (:mod:`repro.federation.service`).
 """
 
-from repro.federation.admission import (
-    GlobalAdmissionController,
-    GlobalAdmissionDecision,
-    required_channels_of,
-)
-from repro.federation.ring import ShardRing, partition_catalog
+from repro.federation.ring import ShardRing, partition_catalog, place_catalog
 from repro.federation.service import (
     FEDERATION_TRANSPORTS,
     FederatedBroadcastService,
@@ -29,12 +25,10 @@ __all__ = [
     "FEDERATION_TRANSPORTS",
     "FederatedBroadcastService",
     "FederationReport",
-    "GlobalAdmissionController",
-    "GlobalAdmissionDecision",
     "RoutedTrace",
     "ShardPlan",
     "ShardRing",
     "partition_catalog",
+    "place_catalog",
     "replay_shard_task",
-    "required_channels_of",
 ]

@@ -25,11 +25,12 @@ from __future__ import annotations
 import bisect
 import hashlib
 import json
+from collections import Counter
 from typing import Iterable, Mapping
 
 from repro.core.errors import ReproError
 
-__all__ = ["ShardRing", "partition_catalog"]
+__all__ = ["ShardRing", "partition_catalog", "place_catalog"]
 
 
 def _point(seed: int, label: str) -> int:
@@ -189,3 +190,42 @@ def partition_catalog(
             shard = ring.owner(expected)
         parts[shard][int(page_id)] = int(expected)
     return parts
+
+
+def place_catalog(
+    catalog: Mapping[int, int], ring: ShardRing
+) -> tuple[dict[int, int], dict[int, dict[int, int]]]:
+    """Pin every ladder group to a shard and split ``catalog`` by it.
+
+    The ring may hash several groups onto one shard and none onto
+    another; a shard's :class:`~repro.live.catalog.LiveCatalog` cannot
+    be empty, so whole groups (never fractions of one) are re-pinned
+    deterministically: the smallest group of the most group-rich shard
+    moves to the lowest empty shard, repeatedly.  Feasible whenever the
+    catalog has at least as many groups as the ring has shards (callers
+    check).
+
+    Returns the ``group -> shard`` overrides layered over the ring and
+    the ``shard -> {page_id: expected_time}`` partition: the one
+    placement the federation serves and the control plane's planning
+    probe prices.
+    """
+    sizes = Counter(int(expected) for expected in catalog.values())
+    groups = sorted(sizes)
+    overrides: dict[int, int] = {}
+    while True:
+        held: dict[int, list[int]] = {s: [] for s in ring.shards}
+        for group in groups:
+            held[overrides.get(group, ring.owner(group))].append(group)
+        empty = sorted(s for s, gs in held.items() if not gs)
+        if not empty:
+            break
+        donor = max(
+            (s for s, gs in held.items() if len(gs) > 1),
+            key=lambda s: (len(held[s]), -s),
+        )
+        group = min(held[donor], key=lambda g: (sizes[g], g))
+        overrides[group] = empty[0]
+    return overrides, partition_catalog(
+        catalog, ring, group_overrides=overrides
+    )

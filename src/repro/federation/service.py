@@ -7,13 +7,15 @@ deterministic phases:
 
 1. **Routing** — one pass over the global trace.  A
    :class:`~repro.federation.ring.ShardRing` pins each ladder group to a
-   shard; a :class:`~repro.federation.admission.GlobalAdmissionController`
-   judges every catalog mutation against the *federation's* Theorem-3.1
+   shard; one :class:`~repro.live.admission.AdmissionController` over a
+   :class:`~repro.live.catalog.LiveCatalog` ledger per shard judges
+   every catalog mutation against the *federation's* Theorem-3.1
    headroom (home shard first, spill to the least-loaded shard with
-   room, one global FIFO queue, reject last) and tracks where every
-   page lives; listeners follow their page.  Popularity-drift
-   rebalancing runs in the same pass: when a shard's fractional load
-   exceeds ``rebalance_threshold`` times the federation mean, up to
+   room, one global FIFO queue, reject last); a page lives on the
+   shard whose ledger holds it, and listeners follow their page.
+   Popularity-drift rebalancing runs in the same pass on the same
+   ledgers: when a shard's fractional load exceeds
+   ``rebalance_threshold`` times the federation mean, up to
    ``max_pages_moved`` pages migrate to the least-loaded shard —
    emitted as a ``page_remove``/``page_insert`` pair at the next slot,
    the Farach-Colton-style reallocation budget.
@@ -22,13 +24,13 @@ deterministic phases:
    drains/moves) walk the control loop one at a time, but the listener
    runs between them are routed in vectorised passes over
    :meth:`~repro.live.mutations.MutationTrace.columns` — a dense
-   page→shard lookup table refreshed from the controller's shadow state
-   after each catalog event, orphans detected by mask and resolved
-   through the (memoised) ring.  Per-listener Python work drops to
-   zero.  Its oracle, :func:`repro.oracles.route_sequential`, walks
-   every event, listener arrivals included, through the same control
-   loop; tests hold the two to identical routing and byte-identical
-   reports.
+   page→shard lookup table filled from the shard ledgers once and
+   patched for the pages each catalog event touched, orphans detected
+   by mask and resolved through the (memoised) ring.  Per-listener
+   Python work drops to zero.  Its oracle,
+   :func:`repro.oracles.route_sequential`, walks every event, listener
+   arrivals included, through the same control loop; tests hold the
+   two to identical routing and byte-identical reports.
 
 2. **Shard replay** — every shard's routed sub-trace replays through a
    :class:`~repro.live.service.LiveBroadcastService` on a *warm*
@@ -88,11 +90,8 @@ from repro.engine.executor import (
     _ShmPost,
     run_tasks,
 )
-from repro.federation.admission import (
-    GlobalAdmissionController,
-    GlobalAdmissionDecision,
-)
-from repro.federation.ring import ShardRing, partition_catalog
+from repro.federation.ring import ShardRing, place_catalog
+from repro.live.admission import AdmissionController, AdmissionDecision
 from repro.live.catalog import LiveCatalog
 from repro.live.mutations import MutationEvent, MutationTrace
 
@@ -134,6 +133,22 @@ _LOCATION_LUT_LIMIT = 8_388_608
 
 def _event_sort_key(event: MutationEvent) -> tuple:
     return (event.time, event.kind, event.page_id)
+
+
+def _admission_block(controller: AdmissionController) -> dict:
+    """The ``federation.admission`` block: the controller's summary with
+    the shard count after the queue depth and the spill counter last."""
+    block = controller.as_dict()
+    verdicts = {
+        name: block.pop(name)
+        for name in ("admitted", "drained", "queued", "rejected")
+    }
+    return {
+        **block,
+        "shards": len(controller.ledgers),
+        **verdicts,
+        "spilled": int(controller.counters["spilled"]),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -306,7 +321,7 @@ class RoutedTrace:
     """Phase-1 output: where every event goes, plus the control trail.
 
     Attributes:
-        controller: The admission controller, final shadow state.
+        controller: The admission controller, final ledgers.
         decisions: Every global admission verdict, in event order.
         rebalances: ``(time, page_id, source, target)`` per move.
         routing: Router accounting counters.
@@ -317,8 +332,8 @@ class RoutedTrace:
             positions.
     """
 
-    controller: GlobalAdmissionController
-    decisions: list[GlobalAdmissionDecision]
+    controller: AdmissionController
+    decisions: list[AdmissionDecision]
     rebalances: list[tuple[float, int, int, int]]
     routing: dict[str, int]
     catalog_events: dict[int, list[MutationEvent]]
@@ -340,8 +355,11 @@ class _RouterState:
 
     def __init__(self, service: "FederatedBroadcastService") -> None:
         self.service = service
-        self.controller = GlobalAdmissionController(
-            service.partition,
+        self.controller = AdmissionController(
+            {
+                shard: LiveCatalog(pages)
+                for shard, pages in service.partition.items()
+            },
             service.budget,
             queue_limit=service.queue_limit,
             enabled=service.admission,
@@ -352,7 +370,7 @@ class _RouterState:
         self.used_keys: dict[int, set[tuple]] = {
             s: set() for s in service.ring.shards
         }
-        self.decisions: list[GlobalAdmissionDecision] = []
+        self.decisions: list[AdmissionDecision] = []
         self.rebalances: list[tuple[float, int, int, int]] = []
         self.deferred_pages: set[int] = set()
         self.routing = {
@@ -404,9 +422,9 @@ class _RouterState:
                     time=slot,
                     kind="page_insert",
                     page_id=decision.page_id,
-                    expected_time=controller.pages(decision.shard)[
-                        decision.page_id
-                    ],
+                    expected_time=controller.ledgers[
+                        decision.shard
+                    ].expected_time(decision.page_id),
                 ),
             )
             if emitted:
@@ -420,9 +438,8 @@ class _RouterState:
         slot = self.next_slot(now)
         if slot is None:
             return
-        loads = {
-            s: controller.channel_load(s) for s in controller.shards
-        }
+        ledgers = controller.ledgers
+        loads = {s: controller.channel_load(s) for s in ledgers}
         mean = sum(loads.values()) / len(loads)
         if mean <= 0.0:
             return
@@ -435,17 +452,17 @@ class _RouterState:
         # the tie-break — a deterministic pick that sheds the most
         # load per unit of reallocation budget.
         candidates = sorted(
-            controller.pages(source).items(),
+            ledgers[source].pages().items(),
             key=lambda item: (item[1], item[0]),
         )
         for page_id, expected in candidates:
             if moved >= service.max_pages_moved:
                 self.routing["moves_skipped_budget"] += 1
                 break
-            if controller.page_count(source) <= 1:
+            if len(ledgers[source]) <= 1:
                 self.routing["moves_skipped_guard"] += 1
                 break
-            if controller.required_with(target, expected) > service.budget:
+            if ledgers[target].required_after(add=expected) > service.budget:
                 self.routing["moves_skipped_budget"] += 1
                 continue
             remove = MutationEvent(
@@ -465,7 +482,8 @@ class _RouterState:
                 continue
             self.emit(source, remove)
             self.emit(target, insert)
-            controller.move_page(page_id, source, target)
+            ledgers[source].remove(page_id)
+            ledgers[target].insert(page_id, expected)
             self.rebalances.append((slot, page_id, source, target))
             self.routing["moves_emitted"] += 1
             moved += 1
@@ -552,7 +570,7 @@ class FederationReport:
     ring_fingerprint: str
     group_assignment: Mapping[int, int]
     admission: Mapping[str, object]
-    decisions: tuple[GlobalAdmissionDecision, ...]
+    decisions: tuple[AdmissionDecision, ...]
     rebalances: tuple[tuple[float, int, int, int], ...]
     routing: Mapping[str, int]
     shard_reports: tuple[Mapping[str, object], ...]
@@ -716,13 +734,12 @@ class FederatedBroadcastService:
         self.target_miss_rate = float(target_miss_rate)
         self.replan_cooldown = int(replan_cooldown)
 
-        self._group_overrides = self._seed_empty_shards(catalog, groups)
+        self._group_overrides, self.partition = place_catalog(
+            catalog, self.ring
+        )
         self.group_assignment = {
             group: self._effective_owner(group) for group in groups
         }
-        self.partition = partition_catalog(
-            catalog, self.ring, group_overrides=self._group_overrides
-        )
         if budget is None:
             budget = max(
                 LiveCatalog(pages).required_channels()
@@ -742,37 +759,6 @@ class FederatedBroadcastService:
         override = self._group_overrides.get(group)
         return override if override is not None else self.ring.owner(group)
 
-    def _seed_empty_shards(
-        self, catalog: Mapping[int, int], groups: list[int]
-    ) -> dict[int, int]:
-        """Group-level overrides giving every shard >= 1 page at t=0.
-
-        The ring may hash several groups onto one shard and none onto
-        another; a shard's :class:`~repro.live.catalog.LiveCatalog`
-        cannot be empty, so whole groups (never fractions of one) are
-        re-pinned deterministically: the smallest group of the most
-        group-rich shard moves to the lowest empty shard, repeatedly.
-        Feasible whenever ``groups >= shards`` (checked upstream).
-        """
-        overrides: dict[int, int] = {}
-        sizes = {g: 0 for g in groups}
-        for expected in catalog.values():
-            sizes[expected] += 1
-        while True:
-            held: dict[int, list[int]] = {s: [] for s in self.ring.shards}
-            for group in groups:
-                owner = overrides.get(group, self.ring.owner(group))
-                held[owner].append(group)
-            empty = sorted(s for s, gs in held.items() if not gs)
-            if not empty:
-                return overrides
-            donor = max(
-                (s for s, gs in held.items() if len(gs) > 1),
-                key=lambda s: (len(held[s]), -s),
-            )
-            group = min(held[donor], key=lambda g: (sizes[g], g))
-            overrides[group] = empty[0]
-
     # ------------------------------------------------------------------
     # Phase 1: routing
     # ------------------------------------------------------------------
@@ -782,12 +768,13 @@ class FederatedBroadcastService:
 
         Catalog events walk the control loop one at a time (shared
         :class:`_RouterState`); the listener runs between them resolve
-        against a dense page→shard table refreshed from the controller's
-        shadow state — refreshed lazily, only after catalog events, so a
-        million listeners between two mutations cost two ``take``\\ s and
-        a mask.  Trace sort order guarantees listeners at time ``t``
-        precede catalog events at ``t``, so run boundaries land exactly
-        where the sequential walk would put them.
+        against a dense page→shard table filled from the shard ledgers
+        once and then patched for just the pages the catalog events
+        since the last run touched, so a million listeners between two
+        mutations cost two ``take``\\ s and a mask.  Trace sort order
+        guarantees listeners at time ``t`` precede catalog events at
+        ``t``, so run boundaries land exactly where the sequential walk
+        would put them.
         """
         state = _RouterState(self)
         events = self.trace.events
@@ -801,37 +788,41 @@ class FederatedBroadcastService:
         loc = (
             np.full(max_page + 1, -1, dtype=np.int64) if dense else None
         )
-        loc_prev: np.ndarray | None = None
-        dirty = True
+        locate = state.controller.locate
+        if dense:
+            for shard, ledger in state.controller.ledgers.items():
+                loc[np.fromiter(ledger.pages(), np.int64, len(ledger))] = (
+                    shard
+                )
+        # Pages only change shard through a decision or a move, so a
+        # refresh re-locates just the pages those named since the last.
+        seen_decisions = seen_moves = 0
 
         def refresh() -> None:
-            nonlocal loc_prev, dirty
-            locations = state.controller.locations
-            pids = np.fromiter(
-                locations.keys(), np.int64, len(locations)
+            nonlocal seen_decisions, seen_moves
+            touched = [
+                decision.page_id
+                for decision in state.decisions[seen_decisions:]
+            ]
+            touched.extend(
+                move[1] for move in state.rebalances[seen_moves:]
             )
-            shards_now = np.fromiter(
-                locations.values(), np.int64, len(locations)
-            )
-            if loc_prev is not None:
-                loc[loc_prev] = -1
-            loc[pids] = shards_now
-            loc_prev = pids
-            dirty = False
+            seen_decisions = len(state.decisions)
+            seen_moves = len(state.rebalances)
+            for page_id in touched:
+                shard = locate(page_id)
+                loc[page_id] = -1 if shard is None else shard
 
         def route_run(lo: int, hi: int) -> None:
-            nonlocal dirty
             pids = page_ids[lo:hi]
             if dense:
-                if dirty:
-                    refresh()
+                refresh()
                 shards_run = loc[pids]
             else:
-                locations = state.controller.locations
                 unique, inverse = np.unique(pids, return_inverse=True)
                 owners = np.fromiter(
                     (
-                        locations.get(int(p), -1)
+                        -1 if (owner := locate(p)) is None else owner
                         for p in unique.tolist()
                     ),
                     np.int64,
@@ -863,7 +854,6 @@ class FederatedBroadcastService:
             if cat_index > cursor:
                 route_run(cursor, cat_index)
             state.handle_catalog(events[cat_index])
-            dirty = True
             cursor = cat_index + 1
         if cursor < count:
             route_run(cursor, count)
@@ -1051,7 +1041,7 @@ class FederatedBroadcastService:
             trace_fingerprint=self.trace.fingerprint(),
             ring_fingerprint=self.ring.fingerprint(),
             group_assignment=dict(self.group_assignment),
-            admission=routed.controller.as_dict(),
+            admission=_admission_block(routed.controller),
             decisions=tuple(routed.decisions),
             rebalances=tuple(routed.rebalances),
             routing=routed.routing,

@@ -15,6 +15,9 @@ Entry points:
 
 * :func:`repro.workload.generate_mutation_trace` — seeded trace maker;
 * :class:`LiveBroadcastService` / :class:`LiveReport` — the runtime;
+* :class:`AdmissionController` / :class:`AdmissionDecision` — the
+  Theorem-3.1 admission over one :class:`LiveCatalog` ledger per shard,
+  shared by the live service (one shard) and the federation router;
 * :meth:`repro.engine.BroadcastEngine.live` — the manifested facade op;
 * :func:`replay_pull_lwf` — the Longest-Wait-First pull baseline;
 * ``repro-air live`` — the CLI front end.

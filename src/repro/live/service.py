@@ -6,7 +6,8 @@ deterministic :class:`~repro.sim.events.EventLoop`.  Three layers react
 to each event:
 
 1. **Admission** (:mod:`repro.live.admission`) judges catalog mutations
-   against the Theorem-3.1 channel budget before they touch anything.
+   against the Theorem-3.1 channel budget and applies the admitted ones
+   to the service's catalog, a one-shard ledger.
 2. **Incremental rescheduling** patches the running program in place
    when the mutation leaves the bound slack — removals clear cells,
    inserts look for a vacant periodic slot pattern — and falls back to a
@@ -203,7 +204,10 @@ class LiveBroadcastService:
             engine = BroadcastEngine()
         self.engine = engine
         self.admission = AdmissionController(
-            self.budget, queue_limit=queue_limit, enabled=admission
+            {0: self.catalog},
+            self.budget,
+            queue_limit=queue_limit,
+            enabled=admission,
         )
         self.slo = SloTracker(
             window=slo_window, target_miss_rate=target_miss_rate
@@ -448,15 +452,21 @@ class LiveBroadcastService:
             self._full_replan(f"retune-no-slack:{page_id}")
 
     def _drain_queue(self) -> None:
-        """Admit queued inserts that fit after a removal/relaxation."""
-        admitted, decisions = self.admission.drain(self.catalog, self.now)
-        for event, decision in zip(admitted, decisions):
+        """Admit queued inserts that fit after a removal/relaxation.
+
+        The controller puts each re-admitted page into the catalog just
+        before yielding its decision and judges the next entry only
+        after this loop has placed the page: a full re-plan during
+        placement reads the whole catalog, so inserting the whole drain
+        first would place the later pages twice.
+        """
+        for decision in self.admission.drain(self.now):
+            page_id = decision.page_id
             self._decisions.append(decision)
             self._record("admission", **decision.as_dict())
-            self.catalog.insert(event.page_id, event.expected_time)
             self._count("queue_drains")
-            self._apply_insert(event.page_id, event.expected_time)
-            self._self_check(f"queue-drain:{event.page_id}")
+            self._apply_insert(page_id, self.catalog.expected_time(page_id))
+            self._self_check(f"queue-drain:{page_id}")
 
     # ------------------------------------------------------------------
     # Event handlers
@@ -470,24 +480,22 @@ class LiveBroadcastService:
             self._admit_and_apply(event)
 
     def _admit_and_apply(self, event: MutationEvent) -> None:
+        # An admitted verdict has already changed the catalog.
         if event.kind == "page_insert":
-            decision = self.admission.decide_insert(self.catalog, event)
+            decision = self.admission.decide_insert(event, 0)
         elif event.kind == "page_remove":
-            decision = self.admission.decide_remove(self.catalog, event)
+            decision = self.admission.decide_remove(event)
         else:
-            decision = self.admission.decide_retune(self.catalog, event)
+            decision = self.admission.decide_retune(event)
         self._decisions.append(decision)
         self._record("admission", **decision.as_dict())
         if decision.verdict != "admitted":
             return
         if event.kind == "page_insert":
-            self.catalog.insert(event.page_id, event.expected_time)
             self._apply_insert(event.page_id, event.expected_time)
         elif event.kind == "page_remove":
-            self.catalog.remove(event.page_id)
             self._apply_remove(event.page_id)
         else:
-            self.catalog.retune(event.page_id, event.expected_time)
             self._apply_retune(event.page_id, event.expected_time)
         self._self_check(f"{event.kind}:{event.page_id}")
         if event.kind in ("page_remove", "page_retune"):

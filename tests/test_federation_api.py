@@ -1,8 +1,8 @@
 """FederationCreate/ShardReport: typed messages and plane dispatch.
 
 The federation planning probe is deliberately *stateless*: the control
-plane partitions the catalog on the ring, judges every shard against
-Theorem 3.1, answers with a :class:`~repro.api.types.ShardReport`, and
+plane places the catalog exactly as the federation would (the ring plus
+empty-shard seeding), judges every shard against Theorem 3.1, answers with a :class:`~repro.api.types.ShardReport`, and
 forgets — nothing is journaled, no session is created, so probing
 shard counts is free and crash-recovery byte-identity is untouched.
 """
@@ -15,6 +15,8 @@ from repro.api.codec import decode_line, encode_line
 from repro.api.types import ApiError, FederationCreate, ShardReport
 from repro.control.plane import _MUTATING_TYPES, ControlPlane
 from repro.core.errors import ReproError
+from repro.federation import FederatedBroadcastService
+from repro.live.mutations import MutationTrace
 
 _CATALOG = {1: 4, 2: 4, 3: 8, 4: 8, 5: 16, 6: 16, 7: 32, 8: 32}
 
@@ -125,3 +127,49 @@ class TestPlaneDispatch:
         first = ControlPlane().handle(request)
         second = ControlPlane().handle(request)
         assert first == second
+
+
+def _ladder_catalog(ladder, per_group):
+    times = [t for t in ladder for _ in range(per_group)]
+    return {page: t for page, t in enumerate(times, start=1)}
+
+
+class TestProbeMatchesFederation:
+    @pytest.mark.parametrize(
+        "ladder", ((2, 4, 8, 16), (3, 6, 12, 24, 48), (4, 8, 16, 32, 64, 128))
+    )
+    @pytest.mark.parametrize("per_group", (1, 3))
+    def test_probe_prices_the_partition_the_federation_serves(
+        self, ladder, per_group
+    ):
+        """Per-shard pages and the default budget equal the service's,
+        for every shard count the ladder allows and several seeds."""
+        catalog = _ladder_catalog(ladder, per_group)
+        empty = MutationTrace(horizon=8, events=())
+        for shards in range(1, len(ladder) + 1):
+            for seed in range(5):
+                report = ControlPlane().handle(
+                    FederationCreate(
+                        name="fed", catalog=catalog, shards=shards,
+                        seed=seed,
+                    )
+                )
+                service = FederatedBroadcastService(
+                    catalog, empty, shards=shards, seed=seed
+                )
+                assert [e["pages"] for e in report.entries] == [
+                    len(service.partition[s]) for s in service.ring.shards
+                ], (shards, seed)
+                assert report.budget == service.budget, (shards, seed)
+
+    def test_empty_ring_shard_is_seeded_as_the_service_seeds_it(self):
+        # The ring hashes every group of this ladder onto shard 0; the
+        # federation re-pins the smallest group to shard 1.
+        report = ControlPlane().handle(
+            FederationCreate(
+                name="fed", catalog=_ladder_catalog((2, 4, 8, 16), 3),
+                shards=2, seed=3,
+            )
+        )
+        assert [e["pages"] for e in report.entries] == [9, 3]
+        assert report.budget == 2

@@ -18,14 +18,19 @@ What the federation layer promises on top of one live station:
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import ReproError, SimulationError
 from repro.core.pages import instance_from_counts
 from repro.federation import FederatedBroadcastService
+from repro.live.catalog import LiveCatalog
 from repro.live.mutations import MutationEvent, MutationTrace
+from repro.live.service import LiveBroadcastService
 from repro.workload.mutations import generate_mutation_trace
 from repro.engine.telemetry import MANIFEST_VERSION
 
@@ -200,6 +205,62 @@ class TestGlobalAdmission:
         for shard_report in report.shard_reports:
             assert shard_report["final_required"] <= 3
         assert report.final_valid
+
+
+@st.composite
+def one_shard_runs(draw):
+    """A ladder catalog, a churn trace and admission settings.
+
+    The trace's horizon is one slot longer than the generator's, so no
+    catalog event sits in the last slot: the router defers a drain it
+    cannot stamp inside the horizon, where a live service drains at
+    once.
+    """
+    base = draw(st.sampled_from((2, 3)))
+    ladder = [base * 2 ** k for k in range(draw(st.integers(1, 4)))]
+    sizes = draw(
+        st.lists(st.integers(1, 4), min_size=len(ladder), max_size=len(ladder))
+    )
+    instance = instance_from_counts(tuple(sizes), tuple(ladder))
+    horizon = draw(st.integers(8, 48))
+    trace = generate_mutation_trace(
+        instance,
+        seed=draw(st.integers(0, 10_000)),
+        horizon=horizon,
+        mutations=draw(st.integers(0, 40)),
+        listeners=draw(st.integers(0, 8)),
+    )
+    trace = MutationTrace(
+        horizon=horizon + 1, events=trace.events, meta=trace.meta
+    )
+    floor = LiveCatalog(instance).required_channels()
+    settings_ = {
+        "budget": max(1, floor + draw(st.integers(-1, 1))),
+        "queue_limit": draw(st.integers(0, 4)),
+        "admission": draw(st.booleans()),
+    }
+    return instance, trace, settings_
+
+
+class TestOneShardMatchesLive:
+    @settings(max_examples=40, deadline=None)
+    @given(run=one_shard_runs())
+    def test_router_decisions_equal_live_decisions(self, run):
+        """A one-shard federation's router decides every catalog event
+        as a live service does, field for field; only a drain's time
+        differs, because the router stamps the next integer slot."""
+        instance, trace, kwargs = run
+        routed = FederatedBroadcastService(
+            instance, trace, shards=1, **kwargs
+        ).route()
+        live = LiveBroadcastService(instance, trace, **kwargs).run()
+        assert len(routed.decisions) == len(live.decisions)
+        for fed, one in zip(routed.decisions, live.decisions):
+            if one.kind == "queue_drain":
+                assert fed.time == math.floor(one.time) + 1.0
+                fed = dataclasses.replace(fed, time=one.time)
+            assert fed == one
+        assert routed.controller.as_dict() == live.admission
 
 
 class TestRebalancing:

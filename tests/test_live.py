@@ -189,65 +189,187 @@ def _insert(time, page_id, expected):
     )
 
 
+def _one_shard(pages, budget, **kwargs):
+    catalog = LiveCatalog(pages)
+    return catalog, AdmissionController({0: catalog}, budget, **kwargs)
+
+
 class TestAdmissionController:
+    """One shard, home only: the live service's controller."""
+
     def test_fitting_insert_admitted(self):
-        catalog = LiveCatalog({1: 2, 2: 4})  # load 0.75, budget 1
-        controller = AdmissionController(budget=1)
-        decision = controller.decide_insert(catalog, _insert(1.0, 9, 4))
+        catalog, controller = _one_shard({1: 2, 2: 4}, 1)  # load 0.75
+        decision = controller.decide_insert(_insert(1.0, 9, 4), 0)
         assert decision.verdict == "admitted"
         assert decision.reason == "fits-budget"
         assert decision.required_channels == 1
+        assert (decision.shard, decision.home) == (0, 0)
+        assert catalog.expected_time(9) == 4  # applied to the ledger
 
     def test_over_budget_insert_queued_then_rejected(self):
-        catalog = LiveCatalog({1: 2, 2: 2})  # load 1.0: budget is full
-        controller = AdmissionController(budget=1, queue_limit=1)
-        first = controller.decide_insert(catalog, _insert(1.0, 9, 2))
-        second = controller.decide_insert(catalog, _insert(2.0, 10, 2))
+        catalog, controller = _one_shard({1: 2, 2: 2}, 1, queue_limit=1)
+        first = controller.decide_insert(_insert(1.0, 9, 2), 0)
+        second = controller.decide_insert(_insert(2.0, 10, 2), 0)
         assert first.verdict == "queued"
         assert second.verdict == "rejected"
         assert second.reason == "queue-full"
         assert len(controller.queued) == 1
+        assert 9 not in catalog and 10 not in catalog
 
     def test_drain_readmits_when_capacity_frees(self):
-        catalog = LiveCatalog({1: 2, 2: 2})
-        controller = AdmissionController(budget=1, queue_limit=4)
-        controller.decide_insert(catalog, _insert(1.0, 9, 2))
-        catalog.remove(2)  # load back to 0.5
-        admitted, decisions = controller.drain(catalog, now=3.0)
-        assert [e.page_id for e in admitted] == [9]
+        catalog, controller = _one_shard({1: 2, 2: 2}, 1, queue_limit=4)
+        controller.decide_insert(_insert(1.0, 9, 2), 0)
+        controller.decide_remove(
+            MutationEvent(time=2.0, kind="page_remove", page_id=2)
+        )  # load back to 0.5
+        decisions = list(controller.drain(now=3.0))
+        assert [d.page_id for d in decisions] == [9]
         assert decisions[0].kind == "queue_drain"
         assert decisions[0].verdict == "admitted"
+        assert decisions[0].time == 3.0
         assert controller.queued == ()
+        assert catalog.expected_time(9) == 2
+
+    def test_drain_inserts_each_page_just_before_yielding_it(self):
+        catalog, controller = _one_shard({1: 2, 2: 2}, 1, queue_limit=4)
+        for page_id in (7, 8, 9):
+            controller.decide_insert(_insert(1.0, page_id, 4), 0)
+        assert len(controller.queued) == 3
+        catalog.remove(2)  # load 0.5: room for exactly two t=4 pages
+        drain = controller.drain(now=2.0)
+        first = next(drain)
+        # Judged and applied one at a time: only the yielded page is in,
+        # although the next one fits too.
+        assert first.page_id == 7 and 7 in catalog
+        assert 8 not in catalog and 9 not in catalog
+        assert [d.page_id for d in drain] == [8]
+        assert 8 in catalog
+        assert [e.page_id for e in controller.queued] == [9]
 
     def test_duplicate_insert_rejected(self):
-        catalog = LiveCatalog({1: 2})
-        controller = AdmissionController(budget=4)
-        decision = controller.decide_insert(catalog, _insert(1.0, 1, 2))
+        _, controller = _one_shard({1: 2}, 4)
+        decision = controller.decide_insert(_insert(1.0, 1, 2), 0)
         assert decision.verdict == "rejected"
         assert decision.reason == "duplicate-page"
 
     def test_tightening_retune_past_budget_rejected(self):
-        catalog = LiveCatalog({1: 2, 2: 4, 3: 4})  # load 1.0, taut
-        controller = AdmissionController(budget=1)
+        catalog, controller = _one_shard({1: 2, 2: 4, 3: 4}, 1)  # taut
         event = MutationEvent(
             time=2.0, kind="page_retune", page_id=3, expected_time=2
         )
-        decision = controller.decide_retune(catalog, event)
+        decision = controller.decide_retune(event)
         assert decision.verdict == "rejected"
         assert decision.reason == "exceeds-budget"
+        assert catalog.expected_time(3) == 4
 
     def test_remove_unknown_page_rejected(self):
-        catalog = LiveCatalog({1: 2})
-        controller = AdmissionController(budget=1)
+        _, controller = _one_shard({1: 2}, 1)
         event = MutationEvent(time=1.0, kind="page_remove", page_id=42)
-        assert controller.decide_remove(catalog, event).verdict == "rejected"
+        decision = controller.decide_remove(event)
+        assert decision.verdict == "rejected"
+        assert decision.reason == "unknown-page"
+        # One shard: the rejection reports that shard's requirement.
+        assert decision.home == 0 and decision.shard is None
+        assert decision.required_channels == 1
 
     def test_disabled_controller_admits_everything(self):
-        catalog = LiveCatalog({1: 2, 2: 2})
-        controller = AdmissionController(budget=1, enabled=False)
-        decision = controller.decide_insert(catalog, _insert(1.0, 9, 2))
+        catalog, controller = _one_shard({1: 2, 2: 2}, 1, enabled=False)
+        decision = controller.decide_insert(_insert(1.0, 9, 2), 0)
         assert decision.verdict == "admitted"
         assert decision.reason == "admission-disabled"
+        assert decision.required_channels == catalog.required_channels() == 2
+
+    def test_event_log_entry_keeps_seven_keys(self):
+        _, controller = _one_shard({1: 2}, 1)
+        entry = controller.decide_insert(_insert(1.0, 9, 4), 0).as_dict()
+        assert list(entry) == [
+            "time", "kind", "page_id", "verdict", "required_channels",
+            "budget", "reason",
+        ]
+
+
+def _shards(budget, *pages, **kwargs):
+    ledgers = {shard: LiveCatalog(p) for shard, p in enumerate(pages)}
+    return ledgers, AdmissionController(ledgers, budget, **kwargs)
+
+
+class TestShardedAdmission:
+    """Many shards: home, then spill, then the one queue, then reject."""
+
+    def test_spill_then_queue_then_reject(self):
+        # Shard 0 is taut; shard 1 has room for exactly one t=2 page.
+        ledgers, controller = _shards(
+            1, {1: 2, 2: 2}, {3: 4}, queue_limit=1
+        )
+        spilled = controller.decide_insert(_insert(1.0, 9, 2), 0)
+        queued = controller.decide_insert(_insert(2.0, 10, 2), 0)
+        rejected = controller.decide_insert(_insert(3.0, 11, 2), 0)
+        assert (spilled.verdict, spilled.reason) == ("admitted", "spilled")
+        assert (spilled.shard, spilled.home) == (1, 0)
+        assert spilled.required_channels == 1
+        assert ledgers[1].expected_time(9) == 2
+        assert (queued.verdict, queued.shard) == ("queued", None)
+        assert (rejected.verdict, rejected.reason) == (
+            "rejected", "queue-full",
+        )
+        assert controller.counters["spilled"] == 1
+
+    def test_spill_prefers_the_least_loaded_shard(self):
+        ledgers, controller = _shards(1, {1: 2, 2: 2}, {3: 4}, {4: 8})
+        decision = controller.decide_insert(_insert(1.0, 9, 4), 0)
+        assert decision.shard == 2  # load 1/8 beats 1/4
+        assert controller.channel_load(2) == 1 / 8 + 1 / 4
+
+    def test_spill_ties_break_on_the_histogram_float(self):
+        # Shards 1 and 2 both carry load 1: one t=1 page, and ten t=10
+        # pages.  Summed per deadline (10 / 10) the loads tie exactly
+        # and the lower shard id wins; summed per page (ten 0.1 terms)
+        # shard 2 would read 0.9999999999999999 and win instead.
+        tenths = {300 + k: 10 for k in range(10)}
+        ledgers, controller = _shards(
+            2, {100: 1, 101: 1}, {200: 1}, tenths
+        )
+        assert controller.channel_load(1) == controller.channel_load(2)
+        assert ledgers[2].channel_load() < ledgers[1].channel_load()
+        decision = controller.decide_insert(_insert(1.0, 9, 10), 0)
+        assert (decision.reason, decision.shard) == ("spilled", 1)
+
+    def test_remove_drains_the_global_queue(self):
+        ledgers, controller = _shards(1, {1: 2, 2: 2}, {3: 2, 4: 2})
+        controller.decide_insert(_insert(1.0, 9, 2), 1)
+        assert len(controller.queued) == 1
+        removed = controller.decide_remove(
+            MutationEvent(time=2.0, kind="page_remove", page_id=1)
+        )
+        assert (removed.shard, removed.required_channels) == (0, 1)
+        (drained,) = controller.drain(now=3.0)
+        # Home (shard 1) is still taut: the drain spills to shard 0.
+        assert (drained.kind, drained.reason) == ("queue_drain", "spilled")
+        assert (drained.shard, drained.home) == (0, 1)
+        assert controller.locate(9) == 0
+        assert controller.counters["drained"] == 1
+
+    def test_unknown_page_names_no_shard(self):
+        _, controller = _shards(1, {1: 2}, {2: 4})
+        decision = controller.decide_retune(
+            MutationEvent(
+                time=1.0, kind="page_retune", page_id=42, expected_time=4
+            )
+        )
+        assert decision.reason == "unknown-page"
+        assert (decision.shard, decision.home) == (None, None)
+        assert decision.required_channels == 0
+
+    def test_admission_off_applies_everything_at_home(self):
+        ledgers, controller = _shards(
+            1, {1: 2, 2: 2}, {3: 8}, enabled=False
+        )
+        decision = controller.decide_insert(_insert(1.0, 9, 2), 0)
+        assert (decision.reason, decision.shard) == (
+            "admission-disabled", 0,
+        )
+        assert ledgers[0].required_channels() == 2
+        assert controller.counters["rejected"] == 0
 
 
 # ----------------------------------------------------------------------
