@@ -1,8 +1,10 @@
 """Micro-benchmarks: the analytic delay models and the Figure-5 measurement.
 
 Not a paper artefact — an engineering measurement.  The analytic pair
-times the scalar reference model against its numpy batch equivalent in
-:mod:`repro.analysis.vectorized`; the measurement rows time
+times the per-page AvgD loop
+(:func:`repro.oracles.program_average_delay_reference`) against the
+array kernel :func:`repro.core.delay.program_average_delay`, whose
+result it must equal exactly; the measurement rows time
 :func:`repro.sim.clients.measure_program` (one vectorised pass over the
 seeded request stream) at the paper's 3,000 requests and at 100,000,
 next to the per-request loop it replaced
@@ -16,10 +18,12 @@ import random
 
 import pytest
 
-from repro.analysis.vectorized import program_average_delay_fast
 from repro.core.delay import program_average_delay
 from repro.core.pamad import schedule_pamad
-from repro.oracles import replay_requests_sequential
+from repro.oracles import (
+    program_average_delay_reference,
+    replay_requests_sequential,
+)
 from repro.sim.clients import measure_program
 from repro.workload.generator import paper_instance
 from repro.workload.requests import generate_requests
@@ -46,14 +50,14 @@ def _sequential(program, instance, num_requests, seed):
 
 def test_micro_scalar_analytic(benchmark, pamad_13):
     instance, program = pamad_13
-    value = benchmark(program_average_delay, program, instance)
+    value = benchmark(program_average_delay_reference, program, instance)
     assert value > 0
 
 
 def test_micro_vector_analytic(benchmark, pamad_13):
     instance, program = pamad_13
-    value = benchmark(program_average_delay_fast, program, instance)
-    assert value > 0
+    value = benchmark(program_average_delay, program, instance)
+    assert value == program_average_delay_reference(program, instance)
 
 
 def test_micro_measure_3000(benchmark, pamad_13):

@@ -30,10 +30,6 @@ from repro.analysis.sweep import (
     get_scheduler,
     sweep_table,
 )
-from repro.analysis.vectorized import (
-    program_average_delay_fast,
-    program_delay_vector,
-)
 
 __all__ = [
     "CellChange",
@@ -56,8 +52,6 @@ __all__ = [
     "jain_fairness",
     "line_chart",
     "profile_program",
-    "program_average_delay_fast",
-    "program_delay_vector",
     "ratio_of_means",
     "relative_difference",
     "run_experiment",

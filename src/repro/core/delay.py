@@ -27,11 +27,9 @@ Three related models live here:
 
 Each model also has a *batch* entry point (``*_batch``) that evaluates
 many pages or many frequency vectors in one numpy pass, bit-identical to
-looping the scalar form.  The frequency searches (Algorithm 3's staged
-scan, the OPT branch-and-bound) and the sweep analysis call the batch
-kernels so no hot path pays a per-candidate Python objective call.
-The batch kernels are plain numpy, and the only implementation the
-searches and the serving layer run.
+looping the scalar form, so no frequency search (Algorithm 3's staged
+scan, the OPT branch-and-bound) pays a per-candidate Python objective
+call; :func:`program_average_delay` is itself one such pass.
 """
 
 from __future__ import annotations
@@ -116,15 +114,20 @@ def page_miss_probability(
     )
 
 
-def _packed_cyclic_gaps(
-    program: BroadcastProgram, page_ids: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """All pages' int64 cyclic gaps back to back, plus row offsets.
+def _on_air_rows(
+    program: BroadcastProgram,
+    page_ids: Sequence[int],
+    expected_times: Sequence[int],
+) -> AppearanceIndex:
+    """``program``'s appearance index re-rowed to ``page_ids``.
 
-    Page ``i``'s gaps are ``gaps[starts[i]:starts[i + 1]]`` (the
-    program's appearance index re-rowed to ``page_ids``); a page with
-    no appearances raises, matching the scalar models.
+    A page with no appearances raises, matching the scalar models.
     """
+    if len(page_ids) != len(expected_times):
+        raise SimulationError(
+            f"got {len(page_ids)} pages for {len(expected_times)} "
+            "expected times"
+        )
     index = AppearanceIndex.from_program(program, page_ids)
     off_air = np.flatnonzero(np.diff(index.offsets) == 0)
     if off_air.size:
@@ -132,7 +135,21 @@ def _packed_cyclic_gaps(
             f"page {page_ids[int(off_air[0])]} does not appear in the "
             "program"
         )
-    return index.gaps, index.offsets
+    return index
+
+
+def _excess_sums(
+    index: AppearanceIndex, row_times: np.ndarray, power: int
+) -> np.ndarray:
+    """Per row of ``index``, ``sum max(gap - t, 0) ** power`` over its
+    gaps, ``t`` the row's entry of ``row_times``: exact, in int64."""
+    offsets = index.offsets
+    excess = np.maximum(
+        index.gaps - np.repeat(row_times, np.diff(offsets)), 0
+    )
+    sums = np.zeros(excess.shape[0] + 1, dtype=np.int64)
+    np.cumsum(excess**power, out=sums[1:])
+    return sums[offsets[1:]] - sums[offsets[:-1]]
 
 
 def page_average_delay_batch(
@@ -148,21 +165,9 @@ def page_average_delay_batch(
     ``/ (2 * cycle)`` division produces a float — the same correctly
     rounded quotient the scalar computes.
     """
-    if len(page_ids) != len(expected_times):
-        raise SimulationError(
-            f"got {len(page_ids)} pages for {len(expected_times)} "
-            "expected times"
-        )
-    if not page_ids:
-        return np.empty(0, dtype=np.float64)
-    gaps, starts = _packed_cyclic_gaps(program, page_ids)
-    counts = np.diff(starts)
-    expected = np.repeat(
-        np.asarray(expected_times, dtype=np.int64), counts
-    )
-    excess = np.maximum(gaps - expected, 0)
-    sums = np.add.reduceat(excess * excess, starts[:-1])
-    return sums / (2 * program.cycle_length)
+    index = _on_air_rows(program, page_ids, expected_times)
+    times = np.asarray(expected_times, dtype=np.int64)
+    return _excess_sums(index, times, 2) / (2 * program.cycle_length)
 
 
 def page_miss_probability_batch(
@@ -176,21 +181,9 @@ def page_miss_probability_batch(
     clamped-excess sum is integer-exact, the single division matches the
     scalar's ``int / int``.
     """
-    if len(page_ids) != len(expected_times):
-        raise SimulationError(
-            f"got {len(page_ids)} pages for {len(expected_times)} "
-            "expected times"
-        )
-    if not page_ids:
-        return np.empty(0, dtype=np.float64)
-    gaps, starts = _packed_cyclic_gaps(program, page_ids)
-    counts = np.diff(starts)
-    expected = np.repeat(
-        np.asarray(expected_times, dtype=np.int64), counts
-    )
-    excess = np.maximum(gaps - expected, 0)
-    sums = np.add.reduceat(excess, starts[:-1])
-    return sums / program.cycle_length
+    index = _on_air_rows(program, page_ids, expected_times)
+    times = np.asarray(expected_times, dtype=np.int64)
+    return _excess_sums(index, times, 1) / program.cycle_length
 
 
 def uniform_access_probabilities(
@@ -225,12 +218,36 @@ def program_average_delay(
     This is the evaluation metric of Section 5.  Defaults to the paper's
     uniform access model; pass explicit probabilities (e.g. Zipf from
     :mod:`repro.workload.requests`) for the EXT3 extension.
+
+    One pass over the program's own appearance index: each page's
+    delay is :func:`page_average_delay`'s float (an exact int64 sum,
+    one division), and the weighted delays are summed by the builtin
+    ``sum`` in page order, so the result equals the per-page loop
+    (:func:`repro.oracles.program_average_delay_reference`) bit for bit.
+
+    Raises:
+        InvalidInstanceError: If a page of the instance is not on air,
+            or the access probabilities do not sum to one.
     """
     probabilities = _resolve_probabilities(instance, access_probabilities)
+    index = AppearanceIndex.from_program(program)
+    page_ids = [page.page_id for page in instance.pages()]
+    rows = index.rows_for(np.array(page_ids, dtype=np.int64))
+    off_air = np.flatnonzero(rows < 0)
+    if off_air.size:
+        raise InvalidInstanceError(
+            f"page {page_ids[off_air[0]]} does not appear in the program"
+        )
+    row_times = np.zeros(index.page_ids.shape[0], dtype=np.int64)
+    row_times[rows] = np.repeat(instance.expected_times, instance.group_sizes)
+    delays = _excess_sums(index, row_times, 2)[rows] / (
+        2 * program.cycle_length
+    )
     return sum(
-        probabilities[page.page_id]
-        * page_average_delay(program, page.page_id, page.expected_time)
-        for page in instance.pages()
+        [
+            probabilities[page_id] * delay
+            for page_id, delay in zip(page_ids, delays.tolist())
+        ]
     )
 
 

@@ -223,8 +223,13 @@ class AdmissionController:
     def decide_insert(
         self, event: MutationEvent, home: int
     ) -> AdmissionDecision:
-        """Place an insert: home, spill, queue (on breach), or reject."""
-        if self.locate(event.page_id) is not None:
+        """Place an insert: home, spill, queue (on breach), or reject.
+
+        A page on a ledger or waiting in the queue is a duplicate.
+        """
+        if self.locate(event.page_id) is not None or any(
+            queued.page_id == event.page_id for queued, _ in self._queue
+        ):
             return self._decision(
                 event, "rejected", None, home,
                 self.ledgers[home].required_channels(), "duplicate-page",

@@ -41,6 +41,10 @@ paper's §3.2 comparison.
   as a column-by-column scan of every offset; the one-pass array
   search of ``LiveBroadcastService._try_place`` must take the same
   cells.
+* :func:`program_average_delay_reference` — the Figure-5 AvgD as a
+  per-page loop of :func:`~repro.core.delay.page_average_delay`; the
+  array kernel :func:`~repro.core.delay.program_average_delay` must
+  return the same float.
 * :func:`replay_requests_sequential` — the Figure-5 measurement as a
   per-request loop: a :meth:`~repro.core.program.BroadcastProgram.
   wait_time` bisect and three Welford folds per request.  The
@@ -67,7 +71,11 @@ import numpy as np
 
 from repro.api.types import RemediationCandidate, SloQuery, SloVerdict
 from repro.core.bounds import minimum_channels
-from repro.core.delay import paper_group_delay
+from repro.core.delay import (
+    _resolve_probabilities,
+    page_average_delay,
+    paper_group_delay,
+)
 from repro.core.errors import (
     InsufficientChannelsError,
     SchedulingError,
@@ -107,6 +115,7 @@ __all__ = [
     "place_by_frequency_reference",
     "place_sequential_reference",
     "plan_stats_reference",
+    "program_average_delay_reference",
     "propose_reference",
     "replay_requests_sequential",
     "route_sequential",
@@ -562,6 +571,20 @@ def try_place_reference(
 # ----------------------------------------------------------------------
 # Client measurement (Section 5)
 # ----------------------------------------------------------------------
+
+
+def program_average_delay_reference(
+    program: BroadcastProgram,
+    instance: ProblemInstance,
+    access_probabilities: Mapping[int, float] | None = None,
+) -> float:
+    """AvgD as the per-page loop: one scalar page delay per page."""
+    probabilities = _resolve_probabilities(instance, access_probabilities)
+    return sum(
+        probabilities[page.page_id]
+        * page_average_delay(program, page.page_id, page.expected_time)
+        for page in instance.pages()
+    )
 
 
 def replay_requests_sequential(

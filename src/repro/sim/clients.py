@@ -8,7 +8,9 @@ alongside the headline AvgD.
 
 A measurement is one vectorised pass.  The request stream is drawn from
 the seeded :class:`random.Random` exactly as
-:func:`~repro.workload.requests.generate_requests` draws it, every wait
+:func:`~repro.workload.requests.generate_requests` draws it (under
+uniform access with ``random.choice``'s ``getrandbits`` rejection loop
+inlined, so the positions come without a call per request), every wait
 comes from one :func:`~repro.core.program.batch_waits` call on the
 program's appearance index, and the statistics are folded in request
 order with the same Welford steps as
@@ -198,7 +200,7 @@ def measure_program(
 
     The stream is :func:`~repro.workload.requests.generate_requests`'s
     for ``random.Random(seed)``: the same draws in the same order, taken
-    as (page, arrival fraction) pairs without building requests.
+    as page positions and arrival fractions without building requests.
 
     Args:
         program: The broadcast program under test.
@@ -214,14 +216,23 @@ def measure_program(
     check_stream(num_requests, cycle)
     rng = random.Random(seed)
     draw = rng.random
+    chosen: list[int] = []
+    fractions: list[float] = []
+    pick, fraction = chosen.append, fractions.append
     if access_probabilities is None:
-        # ``choice`` over positions consumes the stream exactly as over
-        # the page list and returns the position itself.
-        choose = rng.choice
-        everyone = range(instance.n)
-        draws = [(choose(everyone), draw()) for _ in range(num_requests)]
+        # ``choice(range(n))`` inlined: the same ``getrandbits`` calls,
+        # rejecting draws ``>= n``, returning the position itself.
+        n = instance.n
+        bits = n.bit_length()
+        getrandbits = rng.getrandbits
+        for _ in range(num_requests):
+            k = getrandbits(bits)
+            while k >= n:
+                k = getrandbits(bits)
+            pick(k)
+            fraction(draw())
         population = [page.page_id for page in instance.pages()]
-        position_of = np.arange(instance.n, dtype=np.int64)
+        positions = np.array(chosen, dtype=np.int64)
     else:
         population = list(access_probabilities)
         cumulative = list(
@@ -229,18 +240,17 @@ def measure_program(
         )
         choices = rng.choices
         everyone = range(len(population))
-        draws = [
-            (choices(everyone, cum_weights=cumulative)[0], draw())
-            for _ in range(num_requests)
+        for _ in range(num_requests):
+            pick(choices(everyone, cum_weights=cumulative)[0])
+            fraction(draw())
+        positions = _positions(instance, population)[
+            np.array(chosen, dtype=np.int64)
         ]
-        position_of = _positions(instance, population)
-    chosen = np.array([k for k, _ in draws], dtype=np.int64)
-    fractions = np.array([u for _, u in draws], dtype=np.float64)
     return _measure(
         program,
         instance,
-        position_of[chosen],
-        fractions * cycle,
+        positions,
+        np.array(fractions, dtype=np.float64) * cycle,
         lambda k: population[chosen[k]],
     )
 

@@ -1,4 +1,4 @@
-"""Tests for the numpy-vectorised delay and measurement kernels."""
+"""Tests for the AvgD array kernel and the vectorised measurement."""
 
 from __future__ import annotations
 
@@ -6,29 +6,44 @@ import random
 
 import pytest
 
-from repro.analysis.vectorized import (
-    program_average_delay_fast,
-    program_delay_vector,
-)
 from repro.core.delay import page_average_delay, program_average_delay
 from repro.core.errors import SimulationError
 from repro.core.pamad import schedule_pamad
 from repro.core.susc import schedule_susc
-from repro.oracles import replay_requests_sequential
+from repro.oracles import (
+    program_average_delay_reference,
+    replay_requests_sequential,
+)
 from repro.sim.clients import measure_program
 from repro.workload.generator import paper_instance, random_instance
 from repro.workload.requests import generate_requests, zipf_access_model
 
 
+def _page_delays(program, instance):
+    """Each page's delay as the AvgD kernel prices it: the program's
+    AvgD with all access probability on that one page."""
+    ids = [page.page_id for page in instance.pages()]
+    return {
+        page_id: program_average_delay(
+            program,
+            instance,
+            {other: float(other == page_id) for other in ids},
+        )
+        for page_id in ids
+    }
+
+
 class TestProgramDelayVector:
+    """The kernel's per-page delays equal the scalar page model."""
+
     def test_matches_scalar_model_exactly(self, fig2_instance):
         schedule = schedule_pamad(fig2_instance, 2)
-        vector = program_delay_vector(schedule.program, fig2_instance)
+        vector = _page_delays(schedule.program, fig2_instance)
         for page in fig2_instance.pages():
             scalar = page_average_delay(
                 schedule.program, page.page_id, page.expected_time
             )
-            assert vector[page.page_id] == pytest.approx(scalar, abs=1e-12)
+            assert vector[page.page_id] == scalar
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_scalar_on_random_instances(self, seed):
@@ -36,43 +51,43 @@ class TestProgramDelayVector:
         instance = random_instance(rng)
         channels = rng.randint(1, 4)
         schedule = schedule_pamad(instance, channels)
-        vector = program_delay_vector(schedule.program, instance)
+        vector = _page_delays(schedule.program, instance)
         for page in instance.pages():
             scalar = page_average_delay(
                 schedule.program, page.page_id, page.expected_time
             )
-            assert vector[page.page_id] == pytest.approx(scalar, abs=1e-9)
+            assert vector[page.page_id] == scalar
 
     def test_zero_on_valid_program(self, fig2_instance):
         schedule = schedule_susc(fig2_instance)
-        vector = program_delay_vector(schedule.program, fig2_instance)
+        vector = _page_delays(schedule.program, fig2_instance)
         assert all(value == 0.0 for value in vector.values())
 
 
 class TestProgramAverageDelayFast:
+    """The AvgD kernel equals the per-page reference loop bit for bit."""
+
     def test_matches_scalar_uniform(self, fig2_instance):
         schedule = schedule_pamad(fig2_instance, 2)
-        assert program_average_delay_fast(
+        assert program_average_delay(
             schedule.program, fig2_instance
-        ) == pytest.approx(
-            program_average_delay(schedule.program, fig2_instance)
-        )
+        ) == program_average_delay_reference(schedule.program, fig2_instance)
 
     def test_matches_scalar_weighted(self, fig2_instance):
         schedule = schedule_pamad(fig2_instance, 2)
         zipf = zipf_access_model(fig2_instance)
-        assert program_average_delay_fast(
+        assert program_average_delay(
             schedule.program, fig2_instance, zipf
-        ) == pytest.approx(
-            program_average_delay(schedule.program, fig2_instance, zipf)
+        ) == program_average_delay_reference(
+            schedule.program, fig2_instance, zipf
         )
 
     def test_paper_scale_agreement(self):
         instance = paper_instance("uniform")
         schedule = schedule_pamad(instance, 13)
-        assert program_average_delay_fast(
+        assert schedule.average_delay == program_average_delay_reference(
             schedule.program, instance
-        ) == pytest.approx(schedule.average_delay)
+        )
 
 
 class TestBatchMeasure:

@@ -667,12 +667,11 @@ def host_whatif_state(catalog, budget, queue, policy=None):
     queue (the queue's contents, not how they arrived, are what the
     pricing reads).
 
-    Every entry goes through the controller's own ``decide_insert``
-    while the budget is held at zero, so it queues.  An entry naming a
-    catalogued page is decided while that page is off the catalog — a
-    spare page keeps the catalog non-empty meanwhile — and the page
-    goes back after: the state a page queued twice reaches when its
-    first copy drains.
+    The entries are written into the controller's queue directly:
+    ``decide_insert`` rejects a page already catalogued or already
+    queued as ``duplicate-page``, so the duplicate and catalogued ids
+    the strategy draws no longer reach the queue through it, and the
+    pricing must still agree with the oracle on any queue contents.
     """
     plane = ControlPlane()
     plane.handle(
@@ -684,28 +683,15 @@ def host_whatif_state(catalog, budget, queue, policy=None):
         )
     )
     session = plane.session("svc")
-    live = session.live
-    live.admission.budget = 0
-    spare = 0  # no drawn catalog uses page id 0
-    live.catalog.insert(spare, 1)
-    for page, t in queue:
-        held = (
-            live.catalog.expected_time(page) if page in live.catalog
-            else None
-        )
-        if held is not None:
-            live.catalog.remove(page)
-        decision = live.admission.decide_insert(
+    session.live.admission._queue.extend(
+        (
             MutationEvent(
                 time=0.0, kind="page_insert", page_id=page, expected_time=t
             ),
             0,
         )
-        assert decision.verdict == "queued", decision
-        if held is not None:
-            live.catalog.insert(page, held)
-    live.catalog.remove(spare)
-    live.admission.budget = budget
+        for page, t in queue
+    )
     return session
 
 

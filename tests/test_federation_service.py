@@ -189,6 +189,39 @@ class TestGlobalAdmission:
         assert report.admission["queued"] == 1
         assert report.admission["drained"] == 1
 
+    def test_insert_of_queued_page_rejected_and_drained_once(self):
+        # Both shards taut at budget=1: the first insert of page 100
+        # queues, the second names a page already waiting and is
+        # rejected, and the removal drains the one queued copy.
+        events = (
+            MutationEvent(
+                time=2.0, kind="page_insert", page_id=100,
+                expected_time=2,
+            ),
+            MutationEvent(
+                time=3.0, kind="page_insert", page_id=100,
+                expected_time=2,
+            ),
+            MutationEvent(time=8.0, kind="page_remove", page_id=1),
+        )
+        report = FederatedBroadcastService(
+            {1: 2, 2: 2, 10: 4, 11: 4, 12: 4, 13: 4},
+            MutationTrace(horizon=32, events=events),
+            shards=2,
+            budget=1,
+            queue_limit=4,
+        ).run()
+        verdicts = [
+            (d.kind, d.verdict, d.reason) for d in report.decisions
+            if d.page_id == 100
+        ]
+        assert verdicts == [
+            ("page_insert", "queued", "exceeds-budget"),
+            ("page_insert", "rejected", "duplicate-page"),
+            ("queue_drain", "admitted", "fits-budget"),
+        ]
+        assert report.admission["drained"] == 1
+
     def test_admission_off_applies_everything(self):
         report = FederatedBroadcastService(
             {1: 4, 2: 4, 3: 8, 4: 8},

@@ -252,6 +252,18 @@ class TestAdmissionController:
         assert decision.verdict == "rejected"
         assert decision.reason == "duplicate-page"
 
+    def test_insert_of_queued_page_rejected(self):
+        catalog, controller = _one_shard({1: 2, 2: 2}, 1, queue_limit=4)
+        first = controller.decide_insert(_insert(1.0, 9, 2), 0)
+        second = controller.decide_insert(_insert(2.0, 9, 2), 0)
+        assert first.verdict == "queued"
+        assert second.verdict == "rejected"
+        assert second.reason == "duplicate-page"
+        assert [e.page_id for e in controller.queued] == [9]
+        catalog.remove(2)
+        assert [d.page_id for d in controller.drain(now=3.0)] == [9]
+        assert controller.queued == ()
+
     def test_tightening_retune_past_budget_rejected(self):
         catalog, controller = _one_shard({1: 2, 2: 4, 3: 4}, 1)  # taut
         event = MutationEvent(
@@ -457,6 +469,28 @@ class TestLiveBroadcastService:
         assert entries and entries[0]["action"] == "retune-keep"
         assert report.final_valid
         assert before is None
+
+    def test_insert_of_queued_page_rejected_and_drained_once(self):
+        trace = scripted_trace(8, [
+            (1, "page_insert", 9, 2),
+            (2, "page_insert", 9, 2),
+            (3, "page_remove", 1),
+            (5, "page_remove", 2),
+        ])
+        report = LiveBroadcastService(
+            {1: 2, 2: 2, 3: 2, 4: 2}, trace, budget=2, self_check=True
+        ).run()
+        verdicts = [
+            (d.kind, d.verdict, d.reason) for d in report.decisions
+            if d.page_id == 9
+        ]
+        assert verdicts == [
+            ("page_insert", "queued", "exceeds-budget"),
+            ("page_insert", "rejected", "duplicate-page"),
+            ("queue_drain", "admitted", "fits-budget"),
+        ]
+        assert report.catalog[9] == 2
+        assert report.final_valid
 
     def test_over_budget_insert_rejected_and_bound_held(self):
         # Taut instance: load exactly 1.0 on a 1-channel budget.

@@ -249,18 +249,15 @@ class TestDelayProperties:
     @given(pair=instances_with_channels())
     @settings(max_examples=25, deadline=None)
     def test_vectorized_equals_scalar(self, pair):
-        """The numpy engine is a pure re-implementation of the scalar
-        reference; they must agree on every instance."""
-        from repro.analysis.vectorized import program_delay_vector
+        """The AvgD array kernel is a pure re-implementation of the
+        per-page scalar loop; they must agree bit for bit."""
+        from repro.oracles import program_average_delay_reference
 
         instance, channels = pair
         schedule = schedule_pamad(instance, channels)
-        vector = program_delay_vector(schedule.program, instance)
-        for page in instance.pages():
-            scalar = page_average_delay(
-                schedule.program, page.page_id, page.expected_time
-            )
-            assert abs(vector[page.page_id] - scalar) < 1e-9
+        assert program_average_delay(
+            schedule.program, instance
+        ) == program_average_delay_reference(schedule.program, instance)
 
     @given(pair=instances_with_channels())
     @settings(max_examples=30, deadline=None)
