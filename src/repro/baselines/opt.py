@@ -4,9 +4,9 @@ The paper's optimal comparator "exhaustively searches for a set of optimal
 broadcast frequencies that incurs the minimum delay" (its searching time
 being "unacceptably high" is the point of PAMAD).  Two searches live here:
 
-* :func:`opt_frequencies` — a joint depth-first search over the staged
-  frequency family PAMAD draws from (``S_i = prod(r_i..r_{h-1})``, each
-  ``r`` bounded by Algorithm 3's loop bound).  Where PAMAD *commits* each
+* :func:`opt_frequencies` — a joint search over the staged frequency
+  family PAMAD draws from (``S_i = prod(r_i..r_{h-1})``, each ``r``
+  bounded by Algorithm 3's loop bound).  Where PAMAD *commits* each
   ``r_{i-1}`` greedily stage by stage, OPT explores the full product space
   and minimises the final-stage objective — the exact "progressive vs
   exhaustive" comparison the evaluation makes.
@@ -20,32 +20,52 @@ Both return the same :class:`~repro.core.frequencies.FrequencyAssignment`
 shape as PAMAD, and :func:`schedule_opt` reuses PAMAD's Algorithm-4
 placement, so the three systems differ only in frequency selection.
 
-Both searches are branch-and-bound walks that return the *exact*
-exhaustive result while visiting a fraction of the tree.  The exhaustive
-staged walk is :func:`repro.oracles.opt_frequencies_exhaustive`; the
-exhaustive product loop stays here, because a custom objective has no
-analytic bound and needs it.  The bound exploits that the most relaxed
-group ``G_h`` has ``S_h = 1``, so its Equation-2 term
+Both searches return the *exact* exhaustive result while evaluating a
+fraction of the leaves.  The exhaustive staged walk is
+:func:`repro.oracles.opt_frequencies_exhaustive`: it visits every ``r``
+vector in lexicographic order and accepts a leaf only when ``delay <
+best - 1e-12``.  The exhaustive product loop stays here, because a custom
+objective has no analytic bound and needs it.
+
+The staged search is a *block* search.  A block is a run of consecutive
+nodes of one stage, in lexicographic order, held as int64 arrays: each
+node's slot count ``F`` and its ``r`` prefix.  Expanding a block one stage
+is closed-form arithmetic: a node's candidates are ``1..b`` with
+Algorithm 3's bound ``b = max(1, ceil((N t_k - P_k) / F))`` (capped by
+``max_r``), and a child's slot count is ``c F + P_k``.  Children come out
+in lexicographic order, each parent's candidates ascending; the last
+stage's children are leaves, whose frequency rows are the reverse
+``cumprod`` of their ``r`` rows, evaluated by one call of the
+bit-identical :func:`repro.core.delay.paper_group_delay_batch` and
+scanned in order with the reference's acceptance rule.
+
+Pruning uses that the most relaxed group ``G_h`` has ``S_h = 1``, so its
+Equation-2 term
 
 ``lb(F) = (P_h / F) * max(F/N - t_h, 0) * max((ceil(F/N) - t_h)/2, 0)``
 
 depends only on the total slot count ``F`` — and is non-decreasing in
 ``F`` (real arithmetic: ``(F/N - t_h)/F = 1/N - t_h/F`` grows with
 ``F``, the ceil factor is monotone, the product of non-negative
-monotone factors is monotone).  Every completion of a partial vector
-has ``F >= F_min`` (all remaining multipliers at their minimum of 1),
-so ``lb(F_min)`` under-estimates every leaf in the subtree.  The
-reference only *accepts* a leaf when ``delay < best - 1e-12``; pruning
-when ``lb(F_min)`` (shaved by a relative ``1e-12`` guard, orders of
-magnitude wider than the few-ulp float error of the bound expression)
-reaches ``best - 1e-12`` therefore cannot discard any leaf the
-reference would have accepted, and candidate loops may *break* at the
-first pruned candidate because ``F_min`` grows with the candidate.
-Leaves that survive are evaluated in reference order through the
-bit-identical batch kernel
-:func:`repro.core.delay.paper_group_delay_batch`, so the
-incumbent evolves exactly as in the reference walk — same minimum,
-same tie-breaks, same returned vector.
+monotone factors is monotone).  Every leaf below a node has ``F >= F +
+P_{k+1} + ... + P_h`` (all later multipliers at their minimum of 1), so
+``lb`` there, shaved by a relative ``1e-12`` guard (orders of magnitude
+wider than the few-ulp float error of the bound expression),
+under-estimates every leaf delay below the node.  A node whose bound
+reaches ``best - 1e-12`` for an incumbent ``best`` the reference has
+already held — the current one or any earlier, larger one — therefore
+roots no leaf the reference would accept, and dropping it cannot change
+the sequence of accepted leaves: same minimum, same tie-breaks, same
+returned vector.  The bound grows with the candidate, so each parent
+keeps a prefix of its candidates.
+
+No block holds more than :data:`BLOCK_ROWS` rows.  The kept children of
+a block form the next stage; when they outnumber the budget they are cut
+into consecutive blocks, searched depth first one after another, and
+each is re-masked with the incumbent the blocks before it left — so
+pruning uses the freshest incumbent between blocks, while a block's own
+stages share one.  (A block's candidate arrays, before the mask, hold
+its rows times their Algorithm-3 bound.)
 """
 
 from __future__ import annotations
@@ -54,17 +74,15 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.delay import (
     paper_group_delay,
     paper_group_delay_batch,
     program_average_delay,
 )
 from repro.core.errors import SearchSpaceError
-from repro.core.frequencies import (
-    FrequencyAssignment,
-    frequencies_from_r,
-    r_upper_bound,
-)
+from repro.core.frequencies import FrequencyAssignment, frequencies_from_r
 from repro.core.pages import ProblemInstance
 from repro.core.pamad import place_by_frequency
 from repro.core.program import BroadcastProgram
@@ -75,6 +93,9 @@ __all__ = [
     "brute_force_frequencies",
     "schedule_opt",
 ]
+
+#: Most nodes (or leaves) one block of :func:`opt_frequencies` holds.
+BLOCK_ROWS = 1024
 
 
 def _fixed_term(
@@ -110,12 +131,21 @@ def _shave(bound: float) -> float:
     return bound - bound * 1e-12
 
 
-def _tail_lower_bound(
-    slots_min: int, p_h: int, t_h: int, num_channels: int
-) -> float:
-    """Conservative lower bound on Equation (2) for any leaf with
-    ``F >= slots_min`` — the ``S_h = 1`` group's contribution alone."""
-    return _shave(_fixed_term(1, p_h, t_h, slots_min, num_channels))
+def _tail_bounds(
+    slots_min: np.ndarray, p_h: int, t_h: int, num_channels: int
+) -> np.ndarray:
+    """Conservative lower bounds on Equation (2) for any leaf with
+    ``F >= slots_min`` — the ``S_h = 1`` group's :func:`_fixed_term`
+    alone, shaved, at each slot count."""
+    slots = slots_min.astype(np.float64)
+    cycle = (-(-slots_min // num_channels)).astype(np.float64)
+    return _shave(
+        (p_h / slots)
+        * (
+            np.maximum(slots / num_channels - t_h, 0.0)
+            * np.maximum((cycle - t_h) / 2.0, 0.0)
+        )
+    )
 
 
 def opt_frequencies(
@@ -123,12 +153,12 @@ def opt_frequencies(
     num_channels: int,
     max_r: int | None = None,
 ) -> FrequencyAssignment:
-    """Joint DFS over all staged ``r`` vectors, minimising final delay.
+    """Joint search over all staged ``r`` vectors, minimising final delay.
 
-    The walk is a branch-and-bound with a memoised tail bound plus
-    batch leaf evaluation.  It returns the *identical* assignment as the
+    The search walks blocks of nodes depth first (see the module
+    docstring).  It returns the *identical* assignment as the
     exhaustive walk (:func:`repro.oracles.opt_frequencies_exhaustive`),
-    only faster; property tests pin the equality.
+    only faster; tests pin the equality.
 
     Args:
         instance: The problem instance.
@@ -149,112 +179,70 @@ def opt_frequencies(
     sizes = instance.group_sizes
     times = instance.expected_times
     h = instance.h
+    p_h, t_h = sizes[-1], times[-1]
+    # rest[g]: the slots G_{g+2}..G_h add when every later r is 1.
+    rest = [sum(sizes[g + 1:]) for g in range(h)]
 
     best_r: tuple[int, ...] = ()
     best_delay = math.inf
 
-    lb_memo: dict[int, float] = {}
-    p_h, t_h = sizes[-1], times[-1]
+    def scan(r_rows: np.ndarray) -> None:
+        """Evaluate a block of leaves and accept them in order.
 
-    def min_completion_slots(r_values: list[int]) -> int:
-        """``F`` when every not-yet-chosen multiplier is 1 — the minimum
-        over the subtree, since frequencies only grow with each ``r``."""
-        padded = r_values + [1] * (h - 1 - len(r_values))
-        frequencies = frequencies_from_r(padded, h)
-        return sum(s * p for s, p in zip(frequencies, sizes))
-
-    def subtree_bound(r_values: list[int]) -> float:
-        slots_min = min_completion_slots(r_values)
-        cached = lb_memo.get(slots_min)
-        if cached is None:
-            cached = _tail_lower_bound(
-                slots_min, p_h, t_h, num_channels
-            )
-            lb_memo[slots_min] = cached
-        return cached
-
-    def flush(rows: list, labels: list) -> None:
-        """Batch-evaluate collected leaves, scanning in reference order.
-
-        Tiny batches go through the scalar objective directly — below a
-        dozen rows the numpy call setup costs more than it saves, and
-        the scalar IS the reference, so bit-identity is trivial.
+        Only a strict record low of the block (below the incumbent and
+        every earlier delay) can pass ``delay < best - 1e-12``: an
+        accepted delay sits below every earlier one, accepted or not.
         """
         nonlocal best_r, best_delay
-        if not rows:
-            return
-        if len(rows) < 16:
-            delays = [
-                paper_group_delay(row, sizes, times, num_channels)
-                for row in rows
-            ]
-        else:
-            delays = paper_group_delay_batch(
-                rows, sizes, times, num_channels
-            )
-        for label, delay in zip(labels, delays):
-            if delay < best_delay - 1e-12:
-                best_delay = float(delay)
-                best_r = label
+        rows = np.ones((r_rows.shape[0], h), dtype=np.int64)
+        rows[:, :-1] = np.cumprod(r_rows[:, ::-1], axis=1)[:, ::-1]
+        delays = paper_group_delay_batch(rows, sizes, times, num_channels)
+        floor = np.minimum.accumulate(np.append(best_delay, delays))
+        for j in np.flatnonzero(delays < floor[:-1]).tolist():
+            if delays[j] < best_delay - 1e-12:
+                best_delay = float(delays[j])
+                best_r = tuple(r_rows[j].tolist())
 
-    def descend(r_values: list[int], stage: int) -> None:
-        nonlocal best_r, best_delay
-        bound = r_upper_bound(r_values, stage, sizes, times, num_channels)
-        if max_r is not None:
-            bound = min(bound, max_r)
-        if stage == h:
-            # Last stage (only reached directly when h == 2): every
-            # candidate is a leaf — one batch, scanned in order.
-            flush(
-                [
-                    frequencies_from_r(r_values + [c], h)
-                    for c in range(1, bound + 1)
-                ],
-                [tuple(r_values) + (c,) for c in range(1, bound + 1)],
-            )
-            return
-        if stage == h - 1:
-            # Penultimate stage: bound-check each candidate, then gather
-            # all surviving final-stage leaves into ONE batch.  The
-            # incumbent is only refreshed after the flush — pruning with
-            # the slightly stale (never smaller) best is conservative,
-            # so the scan still reproduces the reference walk exactly.
-            rows: list = []
-            labels: list = []
-            for candidate in range(1, bound + 1):
-                r_values.append(candidate)
-                if subtree_bound(r_values) >= best_delay - 1e-12:
-                    r_values.pop()
-                    break
-                inner = r_upper_bound(
-                    r_values, h, sizes, times, num_channels
-                )
-                if max_r is not None:
-                    inner = min(inner, max_r)
-                prefix = tuple(r_values)
-                for c2 in range(1, inner + 1):
-                    rows.append(frequencies_from_r(r_values + [c2], h))
-                    labels.append(prefix + (c2,))
-                r_values.pop()
-            flush(rows, labels)
-            return
-        for candidate in range(1, bound + 1):
-            r_values.append(candidate)
-            if subtree_bound(r_values) >= best_delay - 1e-12:
-                # F_min grows with the candidate, so later candidates
-                # bound at least as high: stop the whole loop.
-                r_values.pop()
-                break
-            descend(r_values, stage + 1)
-            r_values.pop()
+    def search(slots: np.ndarray, prefix: np.ndarray, stage: int) -> None:
+        """Expand a block of stage-``stage - 1`` nodes by one stage.
+
+        ``slots`` holds each node's ``F``, ``prefix`` its ``r`` row.
+        """
+        g = stage - 1
+        bound = np.maximum(
+            -(-(num_channels * times[g] - sizes[g]) // slots), 1
+        )
+        if max_r is not None:  # a cap below 1 leaves no candidate
+            bound = np.minimum(bound, max(max_r, 0))
+        parent = np.repeat(np.arange(slots.shape[0]), bound)
+        ends = np.cumsum(bound)
+        candidate = np.arange(1, parent.shape[0] + 1) - np.repeat(
+            ends - bound, bound
+        )
+        child_slots = candidate * slots[parent] + sizes[g]
+        lower = _tail_bounds(child_slots + rest[g], p_h, t_h, num_channels)
+        live = np.flatnonzero(lower < best_delay - 1e-12)
+        for start in range(0, live.shape[0], BLOCK_ROWS):
+            block = live[start:start + BLOCK_ROWS]
+            if start:
+                block = block[lower[block] < best_delay - 1e-12]
+                if not block.shape[0]:
+                    continue
+            rows = np.column_stack((prefix[parent[block]], candidate[block]))
+            if stage == h:
+                scan(rows)
+            else:
+                search(child_slots[block], rows, stage + 1)
 
     if h == 1:
-        best_r = ()
-        best_delay = paper_group_delay(
-            frequencies_from_r([], h), sizes, times, num_channels
-        )
+        best_delay = paper_group_delay((1,), sizes, times, num_channels)
     else:
-        descend([], 2)
+        # The root: stage 1's content is G_1 once, and no r is chosen.
+        search(
+            np.array([sizes[0]], dtype=np.int64),
+            np.empty((1, 0), dtype=np.int64),
+            2,
+        )
 
     frequencies = frequencies_from_r(list(best_r), h)
     return FrequencyAssignment(
@@ -369,19 +357,11 @@ def _brute_force_pruned(
         nonlocal best, best_delay
         if position == h - 2:
             # Innermost free position: the reference evaluates candidates
-            # 1..cap in order; one batch reproduces that scan exactly
-            # (scalar below the numpy break-even, same rationale as the
-            # staged search's flush).
+            # 1..cap in order; one batch reproduces that scan exactly.
             rows = [(*prefix, c, 1) for c in range(1, cap + 1)]
-            if cap < 16:
-                delays = [
-                    paper_group_delay(row, sizes, times, num_channels)
-                    for row in rows
-                ]
-            else:
-                delays = paper_group_delay_batch(
-                    rows, sizes, times, num_channels
-                )
+            delays = paper_group_delay_batch(
+                rows, sizes, times, num_channels
+            )
             for row, delay in zip(rows, delays):
                 if delay < best_delay - 1e-12:
                     best, best_delay = tuple(row), float(delay)

@@ -94,20 +94,14 @@ def plan_stats(
 
 
 def queued_deadlines(live: "LiveBroadcastService") -> list[int]:
-    """Deadlines of the pages the admission queue would add.
+    """Deadlines of the pages the admission queue would add, FIFO order.
 
-    FIFO order; a queued insert whose page id is already catalogued, or
-    already queued ahead of it, adds no page and is skipped.  This is
+    Every queued insert is a new page: admission refuses an insert whose
+    page is catalogued or already queued (``duplicate-page``).  This is
     the load the queue has been promised, which an SLO answer and the
     grown-budget candidate both count as committed.
     """
-    seen: set[int] = set()
-    deadlines = []
-    for event in live.admission.queued:
-        if event.page_id not in live.catalog and event.page_id not in seen:
-            seen.add(event.page_id)
-            deadlines.append(event.expected_time)
-    return deadlines
+    return [event.expected_time for event in live.admission.queued]
 
 
 class RemediationEngine:

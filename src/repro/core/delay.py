@@ -404,6 +404,48 @@ def _check_batch_rows(
         )
 
 
+def _batch_objective(
+    frequency_rows: "np.ndarray | list",
+    sizes: Sequence[int],
+    times: Sequence[int],
+    num_channels: int,
+    group_terms,
+) -> np.ndarray:
+    """Sum every group's objective term, for many frequency vectors.
+
+    ``group_terms(s, slots, cycle, weight, t)`` returns the terms as an
+    ``(h, m)`` float64 array, from group-major operands: ``s`` holds the
+    frequencies (group ``i`` of every vector in row ``i``), ``slots``
+    and ``cycle`` each vector's ``F`` and Equation-8 cycle as a row,
+    ``weight`` every ``S_i P_i / F``, and ``t`` the expected times as a
+    column.  The sum is bit-identical to the scalar's: ``F`` and the
+    cycle are exact in int64 (all quantities are far below 2**53, so the
+    float64 conversions are exact too), every division is a correctly
+    rounded quotient of exact integers like the scalar's ``int / int``,
+    and the terms are added by an ordered fold over groups (``total =
+    total + terms[i]``) — *not* ``np.sum``, whose pairwise reduction
+    would round differently.
+    """
+    rows = np.asarray(frequency_rows, dtype=np.int64)
+    _check_batch_rows(rows, sizes, times)
+    sizes_arr = np.asarray(sizes, dtype=np.int64)
+    slots = rows @ sizes_arr
+    cycle = -(-slots // num_channels)  # exact ceil, matches ceil_div
+    s = np.ascontiguousarray(rows.T)
+    slots_f = slots.astype(np.float64)[None, :]
+    terms = group_terms(
+        s.astype(np.float64),
+        slots_f,
+        cycle.astype(np.float64)[None, :],
+        (s * sizes_arr[:, None]).astype(np.float64) / slots_f,
+        np.asarray(times, dtype=np.float64)[:, None],
+    )
+    total = np.zeros(rows.shape[0], dtype=np.float64)
+    for term in terms:
+        total = total + term
+    return total
+
+
 def paper_group_delay_batch(
     frequency_rows: "np.ndarray | list",
     sizes: Sequence[int],
@@ -416,39 +458,18 @@ def paper_group_delay_batch(
     ``frequency_rows`` (shape ``(m, h)``, integer frequencies ``>= 1``)
     and returns the ``m`` delays.  The frequency searches call this on
     whole candidate batches instead of looping the scalar objective.
-
     Bit-identity with the scalar is load-bearing (the pruned searches
-    must reproduce the reference tie-breaks exactly), so the kernel
-    mirrors the scalar's float operation sequence:
-
-    * ``slots`` and the Equation-8 cycle stay in int64 (exact — the
-      scalar uses Python ints; all quantities here are far below 2**53,
-      so int64 -> float64 conversions are exact too);
-    * every division matches a scalar ``int / int`` (both correctly
-      rounded quotients of exactly-represented integers);
-    * the per-group accumulation runs as an ordered Python loop over
-      groups (``total = total + weight * term`` elementwise), matching
-      the scalar's left-to-right sum — *not* ``np.sum``, whose pairwise
-      reduction would round differently.
+    must reproduce the reference tie-breaks exactly), so every group's
+    term runs the scalar's float operations in the scalar's order, over
+    ``(h, m)`` arrays (see :func:`_batch_objective`).
     """
-    rows = np.asarray(frequency_rows, dtype=np.int64)
-    _check_batch_rows(rows, sizes, times)
-    h = rows.shape[1]
-    sizes_arr = np.asarray(sizes, dtype=np.int64)
-    slots = rows @ sizes_arr  # exact int64
-    cycle = -(-slots // num_channels)  # exact ceil, matches ceil_div
-    slots_f = slots.astype(np.float64)
-    total = np.zeros(rows.shape[0], dtype=np.float64)
-    for i in range(h):
-        s_i = rows[:, i]
-        weight = (s_i * int(sizes[i])).astype(np.float64) / slots_f
-        spacing_real = slots_f / (num_channels * s_i).astype(np.float64)
-        spacing_cycle = cycle.astype(np.float64) / s_i.astype(np.float64)
-        term = np.maximum(spacing_real - times[i], 0.0) * np.maximum(
-            (spacing_cycle - times[i]) / 2.0, 0.0
-        )
-        total = total + weight * term
-    return total
+    return _batch_objective(
+        frequency_rows, sizes, times, num_channels,
+        lambda s, slots, cycle, weight, t: weight * (
+            np.maximum(slots / (num_channels * s) - t, 0.0)
+            * np.maximum((cycle / s - t) / 2.0, 0.0)
+        ),
+    )
 
 
 def normalized_group_delay_batch(
@@ -459,32 +480,22 @@ def normalized_group_delay_batch(
 ) -> np.ndarray:
     """:func:`normalized_group_delay` for many frequency vectors at once.
 
-    Same exactness recipe as :func:`paper_group_delay_batch` (int64
-    slots/cycle, scalar-matching division order, ordered per-group
-    accumulation).  The scalar only accumulates groups whose excess is
-    positive; adding an exact 0.0 for the others is the identical float
-    sum, so a clamp reproduces the conditional.
+    Same exactness recipe as :func:`paper_group_delay_batch`.  The
+    scalar only accumulates groups whose excess is positive; adding an
+    exact 0.0 for the others is the identical float sum, so a clamp
+    reproduces the conditional.
     """
-    rows = np.asarray(frequency_rows, dtype=np.int64)
-    _check_batch_rows(rows, sizes, times)
-    h = rows.shape[1]
-    sizes_arr = np.asarray(sizes, dtype=np.int64)
-    slots = rows @ sizes_arr
-    cycle = -(-slots // num_channels)
-    slots_f = slots.astype(np.float64)
-    cycle_f = cycle.astype(np.float64)
-    total = np.zeros(rows.shape[0], dtype=np.float64)
-    for i in range(h):
-        s_i = rows[:, i]
-        weight = (s_i * int(sizes[i])).astype(np.float64) / slots_f
-        gap = cycle_f / s_i.astype(np.float64)
-        excess = np.maximum(gap - times[i], 0.0)
-        total = total + np.where(
-            excess > 0.0,
-            weight * (excess * excess) / (2.0 * gap),
-            0.0,
+
+    def group_terms(s, slots, cycle, weight, t):
+        gap = cycle / s
+        excess = np.maximum(gap - t, 0.0)
+        return np.where(
+            excess > 0.0, weight * (excess * excess) / (2.0 * gap), 0.0
         )
-    return total
+
+    return _batch_objective(
+        frequency_rows, sizes, times, num_channels, group_terms
+    )
 
 
 def even_spread_page_delay(

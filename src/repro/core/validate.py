@@ -22,9 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from repro.core.errors import ProgramValidationError
 from repro.core.pages import ProblemInstance
-from repro.core.program import BroadcastProgram
+from repro.core.program import AppearanceIndex, BroadcastProgram
 
 __all__ = [
     "ViolationKind",
@@ -101,7 +103,10 @@ def validate_program(
     """Check the two Section 3.1 conditions for every page of ``instance``.
 
     Pages present in the program but absent from the instance are also
-    flagged (schedulers must not invent pages).
+    flagged (schedulers must not invent pages).  Each page's first slot
+    and widest cyclic gap are compared with its expected time in array
+    operations over the program's appearance index; violations are then
+    listed for the failing pages only, in instance page order.
 
     Args:
         program: The broadcast program to check.
@@ -110,60 +115,70 @@ def validate_program(
     Returns:
         A :class:`ValidationReport`; ``report.ok`` is the validity verdict.
     """
-    violations: list[Violation] = []
-    max_excess = 0.0
-    known_ids = {page.page_id for page in instance.pages()}
-
-    for extra in sorted(program.page_ids() - known_ids):
-        violations.append(
-            Violation(
-                kind=ViolationKind.UNKNOWN_PAGE,
-                page_id=extra,
-                detail="appears in the program but not in the instance",
-            )
+    index = AppearanceIndex.from_program(program)
+    table = instance.page_table()
+    page_ids = table[:, 0].astype(np.int64)
+    times = table[:, 1].astype(np.int64)
+    # Each instance page's index row (-1 when off air); a row no page
+    # claims is an unknown page, and rows ascend by page id.
+    rows = index.rows_for(page_ids)
+    claimed = np.zeros(index.page_ids.shape[0], dtype=bool)
+    claimed[rows[rows >= 0]] = True
+    violations = [
+        Violation(
+            ViolationKind.UNKNOWN_PAGE,
+            extra,
+            "appears in the program but not in the instance",
         )
+        for extra in index.page_ids[~claimed].tolist()
+    ]
 
-    for page in instance.pages():
-        slots = program.appearance_slots(page.page_id)
-        if not slots:
+    # Per row, plus a trailing entry for row -1.  Condition 1: first
+    # appearance within the first t_i slots (0-based: slot index strictly
+    # below t_i means the broadcast begins no later than the paper's
+    # 1-based time t_i).  Condition 2: every cyclic gap within t_i.
+    starts = index.offsets[:-1]
+    widest = np.zeros(starts.shape[0] + 1, dtype=np.int64)
+    if starts.size:
+        widest[:-1] = np.maximum.reduceat(index.gaps, starts)
+    widest = widest[rows]
+    first = np.append(index.slots[starts], 0)[rows]
+    missing = rows < 0
+    late = ~missing & (first >= times)
+    wide = ~missing & (widest > times)
+    max_excess: float = 0.0
+    if missing.any():
+        max_excess = float("inf")
+    elif wide.any():
+        max_excess = int((widest - times)[wide].max())
+
+    for k in np.flatnonzero(missing | late | wide).tolist():
+        page_id, expected = int(page_ids[k]), int(times[k])
+        if missing[k]:
             violations.append(
                 Violation(
-                    kind=ViolationKind.MISSING_PAGE,
-                    page_id=page.page_id,
-                    detail="never broadcast",
+                    ViolationKind.MISSING_PAGE, page_id, "never broadcast"
                 )
             )
-            max_excess = float("inf")
             continue
-        # Condition 1: first appearance within the first t_i slots.
-        # 0-based: slot index strictly below t_i means the broadcast begins
-        # no later than the paper's (1-based) time t_i.
-        first = slots[0]
-        if first >= page.expected_time:
+        if late[k]:
             violations.append(
                 Violation(
-                    kind=ViolationKind.LATE_FIRST_APPEARANCE,
-                    page_id=page.page_id,
-                    detail=(
-                        f"first broadcast at slot {first} (0-based) but "
-                        f"expected time is {page.expected_time}"
-                    ),
+                    ViolationKind.LATE_FIRST_APPEARANCE,
+                    page_id,
+                    f"first broadcast at slot {int(first[k])} (0-based) "
+                    f"but expected time is {expected}",
                 )
             )
-        # Condition 2: every cyclic gap within t_i.
-        for gap in program.cyclic_gaps(page.page_id):
-            if gap > page.expected_time:
-                violations.append(
-                    Violation(
-                        kind=ViolationKind.GAP_EXCEEDS_EXPECTED_TIME,
-                        page_id=page.page_id,
-                        detail=(
-                            f"gap of {gap} slots exceeds expected time "
-                            f"{page.expected_time}"
-                        ),
-                    )
-                )
-                max_excess = max(max_excess, gap - page.expected_time)
+        gaps = index.row_slots(page_id)[1]
+        violations.extend(
+            Violation(
+                ViolationKind.GAP_EXCEEDS_EXPECTED_TIME,
+                page_id,
+                f"gap of {gap} slots exceeds expected time {expected}",
+            )
+            for gap in gaps[gaps > expected].tolist()
+        )
 
     return ValidationReport(
         violations=tuple(violations), max_excess_wait=max_excess

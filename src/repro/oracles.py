@@ -19,7 +19,7 @@ paper's §3.2 comparison.
   :func:`~repro.core.pamad.place_sequential` must produce the same
   grids and ``window_misses``.
 * :func:`opt_frequencies_exhaustive` — OPT's exhaustive walk over every
-  staged ``r`` vector; the branch-and-bound
+  staged ``r`` vector; the block search
   :func:`~repro.baselines.opt.opt_frequencies` must return the same
   assignment.
 * :func:`route_sequential` — the federation's per-event router.  Every
@@ -664,17 +664,14 @@ def slo_verdict_reference(
 ) -> SloVerdict:
     """``ServiceSession.slo_query`` over a copy of the page mapping.
 
-    The queue's new pages and the query's pages are added to the copy
-    under their own ids (the query's above every id in use), and the
-    load is summed over the copy's values in insertion order.
+    The queue's pages and the query's pages are added to the copy under
+    their own ids (the query's above every id in use), and the load is
+    summed over the copy's values in insertion order.
     """
     live = session.live
     candidate = live.catalog.pages()
-    queued_pages = 0
     for event in live.admission.queued:
-        if event.page_id not in candidate:
-            candidate[event.page_id] = event.expected_time
-            queued_pages += 1
+        candidate[event.page_id] = event.expected_time
     next_id = max(candidate) + 1
     for offset in range(query.pages):
         candidate[next_id + offset] = query.expected_time
@@ -690,7 +687,7 @@ def slo_verdict_reference(
         headroom=live.budget - required,
         channel_load=sum(1.0 / t for t in candidate.values()),
         predicted_delay=predicted_delay,
-        queued_pages=queued_pages,
+        queued_pages=len(live.admission.queued),
         reason="fits-budget" if achievable else "exceeds-budget",
     )
 
@@ -783,8 +780,7 @@ def propose_reference(
     if policy.allow_add_channel:
         cand = dict(catalog)
         for event in live.admission.queued:
-            if event.page_id not in cand:
-                cand[event.page_id] = event.expected_time
+            cand[event.page_id] = event.expected_time
         required, delay, _ = plan_stats_reference(cand, budget + 1)
         if engine.extra_channels >= policy.max_extra_channels:
             verdict = (False, "channel-cap")

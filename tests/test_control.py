@@ -55,6 +55,7 @@ from repro.core.pages import instance_from_counts
 from repro.engine import BroadcastEngine
 from repro.engine.telemetry import MANIFEST_VERSION
 from repro.live import LiveBroadcastService, MutationTrace
+from repro.live.admission import AdmissionController
 from repro.live.catalog import LiveCatalog
 from repro.live.mutations import MutationEvent
 from repro.oracles import (
@@ -625,6 +626,135 @@ class TestSloVerdicts:
 
 
 # ----------------------------------------------------------------------
+# The admission queue only ever holds new pages
+# ----------------------------------------------------------------------
+
+
+def assert_queue_holds_new_pages(controller) -> None:
+    """No queued id is on a ledger, and none is queued twice."""
+    ids = [event.page_id for event in controller.queued]
+    assert len(ids) == len(set(ids)), ids
+    assert [page for page in ids if controller.locate(page) is not None] == []
+
+
+def step_event(time: float, op: str, page: int, expected: int):
+    """The mutation event of one drawn step (``listener`` for the ops
+    that are not catalog mutations)."""
+    kind = {
+        "insert": "page_insert",
+        "remove": "page_remove",
+        "retune": "page_retune",
+    }.get(op, "listener")
+    return MutationEvent(
+        time=time, kind=kind, page_id=page,
+        expected_time=None if kind == "page_remove" else expected,
+    )
+
+
+ADMISSION_STEPS = st.tuples(
+    st.sampled_from(
+        ("insert", "insert", "remove", "retune", "drain", "grow", "move")
+    ),
+    st.integers(1, 9),
+    st.sampled_from((2, 4, 8, 16)),
+    st.integers(0, 2),
+)
+
+
+class TestQueueReachability:
+    """``decide_insert`` refuses a page already on a ledger or already
+    queued, drains take an entry off the queue before placing it, and
+    nothing else adds to the queue — so every queued entry is a new
+    page, and the SLO and grown-budget pricing count each one."""
+
+    @given(
+        shards=st.integers(1, 3),
+        steps=st.lists(ADMISSION_STEPS, max_size=40),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_controller_walk_queues_only_new_pages(self, shards, steps):
+        """Inserts, removals, retunes and drains, a growing budget (the
+        add-channel action) and rebalancer moves between ledgers."""
+        ledgers = {
+            shard: LiveCatalog({shard + 1: 2, shard + 11: 4})
+            for shard in range(shards)
+        }
+        controller = AdmissionController(ledgers, 1, queue_limit=4)
+        for time, (op, page, expected, shard) in enumerate(steps):
+            event = step_event(float(time), op, page, expected)
+            owner = controller.locate(page)
+            if op == "insert":
+                controller.decide_insert(event, shard % shards)
+            elif op == "remove":
+                controller.decide_remove(event)
+            elif op == "retune":
+                controller.decide_retune(event)
+            elif op == "drain":
+                list(controller.drain(float(time)))
+            elif op == "grow":
+                controller.budget += 1
+            elif owner is not None and len(ledgers[owner]) > 1:
+                target = (owner + 1 + shard) % shards
+                if target != owner:
+                    moved = ledgers[owner].expected_time(page)
+                    ledgers[owner].remove(page)
+                    ledgers[target].insert(page, moved)
+            assert_queue_holds_new_pages(controller)
+
+    @given(
+        batches=st.lists(
+            st.lists(ADMISSION_STEPS, min_size=1, max_size=6),
+            min_size=1,
+            max_size=8,
+        ),
+        policy=st.builds(
+            RemediationPolicy,
+            miss_streak=st.integers(1, 4),
+            cooldown=st.integers(0, 4),
+            max_pages_moved=st.integers(0, 8),
+            allow_retune=st.booleans(),
+            allow_shed=st.booleans(),
+            allow_add_channel=st.booleans(),
+            max_extra_channels=st.integers(0, 2),
+        ),
+        picks=st.lists(st.integers(0, 3), min_size=8, max_size=8),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_session_with_remediation_queues_only_new_pages(
+        self, batches, policy, picks
+    ):
+        """Mutation batches with missing listeners through a hosted
+        service (its own remediation loop may fire), and after each
+        batch one proposed remediation action applied outright."""
+        plane, _ = make_plane_with_service(remediation=policy)
+        session = plane.session("svc")
+        engine = session.remediation
+        clock = 0.0
+        for batch, pick in zip(batches, picks):
+            events = []
+            for op, page, expected, _ in batch:
+                clock += 1.0
+                events.append(step_event(clock, op, page, expected))
+            plane.handle(MutationBatch(service="svc", events=tuple(events)))
+            assert_queue_holds_new_pages(session.live.admission)
+            candidates, retune_pages, retune_to, shed_pages = (
+                engine._propose()
+            )
+            applicable = [
+                candidate
+                for candidate in candidates
+                if (candidate.action != "retune" or retune_to is not None)
+                and (candidate.action != "shed" or shed_pages)
+            ]
+            if applicable:
+                engine._apply(
+                    applicable[pick % len(applicable)],
+                    retune_pages, retune_to, shed_pages,
+                )
+            assert_queue_holds_new_pages(session.live.admission)
+
+
+# ----------------------------------------------------------------------
 # What-if pricing: deadline-histogram edits vs the page-mapping oracle
 # ----------------------------------------------------------------------
 
@@ -635,8 +765,9 @@ def whatif_states(draw):
 
     Ladder catalogs in shuffled page order (``1/3`` and ``1/6`` are not
     exact binary fractions, so the load's summation order shows), a
-    budget below, at or above the Theorem-3.1 floor, a queue holding
-    duplicate and already-catalogued page ids, and 0..5 queried pages.
+    budget below, at or above the Theorem-3.1 floor, a queue of new
+    pages (the only queues admission can build, see
+    :class:`TestQueueReachability`), and 0..5 queried pages.
     """
     base = draw(st.sampled_from((2, 3)))
     ladder = [base * 2 ** k for k in range(draw(st.integers(1, 4)))]
@@ -651,11 +782,12 @@ def whatif_states(draw):
     floor = LiveCatalog(catalog).required_channels()
     budget = max(1, floor + draw(st.integers(-2, 1)))
     deadlines = ladder + [2 * ladder[-1]]
-    ids = list(catalog) + [len(times) + k for k in (1, 2, 3)]
+    new_ids = [len(times) + k for k in range(1, 7)]
     queue = draw(
         st.lists(
-            st.tuples(st.sampled_from(ids), st.sampled_from(deadlines)),
+            st.tuples(st.sampled_from(new_ids), st.sampled_from(deadlines)),
             max_size=6,
+            unique_by=lambda entry: entry[0],
         )
     )
     query = (draw(st.sampled_from(deadlines)), draw(st.integers(0, 5)))
@@ -667,11 +799,9 @@ def host_whatif_state(catalog, budget, queue, policy=None):
     queue (the queue's contents, not how they arrived, are what the
     pricing reads).
 
-    The entries are written into the controller's queue directly:
-    ``decide_insert`` rejects a page already catalogued or already
-    queued as ``duplicate-page``, so the duplicate and catalogued ids
-    the strategy draws no longer reach the queue through it, and the
-    pricing must still agree with the oracle on any queue contents.
+    The entries — new, distinct pages, as admission queues them — are
+    written into the controller's queue directly, whether or not they
+    would fit the budget.
     """
     plane = ControlPlane()
     plane.handle(
@@ -731,7 +861,7 @@ class TestWhatIfOracle:
         """Fixed states on both sides of the floor: a fitting verdict
         prices zero delay, a refused one a positive PAMAD delay."""
         catalog = {5: 3, 1: 6, 4: 3, 2: 12, 3: 6, 6: 12}
-        queue = [(7, 3), (7, 6), (1, 3), (8, 12)]
+        queue = [(7, 3), (8, 12)]
         delays = []
         for budget in (1, 2, 3):
             session = host_whatif_state(catalog, budget, queue)

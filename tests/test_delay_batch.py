@@ -53,14 +53,17 @@ def ladders(draw, max_groups=4, max_size=12, max_base=4, max_ratio=3):
 
 @st.composite
 def objective_cases(draw):
-    """A ladder, a channel budget, and a batch of frequency rows."""
-    sizes, times = draw(ladders())
+    """A ladder of up to 10 groups, a channel budget, and a batch of
+    frequency rows — small frequencies (clamped, zero-delay terms) or
+    any up to 2**20 (long weights, large cycles)."""
+    sizes, times = draw(ladders(max_groups=10))
     h = len(sizes)
     num_channels = draw(st.integers(1, 6))
     m = draw(st.integers(1, 8))
+    top = draw(st.sampled_from((6, 2**20)))
     rows = draw(
         st.lists(
-            st.lists(st.integers(1, 6), min_size=h, max_size=h),
+            st.lists(st.integers(1, top), min_size=h, max_size=h),
             min_size=m,
             max_size=m,
         )

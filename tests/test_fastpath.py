@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import opt
 from repro.baselines.opt import brute_force_frequencies, opt_frequencies
 from repro.core.bounds import minimum_channels
-from repro.core.delay import paper_group_delay
+from repro.core.delay import paper_group_delay, paper_group_delay_batch
 from repro.core.frequencies import (
     pamad_frequencies,
     pamad_frequencies_for,
@@ -30,6 +31,7 @@ from repro.core.pamad import (
 )
 from repro.core.program import BroadcastProgram
 from repro.core.susc import schedule_susc
+from repro.engine.executor import default_channel_points
 from repro.live.catalog import LiveCatalog
 from repro.live.replan import FastReplanner
 from repro.oracles import (
@@ -38,6 +40,7 @@ from repro.oracles import (
     place_sequential_reference,
     susc_reference,
 )
+from repro.workload.generator import paper_instance
 
 
 # ----------------------------------------------------------------------
@@ -114,16 +117,53 @@ class TestPlacementEquality:
 
 
 class TestSearchEquality:
-    @given(instances(max_groups=3, max_size=6))
-    @settings(max_examples=25, deadline=None)
-    def test_opt_pruning_is_exact(self, instance):
-        channels = minimum_channels(instance)
-        exhaustive = opt_frequencies_exhaustive(instance, channels)
-        pruned = opt_frequencies(instance, channels)
-        assert pruned.frequencies == exhaustive.frequencies
-        assert pruned.predicted_delay == pytest.approx(
-            exhaustive.predicted_delay
+    @given(
+        instance=instances(max_groups=5, max_size=6),
+        data=st.data(),
+        max_r=st.none() | st.integers(1, 4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_opt_pruning_is_exact(self, instance, data, max_r):
+        channels = data.draw(
+            st.integers(1, minimum_channels(instance) + 2), label="channels"
         )
+        exhaustive = opt_frequencies_exhaustive(instance, channels, max_r)
+        pruned = opt_frequencies(instance, channels, max_r)
+        assert pruned.r_values == exhaustive.r_values
+        assert pruned.frequencies == exhaustive.frequencies
+        assert pruned.predicted_delay == exhaustive.predicted_delay
+
+    @pytest.mark.parametrize(
+        "distribution", ("uniform", "normal", "s-skewed", "l-skewed")
+    )
+    def test_opt_equals_exhaustive_at_figure5_points(self, distribution):
+        """Every channel point the Figure-5 sweeps plot (six per paper
+        instance), compared field by field with ``==``."""
+        instance = paper_instance(distribution)
+        n_min = minimum_channels(instance)
+        for channels in default_channel_points(n_min, 6):
+            exhaustive = opt_frequencies_exhaustive(instance, channels)
+            pruned = opt_frequencies(instance, channels)
+            case = (distribution, channels)
+            assert pruned.r_values == exhaustive.r_values, case
+            assert pruned.frequencies == exhaustive.frequencies, case
+            assert pruned.predicted_delay == exhaustive.predicted_delay, case
+
+    def test_opt_blocks_fit_the_row_budget(self, monkeypatch):
+        """At 4x N_min the unpruned staged space holds ~10^5 leaves; the
+        search still hands the objective no block above the budget."""
+        blocks = []
+
+        def recording_batch(rows, *args):
+            blocks.append(len(rows))
+            return paper_group_delay_batch(rows, *args)
+
+        monkeypatch.setattr(opt, "paper_group_delay_batch", recording_batch)
+        instance = paper_instance("l-skewed")
+        channels = 4 * minimum_channels(instance)
+        found = opt.opt_frequencies(instance, channels)
+        assert found == opt_frequencies_exhaustive(instance, channels)
+        assert len(blocks) > 1 and max(blocks) <= opt.BLOCK_ROWS
 
     @given(instances(max_groups=3, max_size=5))
     @settings(max_examples=15, deadline=None)

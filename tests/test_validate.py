@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.bounds import minimum_channels
 from repro.core.errors import ProgramValidationError
 from repro.core.pages import instance_from_counts
+from repro.core.pamad import schedule_pamad
 from repro.core.program import BroadcastProgram
+from repro.core.susc import schedule_susc
 from repro.core.validate import (
+    ValidationReport,
+    Violation,
     ViolationKind,
     assert_valid_program,
     validate_program,
@@ -123,3 +130,115 @@ class TestWorstCaseWait:
         program.assign(0, 0, 7)
         program.assign(0, 3, 7)
         assert worst_case_wait(program, 7) == 7
+
+
+# ----------------------------------------------------------------------
+# The array checker against the page-by-page loop it replaced
+# ----------------------------------------------------------------------
+
+
+def validate_program_reference(
+    program: BroadcastProgram, instance
+) -> ValidationReport:
+    """The literal page-by-page check: every page's slot list and every
+    cyclic gap, in instance page order, after the unknown pages."""
+    violations: list[Violation] = []
+    max_excess = 0.0
+    known_ids = {page.page_id for page in instance.pages()}
+    for extra in sorted(program.page_ids() - known_ids):
+        violations.append(
+            Violation(
+                kind=ViolationKind.UNKNOWN_PAGE,
+                page_id=extra,
+                detail="appears in the program but not in the instance",
+            )
+        )
+    for page in instance.pages():
+        slots = program.appearance_slots(page.page_id)
+        if not slots:
+            violations.append(
+                Violation(
+                    kind=ViolationKind.MISSING_PAGE,
+                    page_id=page.page_id,
+                    detail="never broadcast",
+                )
+            )
+            max_excess = float("inf")
+            continue
+        first = slots[0]
+        if first >= page.expected_time:
+            violations.append(
+                Violation(
+                    kind=ViolationKind.LATE_FIRST_APPEARANCE,
+                    page_id=page.page_id,
+                    detail=(
+                        f"first broadcast at slot {first} (0-based) but "
+                        f"expected time is {page.expected_time}"
+                    ),
+                )
+            )
+        for gap in program.cyclic_gaps(page.page_id):
+            if gap > page.expected_time:
+                violations.append(
+                    Violation(
+                        kind=ViolationKind.GAP_EXCEEDS_EXPECTED_TIME,
+                        page_id=page.page_id,
+                        detail=(
+                            f"gap of {gap} slots exceeds expected time "
+                            f"{page.expected_time}"
+                        ),
+                    )
+                )
+                max_excess = max(max_excess, gap - page.expected_time)
+    return ValidationReport(
+        violations=tuple(violations), max_excess_wait=max_excess
+    )
+
+
+@st.composite
+def checked_programs(draw):
+    """An instance and a program to check: SUSC's (valid), PAMAD's at
+    any budget up to the floor (valid or not), or either one degraded —
+    cells cleared, unknown pages and extra copies written in."""
+    h = draw(st.integers(1, 4))
+    base = draw(st.integers(1, 4))
+    ratio = draw(st.integers(2, 3))
+    sizes = draw(st.lists(st.integers(1, 8), min_size=h, max_size=h))
+    instance = instance_from_counts(
+        sizes, [base * ratio**i for i in range(h)]
+    )
+    floor = minimum_channels(instance)
+    if draw(st.booleans()):
+        program = schedule_susc(instance).program
+    else:
+        channels = draw(st.integers(1, floor))
+        program = schedule_pamad(instance, channels).program
+    cells = [
+        (channel, slot)
+        for channel in range(program.num_channels)
+        for slot in range(program.cycle_length)
+    ]
+    ids = [page.page_id for page in instance.pages()]
+    for _ in range(draw(st.integers(0, 6))):
+        channel, slot = draw(st.sampled_from(cells))
+        program.clear(channel, slot)
+        page = draw(st.none() | st.sampled_from(ids) | st.integers(900, 903))
+        if page is not None:
+            program.assign(channel, slot, page)
+    if draw(st.booleans()):
+        for channel, slot in cells:
+            if program.get(channel, slot) == ids[-1]:
+                program.clear(channel, slot)  # one page goes off air
+    return instance, program
+
+
+class TestArrayCheckMatchesLoop:
+    @given(case=checked_programs())
+    @settings(max_examples=80, deadline=None)
+    def test_report_equals_page_loop(self, case):
+        instance, program = case
+        got = validate_program(program, instance)
+        want = validate_program_reference(program, instance)
+        assert got.violations == want.violations
+        assert repr(got.max_excess_wait) == repr(want.max_excess_wait)
+        assert got.summary() == want.summary()
