@@ -46,6 +46,7 @@ from repro.api.types import (
     ErrorBudgetReport,
     FinishService,
     ListServices,
+    MAX_QUERY_PAGES,
     MutationBatch,
     MutationBatchResult,
     RemediationCandidate,
@@ -68,6 +69,7 @@ __all__ = [
     "ErrorBudgetReport",
     "FinishService",
     "ListServices",
+    "MAX_QUERY_PAGES",
     "MutationBatch",
     "MutationBatchResult",
     "RemediationCandidate",

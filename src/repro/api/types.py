@@ -32,6 +32,7 @@ __all__ = [
     "FederationCreate",
     "FinishService",
     "ListServices",
+    "MAX_QUERY_PAGES",
     "MutationBatch",
     "MutationBatchResult",
     "RemediationCandidate",
@@ -414,6 +415,13 @@ class MutationBatch:
         )
 
 
+#: Largest ``SloQuery.pages``.  The plane prices a query on its one
+#: event-loop thread at one load term per page, so an unbounded count
+#: would stall every client; at the cap a query costs ~4 ms (2-vCPU
+#: x86_64).
+MAX_QUERY_PAGES = 65_536
+
+
 @dataclass(frozen=True)
 class SloQuery:
     """"Is this deadline achievable under this channel budget?"
@@ -434,8 +442,10 @@ class SloQuery:
             raise ReproError(
                 f"expected_time must be >= 1, got {self.expected_time}"
             )
-        if self.pages < 0:
-            raise ReproError(f"pages must be >= 0, got {self.pages}")
+        if not 0 <= self.pages <= MAX_QUERY_PAGES:
+            raise ReproError(
+                f"pages must be in 0..{MAX_QUERY_PAGES}, got {self.pages}"
+            )
 
     def to_dict(self) -> dict:
         return {

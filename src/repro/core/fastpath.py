@@ -1,35 +1,35 @@
-"""Fast placement kernels — byte-identical to the reference scans.
+"""Fast placement kernels — grid-identical to the reference scans.
 
 The reference implementations of Algorithm 4 and Algorithm 1/2
 (:mod:`repro.oracles`) probe the program grid cell by cell through
 :class:`~repro.core.program.BroadcastProgram` accessors.
 That is the right shape for reading the paper, but every probe pays
-bounds checks and method dispatch, and the column/window scans are
-quadratic in practice.  The kernels here compute *exactly the same
-placements* on numpy occupancy arrays — no per-slot Python loop anywhere
-on the placement path — and materialise the finished grid in one pass
-via :meth:`BroadcastProgram.from_array`.
+bounds checks and method dispatch.  The kernels here compute *exactly
+the same placements* on numpy arrays and materialise the finished grid
+in one pass via :meth:`BroadcastProgram.from_array`.
 
-Why the outputs are provably identical:
-
-* **Prefix-occupancy invariant.**  Algorithm-4 placement only ever fills
-  a column through "first free channel in this column" and never clears
-  a cell, so the occupied channels of any column are exactly
-  ``0..fill-1``.  The free cells of the grid, enumerated column-major,
-  are therefore fully described by the per-column ``fill`` counts — and
-  a prefix-sum over ``num_channels - fill`` ranks every free cell.
+* **One Algorithm-4 group placement.**  :func:`place_group` places one
+  group's copies on an int64 grid that may have holes; fresh PAMAD,
+  m-PB and OPT plans call it once per group
+  (:func:`place_by_frequency_fast`), and the live re-plan patch
+  (:mod:`repro.live.replan`) calls it on the grid with one rung
+  cleared.  The grid is column-major, so its free cells in (column,
+  channel) order — the scan order of "first free column, lowest free
+  channel" — are one ``flatnonzero`` over a flat view.
 * **Static-window batch argument (Algorithm 4).**  The reference places
   pages of one group round-robin over that group's windows (page outer,
   window inner).  Windows tile the cycle disjointly, so — as long as no
-  window overflows — every placement stays inside its own window and
-  window ``k``'s free-cell supply is consumed in column-major rank
-  order, page by page.  Checking up front that every window holds at
-  least ``|group|`` free cells therefore licenses placing the whole
-  group with one fancy-indexed write: page ``j`` of window ``k`` lands
-  on the window's ``j``-th ranked free cell, exactly where the
-  reference scan puts it.  A group with an overflowing window falls
-  back to a per-placement pointer-jumping loop that replays the
-  reference's cyclic-fallback order (and its ``window_misses`` count).
+  window overflows — every placement stays inside its own window, no
+  page reaches a column twice, and window ``k``'s free cells are
+  consumed in (column, channel) order, page by page.  Checking up front
+  that every window holds at least ``|group|`` free cells therefore
+  licenses placing the whole group with one flat write: page ``j`` of
+  window ``k`` lands on the window's ``j``-th free cell, exactly where
+  the reference scan puts it, holes or not.  A group with an
+  overflowing window is placed copy by copy: a per-column Python cursor
+  into the free-cell list picks the channel, and a path-compressed
+  jump list skips full columns, so each copy costs amortised O(1) plus
+  the columns it must skip because they already air its page.
 * **Static-window batch argument (SUSC).**  A page's periodic copies
   land at ``start + k * t_i`` with ``start < t_i``, so copies never
   re-enter the ``[0, t_i)`` window of the channel that hosts them.
@@ -44,22 +44,24 @@ Why the outputs are provably identical:
 
 Property tests (:mod:`tests.test_fastpath`) pin the equality: for every
 instance the fast kernels produce grid-identical programs, identical
-``window_misses`` counts and identical error behaviour.
+``window_misses`` (and, for :func:`place_group`, ``shared``) counts and
+identical error behaviour.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Container, Sequence
 
 import numpy as np
 
 from repro.core.errors import SchedulingError, SearchSpaceError
 from repro.core.intmath import ceil_div
 from repro.core.pages import ProblemInstance
-from repro.core.program import BroadcastProgram, SlotRef
+from repro.core.program import FREE, BroadcastProgram, SlotRef
 
 __all__ = [
     "place_by_frequency_fast",
+    "place_group",
     "place_sequential_fast",
     "susc_fill_fast",
 ]
@@ -79,69 +81,113 @@ def _check_frequencies(
         )
 
 
-def _make_find(next_free: list[int]):
-    """First non-full column at or after ``c`` with path compression."""
+def place_group(
+    grid: np.ndarray, page_ids: Sequence[int], copies: int
+) -> tuple[int, int]:
+    """Algorithm 4 for one group: ``copies`` evenly spread copies per page.
+
+    Writes every copy of ``page_ids`` into the free cells (:data:`FREE`)
+    of ``grid`` in place.  The grid is a ``(num_channels, cycle)`` int64
+    array in column-major (Fortran) order, so that its cells in
+    (column, channel) order are one flat view; it may have holes
+    anywhere, but must not air ``page_ids`` yet.  Pages are placed in the given order, each page's copy
+    ``k`` in window ``k``, ``[ceil(cycle k / copies), ceil(cycle (k + 1)
+    / copies))``: the first column of the window with a free cell that
+    does not already air the page, at its lowest free channel.  A window
+    without one sends the copy to the first such column cyclically from
+    the window start (counted in ``window_misses``).  Only when every
+    free column already airs the page does the copy share one of them,
+    the first cyclically from the window start (counted in ``shared``).
+
+    Returns ``(window_misses, shared)``.  The cell-by-cell oracle is
+    :func:`repro.oracles.place_group_reference`.
+
+    Raises:
+        ValueError: If ``grid`` is not column-major.
+        SchedulingError: If the grid has fewer free cells than the
+            group has copies.
+    """
+    if not grid.flags.f_contiguous:
+        raise ValueError("place_group needs a column-major (order='F') grid")
+    num_channels, cycle = grid.shape
+    # A view, the grid being column-major: cell (channel, column) sits
+    # at column * num_channels + channel.
+    flat = grid.T.reshape(-1)
+    free = np.flatnonzero(flat == FREE)
+    bounds = -(-cycle * np.arange(copies + 1, dtype=np.int64) // copies)
+    edges = np.searchsorted(free, bounds * num_channels)
+    ids = np.asarray(page_ids, dtype=np.int64)
+    if int(np.diff(edges).min()) >= ids.size:
+        # No window can overflow, so copies never leave their window and
+        # no page reaches a column twice: page j of window k takes the
+        # window's j-th free cell.
+        take = edges[:-1, None] + np.arange(ids.size, dtype=np.int64)
+        flat[free[take.ravel()]] = np.tile(ids, copies)
+        return 0, 0
+
+    # Some window overflows and copies leak across windows: place copy
+    # by copy.  Column c's free cells are free[cursor[c]:stop[c]], taken
+    # lowest channel first; ``jump`` links full columns onward
+    # (path-compressed), so "first non-full column at or after c" is
+    # amortised O(1).
+    column_edges = np.searchsorted(
+        free, np.arange(cycle + 1, dtype=np.int64) * num_channels
+    )
+    cursor = column_edges[:-1].tolist()
+    stop = column_edges[1:].tolist()
+    links = np.arange(cycle + 1, dtype=np.int64)
+    links[:-1] += column_edges[1:] == column_edges[:-1]
+    jump = links.tolist()
+    starts = bounds[:-1].tolist()
+    ends = bounds[1:].tolist()
 
     def find(column: int) -> int:
         root = column
-        while next_free[root] != root:
-            root = next_free[root]
-        while next_free[column] != root:
-            column, next_free[column] = next_free[column], root
+        while jump[root] != root:
+            root = jump[root]
+        while jump[column] != root:
+            column, jump[column] = jump[column], root
         return root
 
-    return find
+    def cyclic(start: int, skip: Container[int]) -> int:
+        """First non-full column outside ``skip``, cyclically from
+        ``start``; ``cycle`` when there is none."""
+        for origin in (start, 0):
+            column = find(origin)
+            while column in skip:
+                column = find(column + 1)
+            if column < cycle:
+                return column
+        return cycle
 
-
-def _place_group_fallback(
-    grid: np.ndarray,
-    fill: np.ndarray,
-    pages,
-    s_i: int,
-    cycle: int,
-    num_channels: int,
-    total_slots: int,
-) -> int:
-    """Reference-order placement for one group with an overflowing window.
-
-    Once any window of a group can overflow, placements leak into other
-    windows and the batch argument no longer holds — so this group runs
-    the per-placement pointer-jumping loop (amortised O(1) per
-    placement, no per-slot scan), reproducing the reference's cyclic
-    fallback order and its ``window_misses`` count exactly.
-    """
-    next_free = list(range(cycle + 1))
-    for column in np.flatnonzero(fill == num_channels).tolist():
-        next_free[column] = column + 1
-    find = _make_find(next_free)
-    misses = 0
-    for page in pages:
-        page_id = page.page_id
-        for k in range(s_i):
-            window_start = ceil_div(cycle * k, s_i)
-            window_end = ceil_div(cycle * (k + 1), s_i)  # exclusive
-            column = find(window_start)
-            if column >= min(window_end, cycle):
-                # Window full: the reference falls back to a cyclic
-                # scan from window_start — first free in
-                # [window_start, cycle), else first free in
-                # [0, window_start).
+    taken: list[int] = []
+    misses = shared = 0
+    for page_id in ids.tolist():
+        held: set[int] = set()
+        for k, (start, end) in enumerate(zip(starts, ends)):
+            # The cyclic scan reaches the window's own columns first.
+            column = cyclic(start, held)
+            if not start <= column < end:
                 misses += 1
-                if column >= cycle:
-                    column = find(0)
-                    if column >= window_start:
-                        raise SchedulingError(
-                            f"no free slot anywhere in the cycle for "
-                            f"page {page_id} copy {k + 1}/{s_i}; "
-                            f"cycle length {cycle} cannot hold "
-                            f"{total_slots} slots"
-                        )
-            channel = int(fill[column])
-            grid[channel, column] = page_id
-            fill[column] = channel + 1
-            if channel + 1 == num_channels:
-                next_free[column] = column + 1
-    return misses
+            if column == cycle:
+                # Every free column airs the page: share the first one
+                # cyclically from the window start.
+                shared += 1
+                column = cyclic(start, ())
+                if column == cycle:
+                    raise SchedulingError(
+                        f"no free cell left in the {cycle}-column grid "
+                        f"for page {page_id} copy {k + 1}/{copies}"
+                    )
+            held.add(column)
+            index = cursor[column]
+            taken.append(index)
+            index += 1
+            cursor[column] = index
+            if index == stop[column]:
+                jump[column] = column + 1
+    flat[free[taken]] = np.repeat(ids, copies)
+    return misses, shared
 
 
 def place_by_frequency_fast(
@@ -149,59 +195,33 @@ def place_by_frequency_fast(
     frequencies: Sequence[int],
     num_channels: int,
 ) -> tuple[BroadcastProgram, int]:
-    """Algorithm-4 placement as array kernels; grid-identical to the reference.
+    """Algorithm-4 placement; grid-identical to the reference.
 
-    Returns ``(program, window_misses)`` — the same pair the reference
+    Places the groups in descending frequency order, one
+    :func:`place_group` call each, and returns ``(program,
+    window_misses)`` — the pair the reference
     :func:`repro.oracles.place_by_frequency_reference` wraps in its
-    ``PlacementResult``.
+    ``PlacementResult``.  Copies that had to share a column stay: every
+    page airs exactly ``S_i`` times.
     """
     _check_frequencies(instance, frequencies)
     total_slots = sum(
         s * group.size for s, group in zip(frequencies, instance.groups)
     )
     cycle = ceil_div(total_slots, num_channels)
-    grid = np.full((num_channels, cycle), -1, dtype=np.int64)
-    fill = np.zeros(cycle, dtype=np.int64)
-
+    grid = np.full((num_channels, cycle), FREE, dtype=np.int64, order="F")
     order = sorted(
         range(instance.h), key=lambda i: frequencies[i], reverse=True
     )
     window_misses = 0
     for group_position in order:
         group = instance.groups[group_position]
-        s_i = frequencies[group_position]
-        m = group.size
-        if m == 0:
-            continue
-        bounds = -(-cycle * np.arange(s_i + 1, dtype=np.int64) // s_i)
-        starts = bounds[:-1]
-        ends = np.minimum(bounds[1:], cycle)
-        free_per_col = num_channels - fill
-        cumfree = np.concatenate(([0], np.cumsum(free_per_col)))
-        counts = cumfree[ends] - cumfree[starts]
-        if int(counts.min()) < m:
-            window_misses += _place_group_fallback(
-                grid, fill, group.pages, s_i, cycle, num_channels,
-                total_slots,
-            )
-            continue
-        # No window can overflow: rank every free cell column-major and
-        # hand window k's ranks [cumfree[start_k], cumfree[start_k] + m)
-        # to the group's pages in order.
-        page_ids = np.fromiter(
-            (page.page_id for page in group.pages),
-            dtype=np.int64,
-            count=m,
+        misses, _ = place_group(
+            grid,
+            [page.page_id for page in group.pages],
+            frequencies[group_position],
         )
-        col_of_rank = np.repeat(np.arange(cycle), free_per_col)
-        ranks = (
-            cumfree[starts][:, None]
-            + np.arange(m, dtype=np.int64)[None, :]
-        ).ravel()
-        cols = col_of_rank[ranks]
-        chans = fill[cols] + (ranks - cumfree[cols])
-        grid[chans, cols] = np.broadcast_to(page_ids, (s_i, m)).ravel()
-        fill += np.bincount(cols, minlength=cycle)
+        window_misses += misses
     return BroadcastProgram.from_array(grid), window_misses
 
 

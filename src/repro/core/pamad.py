@@ -9,7 +9,8 @@ The full PAMAD pipeline:
 3. place every page of group ``G_i`` exactly ``S_i`` times, evenly spread:
    the ``k``-th copy goes into the column window
    ``[ceil(t_major (k-1) / S_i), ceil(t_major k / S_i))`` (0-based), taking
-   the first free channel in the earliest free column (Algorithm 4).
+   the first free channel in the earliest free column that does not
+   already air the page (Algorithm 4).
 
 The even-spread placement (step 3) is shared verbatim by the m-PB and OPT
 baselines — the paper fixes the placement and varies only the frequencies,
@@ -21,6 +22,12 @@ because the cycle was sized to hold everything, which is true *globally*
 but not per window.  :func:`place_by_frequency` therefore falls back to a
 cyclic scan from the window start and counts how often that happened
 (``window_misses``) so the effect is observable instead of silent.
+Even spreading assumes each copy gets its own column — a second copy
+in a column that already airs the page serves no listener — so both
+scans skip such columns.  Only when every free column left already airs
+the page does a copy share one (the first cyclically from its window
+start); fresh placement keeps it, so every page still airs exactly
+``S_i`` times.
 """
 
 from __future__ import annotations

@@ -984,7 +984,7 @@ class BroadcastProgram:
         if arr.ndim != 2 or arr.size == 0:
             raise InvalidInstanceError("grid must be a non-empty 2-D array")
         program = cls.__new__(cls)
-        program._load_packed(arr.astype(np.int64), version=0)
+        program._load_packed(arr.astype(np.int64, order="C"), version=0)
         return program
 
     def _load_packed(self, packed, version: int) -> None:

@@ -22,32 +22,26 @@ following hold against the current catalog:
   cycle, so the grid shape — and with it every *unchanged* group's
   Algorithm-4 windows — is preserved.
 
-The patch then (1) clears every cell of the changed rung's pages and
-(2) re-places the rung's current page set, ``S_i`` copies each, through
-the Algorithm-4 window scan.  Two implementations share that contract:
-
-* the **packed fast path** edits a copy of the program's int64 grid
-  mirror (:meth:`~repro.core.program.BroadcastProgram.packed_grid`)
-  with three numpy passes — clear by ``isin`` mask, enumerate free
-  cells in (column, channel) order, deal the first ``|rung|`` free
-  cells of every window to the rung's pages — which is what keeps a
-  taut-budget re-plan under 100µs;
-* the **reference patcher** walks cells one by one with per-column
-  occupancy bitmasks (clearing punches holes mid-column, so the
-  prefix-occupancy shortcut of :mod:`repro.core.fastpath` does not
-  apply; a bitmask keeps the probe O(1) per column regardless).  It
-  remains the oracle the fast path is property-tested against, and
-  handles the rare window-overflow regime where placements spill into
-  the cyclic fallback and steal cells across windows.
+The patch then (1) clears every cell of the changed rung's pages on a
+column-major copy of the program's int64 grid mirror
+(:meth:`~repro.core.program.BroadcastProgram.packed_grid`) and (2)
+re-places the rung's current page set, ``S_i`` copies each in page-id
+order, through the same Algorithm-4 group placement that builds fresh
+plans, :func:`repro.core.fastpath.place_group`.  When no window
+overflows that is one flat write, which keeps a taut-budget re-plan
+under 100µs; otherwise the kernel's copy-by-copy scan handles the
+cyclic fallback.  Its cell-by-cell oracle,
+:func:`repro.oracles.place_group_reference`, run on a program with the
+rung cleared, is the patch's oracle too.
 
 The patched program is a legitimate Algorithm-4 placement for the
 current catalog — exact per-page counts, Equation-8 cycle, no page
 twice in one column — and the whole procedure is deterministic, so
 live replay stays byte-identical run to run.  The cycle check (``sum
 S_i P_i <= N * cycle``) guarantees free cells for every copy, but not
-in distinct columns: when the cyclic fallback finds only columns that
-already air the page, the patch returns ``None`` and the caller
-re-plans in full.
+in distinct columns: where fresh placement would keep a copy in a
+column that already airs its page (a last-resort share), the patch
+returns ``None`` and the caller re-plans in full.
 """
 
 from __future__ import annotations
@@ -57,9 +51,10 @@ from typing import Mapping
 
 import numpy as np
 
+from repro.core.fastpath import place_group
 from repro.core.frequencies import pamad_frequencies_for
 from repro.core.intmath import ceil_div
-from repro.core.program import BroadcastProgram
+from repro.core.program import FREE, BroadcastProgram
 
 __all__ = ["ReplanState", "FastReplanner"]
 
@@ -226,14 +221,14 @@ class FastReplanner:
         # Reaching here means the diff touched exactly one rung, so the
         # added/removed pages collected above are all this rung's.
         new_rung = (old_rung - set(removed)) | set(added)
-        patched = self._patch(
-            program,
-            clear_pages=old_rung | new_rung,
-            place_pages=new_rung,
-            copies=frequencies[index],
-            num_channels=state.budget,
-        )
-        if patched is None:
+        grid = program.packed_grid().copy(order="F")
+        _clear_pages(grid, old_rung | new_rung)
+        # The cycle check leaves room for every copy; only distinct
+        # columns can run out.
+        _, shared = place_group(grid, sorted(new_rung), frequencies[index])
+        if shared:
+            # Some copy could only double up in a column that already
+            # airs its page, where it serves no listener: re-plan.
             return None
         self.state = ReplanState(
             times=state.times,
@@ -243,151 +238,20 @@ class FastReplanner:
             catalog=dict(catalog),
         )
         self._rungs = {**rungs, rung_time: frozenset(new_rung)}
-        return patched
-
-    @staticmethod
-    def _patch(
-        program: BroadcastProgram,
-        clear_pages: set[int],
-        place_pages: set[int],
-        copies: int,
-        num_channels: int,
-    ) -> BroadcastProgram | None:
-        """Clear one rung and re-place it Algorithm-4 style.
-
-        Dispatches to the packed-array fast path; when a window is too
-        tight for it (the cyclic-fallback regime), falls back to the
-        reference cell-by-cell patcher, which handles overflow exactly.
-        """
-        patched = FastReplanner._patch_packed(
-            program, clear_pages, place_pages, copies
-        )
-        if patched is not NotImplemented:
-            return patched
-        return FastReplanner._patch_reference(
-            program, clear_pages, place_pages, copies, num_channels
-        )
-
-    @staticmethod
-    def _patch_packed(
-        program: BroadcastProgram,
-        clear_pages: set[int],
-        place_pages: set[int],
-        copies: int,
-    ):
-        """One-rung patch on the packed int64 grid — the <100µs path.
-
-        Works entirely on :meth:`~BroadcastProgram.packed_grid`: clear
-        the rung with one ``np.isin`` mask, list the free cells in
-        (column, channel) order with one ``nonzero``, and hand the first
-        ``len(place_pages)`` free cells of every Algorithm-4 window to
-        the rung's pages in id order.  That consumption order *is* the
-        reference scan: the first free column in a window and the lowest
-        free channel within it are exactly the next free cell in
-        (column, channel) order, and each page takes one cell per window.
-
-        Returns ``NotImplemented`` when any window holds fewer free
-        cells than the rung needs — then some placement would spill into
-        the cyclic fallback, whose cross-window stealing the reference
-        patcher reproduces exactly.
-        """
-        grid = program.packed_grid().copy()
-        cycle = grid.shape[1]
-        if clear_pages:
-            # Membership via a boolean lookup table indexed by id+1
-            # (so the -1 free marker lands at 0): two vectorised
-            # gathers, several times faster than np.isin on these tiny
-            # grids.  Page ids are small dense ints; fall back to isin
-            # if they ever are not.
-            targets = np.fromiter(
-                clear_pages, dtype=np.int64, count=len(clear_pages)
-            )
-            top = int(grid.max())
-            if top <= 4 * grid.size + 1024:
-                table = np.zeros(top + 2, dtype=bool)
-                table[targets[targets <= top] + 1] = True
-                grid[table[grid + 1]] = -1
-            else:
-                grid[np.isin(grid, targets)] = -1
-        pages = sorted(place_pages)
-        placing = len(pages)
-        if placing == 0:
-            return BroadcastProgram.from_array(grid)
-        # Free cells in (column, channel) order — the scan order of the
-        # reference's "first free column, lowest free channel" probe.
-        free_cols, free_chans = np.nonzero(grid.T == -1)
-        if copies == 1:
-            # Single window spanning the whole cycle: the rung simply
-            # takes the first |rung| free cells.
-            if free_cols.size < placing:
-                return NotImplemented
-            grid[free_chans[:placing], free_cols[:placing]] = pages
-            return BroadcastProgram.from_array(grid)
-        bounds = np.fromiter(
-            (ceil_div(cycle * k, copies) for k in range(copies + 1)),
-            dtype=np.int64,
-            count=copies + 1,
-        )
-        windows = np.searchsorted(bounds, free_cols, side="right") - 1
-        counts = np.bincount(windows, minlength=copies)
-        if counts.min() < placing:
-            return NotImplemented
-        starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
-        take = (
-            starts[:, None] + np.arange(placing)[None, :]
-        ).ravel()
-        grid[free_chans[take], free_cols[take]] = np.tile(
-            np.asarray(pages, dtype=np.int64), copies
-        )
         return BroadcastProgram.from_array(grid)
 
-    @staticmethod
-    def _patch_reference(
-        program: BroadcastProgram,
-        clear_pages: set[int],
-        place_pages: set[int],
-        copies: int,
-        num_channels: int,
-    ) -> BroadcastProgram | None:
-        """Cell-by-cell patch — the oracle the packed path must match."""
-        clone = program.copy()
-        for page_id in clear_pages:
-            clone.clear_page(page_id)
-        cycle = clone.cycle_length
-        full = (1 << num_channels) - 1
-        masks = [0] * cycle  # bit c set <=> channel c occupied in column
-        for channel, row in enumerate(clone.grid_rows()):
-            bit = 1 << channel
-            for slot, occupant in enumerate(row):
-                if occupant is not None:
-                    masks[slot] |= bit
-        for page_id in sorted(place_pages):
-            # Columns already airing this page: a second copy in one
-            # column serves no listener.  Windows are disjoint, but a
-            # fallback copy lands in a later window, so both scans skip
-            # these columns.
-            held: set[int] = set()
-            for k in range(copies):
-                window_start = ceil_div(cycle * k, copies)
-                window_end = min(ceil_div(cycle * (k + 1), copies), cycle)
-                column = -1
-                for col in range(window_start, window_end):
-                    if masks[col] != full and col not in held:
-                        column = col
-                        break
-                else:
-                    # Window packed solid: same cyclic fallback as the
-                    # reference placement, starting at the window start.
-                    for offset in range(cycle):
-                        col = (window_start + offset) % cycle
-                        if masks[col] != full and col not in held:
-                            column = col
-                            break
-                if column < 0:
-                    return None
-                held.add(column)
-                free = ~masks[column] & full
-                channel = (free & -free).bit_length() - 1
-                clone.assign(channel, column, page_id)
-                masks[column] |= 1 << channel
-        return clone
+
+def _clear_pages(grid: np.ndarray, page_ids: set[int]) -> None:
+    """Free every cell of ``grid`` that airs one of ``page_ids``."""
+    # Membership via a boolean lookup table indexed by id+1 (so the -1
+    # free marker lands at 0): two vectorised gathers, several times
+    # faster than np.isin on these tiny grids.  Page ids are small dense
+    # ints; fall back to isin if they ever are not.
+    targets = np.fromiter(page_ids, dtype=np.int64, count=len(page_ids))
+    top = int(grid.max())
+    if top <= 4 * grid.size + 1024:
+        table = np.zeros(top + 2, dtype=bool)
+        table[targets[targets <= top] + 1] = True
+        grid[table[grid + 1]] = FREE
+    else:
+        grid[np.isin(grid, targets)] = FREE

@@ -12,12 +12,14 @@ paper's §3.2 comparison.
   cursor-optimised GetAvailableSlot.  The array kernel behind
   :func:`~repro.core.susc.schedule_susc` must build the same program
   and first slots.
-* :func:`place_by_frequency_reference` and
-  :func:`place_sequential_reference` — Algorithm 4's even-spread
-  placement and the ABL3 sequential strawman as cell-by-cell scans;
-  :func:`~repro.core.pamad.place_by_frequency` and
+* :func:`place_group_reference`, :func:`place_by_frequency_reference`
+  and :func:`place_sequential_reference` — Algorithm 4's even-spread
+  placement of one group and of a whole instance, and the ABL3
+  sequential strawman, as cell-by-cell scans;
+  :func:`~repro.core.fastpath.place_group` (fresh plans and the live
+  re-plan patch), :func:`~repro.core.pamad.place_by_frequency` and
   :func:`~repro.core.pamad.place_sequential` must produce the same
-  grids and ``window_misses``.
+  grids, ``window_misses`` and ``shared`` counts.
 * :func:`opt_frequencies_exhaustive` — OPT's exhaustive walk over every
   staged ``r`` vector; the block search
   :func:`~repro.baselines.opt.opt_frequencies` must return the same
@@ -65,7 +67,7 @@ from __future__ import annotations
 
 from functools import partial
 import math
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Container, Mapping, Sequence
 
 import numpy as np
 
@@ -113,6 +115,7 @@ __all__ = [
     "live_sequential",
     "opt_frequencies_exhaustive",
     "place_by_frequency_reference",
+    "place_group_reference",
     "place_sequential_reference",
     "plan_stats_reference",
     "program_average_delay_reference",
@@ -246,6 +249,45 @@ def susc_reference(
 # ----------------------------------------------------------------------
 
 
+def place_group_reference(
+    program: BroadcastProgram, page_ids: Sequence[int], copies: int
+) -> tuple[int, int]:
+    """Algorithm 4 for one group, probing the program column by column.
+
+    The oracle of :func:`repro.core.fastpath.place_group`: pages in the
+    given order, each page's copy ``k`` in the first free column of
+    window ``k`` that does not already air the page, else the first such
+    column cyclically from the window start (a window miss), else — the
+    last resort — the first free column cyclically from the window
+    start, sharing it with the page (counted in ``shared``).  Each copy
+    takes its column's lowest free channel.  Edits ``program`` in place
+    and returns ``(window_misses, shared)``.
+    """
+    cycle = program.cycle_length
+    fallback = _CyclicFallbackCursor(program)
+    misses = shared = 0
+    for page_id in page_ids:
+        held: set[int] = set()
+        for k in range(copies):
+            window_start = ceil_div(cycle * k, copies)
+            window_end = ceil_div(cycle * (k + 1), copies)  # exclusive
+            # Scanning cyclically from the window start reaches the
+            # window's own columns first.
+            column = fallback.place(page_id, window_start, held)
+            if column is None or not window_start <= column < window_end:
+                misses += 1
+            if column is None:
+                shared += 1
+                column = fallback.place(page_id, window_start)
+                if column is None:
+                    raise SchedulingError(
+                        f"no free cell left in the {cycle}-column grid "
+                        f"for page {page_id} copy {k + 1}/{copies}"
+                    )
+            held.add(column)
+    return misses, shared
+
+
 def place_by_frequency_reference(
     instance: ProblemInstance,
     frequencies: Sequence[int],
@@ -263,9 +305,9 @@ def place_by_frequency_reference(
     total_slots = sum(
         s * group.size for s, group in zip(frequencies, instance.groups)
     )
-    cycle = ceil_div(total_slots, num_channels)
     program = BroadcastProgram(
-        num_channels=num_channels, cycle_length=cycle
+        num_channels=num_channels,
+        cycle_length=ceil_div(total_slots, num_channels),
     )
 
     # Paper: "sort all data pages in descending order according to their
@@ -275,30 +317,13 @@ def place_by_frequency_reference(
         range(instance.h), key=lambda i: frequencies[i], reverse=True
     )
     window_misses = 0
-    fallback = _CyclicFallbackCursor(program)
     for group_position in order:
-        group = instance.groups[group_position]
-        s_i = frequencies[group_position]
-        for page in group.pages:
-            for k in range(s_i):
-                window_start = ceil_div(cycle * k, s_i)
-                window_end = ceil_div(cycle * (k + 1), s_i)  # exclusive
-                placed = False
-                for column in range(window_start, min(window_end, cycle)):
-                    channel = program.free_channel_in_column(column)
-                    if channel is not None:
-                        program.assign(channel, column, page.page_id)
-                        placed = True
-                        break
-                if not placed:
-                    window_misses += 1
-                    placed = fallback.place(page.page_id, window_start)
-                if not placed:
-                    raise SchedulingError(
-                        f"no free slot anywhere in the cycle for page "
-                        f"{page.page_id} copy {k + 1}/{s_i}; cycle length "
-                        f"{cycle} cannot hold {total_slots} slots"
-                    )
+        misses, _ = place_group_reference(
+            program,
+            [page.page_id for page in instance.groups[group_position].pages],
+            frequencies[group_position],
+        )
+        window_misses += misses
     return PlacementResult(program=program, window_misses=window_misses)
 
 
@@ -345,7 +370,7 @@ def place_sequential_reference(
                     # Earlier columns may still have holes (cursor only
                     # tracks the frontier); rescan from the start once.
                     cursor = 0
-                    placed = fallback.place(page.page_id, 0)
+                    placed = fallback.place(page.page_id, 0) is not None
                 if not placed:
                     raise SchedulingError(
                         f"grid full before placing page {page.page_id}"
@@ -354,18 +379,18 @@ def place_sequential_reference(
 
 
 class _CyclicFallbackCursor:
-    """Amortised-linear cyclic fallback placement for one program build.
+    """Amortised-linear cyclic fallback scan for one program build.
 
     The naive fallback rescanned every column from the requested offset,
     making repeated fallbacks O(cycle^2).  Columns only ever fill up
     during a placement run, so full columns can be remembered: a
     pointer-jumping array (path-compressed) links each known-full column
-    to the next candidate, and every probe either places a page or
+    to the next candidate, and every probe either finds a column or
     permanently marks one more column full.  Each column is marked at
     most once per run, so all fallbacks together cost one scan of the
-    grid — and the column chosen is exactly the one the naive cyclic
+    grid — and the column found is exactly the one the naive cyclic
     scan would have found (the first non-full column cyclically from
-    the start offset).
+    the start offset, skipping the given columns).
     """
 
     def __init__(self, program: BroadcastProgram) -> None:
@@ -392,18 +417,27 @@ class _CyclicFallbackCursor:
             column, next_free[column] = next_free[column], root
         return root
 
-    def place(self, page_id: int, start_column: int) -> bool:
-        """Place in the first free cell scanning cyclically from a column."""
+    def place(
+        self, page_id: int, start_column: int, skip: Container[int] = ()
+    ) -> int | None:
+        """Place in the first free cell scanning cyclically from a column.
+
+        Columns in ``skip`` are passed over; returns the column used, or
+        ``None`` when no other column has a free cell.
+        """
         program = self._program
-        cycle = program.cycle_length
         column = self._find(start_column)
-        if column >= cycle:
+        while column in skip:
+            column = self._find(column + 1)
+        if column >= program.cycle_length:
             column = self._find(0)
+            while column in skip:
+                column = self._find(column + 1)
             if column >= start_column:
-                return False
+                return None
         channel = program.free_channel_in_column(column)
         program.assign(channel, column, page_id)
-        return True
+        return column
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,7 @@ from repro.api import (
     ErrorBudgetReport,
     FinishService,
     ListServices,
+    MAX_QUERY_PAGES,
     MutationBatch,
     MutationBatchResult,
     RemediationCandidate,
@@ -201,6 +202,16 @@ class TestValidation:
             SloQuery(service="svc", expected_time=0)
         with pytest.raises(ReproError, match="pages"):
             SloQuery(service="svc", expected_time=2, pages=-1)
+
+    def test_slo_query_pages_capped(self):
+        at_cap = SloQuery(
+            service="svc", expected_time=2, pages=MAX_QUERY_PAGES
+        )
+        assert decode(encode(at_cap)) == at_cap
+        with pytest.raises(ReproError, match="pages"):
+            SloQuery(
+                service="svc", expected_time=2, pages=MAX_QUERY_PAGES + 1
+            )
 
     def test_remediation_policy_bounds(self):
         with pytest.raises(ReproError, match="miss_streak"):

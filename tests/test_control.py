@@ -29,6 +29,7 @@ from repro.api import (
     ErrorBudgetReport,
     FinishService,
     ListServices,
+    MAX_QUERY_PAGES,
     MutationBatch,
     MutationBatchResult,
     RemediationPolicy,
@@ -599,6 +600,24 @@ class TestSloVerdicts:
         )
         assert not verdict.achievable
         assert plane.session("svc").live.catalog.pages() == before
+
+    def test_query_pages_capped_on_the_wire(self):
+        """A page count past ``MAX_QUERY_PAGES`` is a ``bad-request``,
+        as a negative one is, and never reaches the pricing loop."""
+        plane, _ = make_plane_with_service(budget=2)
+        line = encode_line(
+            SloQuery(service="svc", expected_time=4, pages=MAX_QUERY_PAGES)
+        )
+        verdict = decode_line(plane.handle_line(line))
+        assert isinstance(verdict, SloVerdict)
+        assert not verdict.achievable
+        message = json.loads(line)
+        for pages in (MAX_QUERY_PAGES + 1, -1):
+            message["body"]["pages"] = pages
+            response = decode_line(plane.handle_line(json.dumps(message)))
+            assert isinstance(response, ApiError)
+            assert response.code == "bad-request"
+            assert "pages must be in" in response.message
 
     def test_error_budget_report(self):
         plane, _ = make_plane_with_service()

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,8 @@ from repro.baselines import opt
 from repro.baselines.opt import brute_force_frequencies, opt_frequencies
 from repro.core.bounds import minimum_channels
 from repro.core.delay import paper_group_delay, paper_group_delay_batch
+from repro.core.errors import SchedulingError
+from repro.core.fastpath import place_group
 from repro.core.frequencies import (
     pamad_frequencies,
     pamad_frequencies_for,
@@ -29,14 +32,16 @@ from repro.core.pamad import (
     place_sequential,
     schedule_pamad,
 )
-from repro.core.program import BroadcastProgram
+from repro.core.program import FREE, BroadcastProgram
 from repro.core.susc import schedule_susc
 from repro.engine.executor import default_channel_points
+from repro.live import replan
 from repro.live.catalog import LiveCatalog
 from repro.live.replan import FastReplanner
 from repro.oracles import (
     opt_frequencies_exhaustive,
     place_by_frequency_reference,
+    place_group_reference,
     place_sequential_reference,
     susc_reference,
 )
@@ -478,57 +483,88 @@ class TestFastReplanner:
         assert fresh.state is None
 
 
+def _doubled_copies(grid, page_ids) -> int:
+    """Copies of ``page_ids`` aired in a column that already airs them."""
+    return sum(
+        int(np.count_nonzero(grid == page_id))
+        - int(np.count_nonzero((grid == page_id).any(axis=0)))
+        for page_id in page_ids
+    )
+
+
 class TestPackedPatchEquality:
-    """The packed-array patcher must equal the cell-by-cell oracle."""
+    """One Algorithm-4 kernel serves fresh plans and live patches."""
 
     @given(
-        sizes=st.lists(st.integers(1, 10), min_size=2, max_size=4),
-        budget=st.integers(1, 4),
-        drop=st.booleans(),
-        extra=st.integers(1, 3),
+        instance=instances(max_groups=4, max_size=8),
+        data=st.data(),
     )
-    @settings(max_examples=50, deadline=None)
-    def test_patch_matches_reference_oracle(
-        self, sizes, budget, drop, extra
-    ):
-        times = tuple(4 * 2**i for i in range(len(sizes)))
-        instance = instance_from_counts(sizes, times)
-        budget = min(budget, minimum_channels(instance))
-        schedule = schedule_pamad(instance, budget)
-        program = schedule.program
-        frequencies = schedule.assignment.frequencies
-        # Mutate the last rung: optionally drop one page, add `extra`.
-        rung = [
-            page.page_id
-            for page in instance.pages()
-            if page.expected_time == times[-1]
-        ]
-        new_rung = set(rung[1:]) if drop and len(rung) > 1 else set(rung)
+    @settings(max_examples=80, deadline=None)
+    def test_place_group_matches_oracle(self, instance, data):
+        """Fresh grids group by group, then one rung cleared, mutated and
+        re-placed: the kernel and the cell-by-cell scan agree on the
+        grid, ``window_misses`` and ``shared`` (or both raise), overflow
+        draws included, and a page doubles up in a column exactly as
+        often as ``shared`` says."""
+        channels = data.draw(
+            st.integers(1, minimum_channels(instance)), label="channels"
+        )
+        frequencies = pamad_frequencies(instance, channels).frequencies
+        total = sum(
+            s * group.size for s, group in zip(frequencies, instance.groups)
+        )
+        cycle = ceil_div(total, channels)
+        grid = np.full((channels, cycle), FREE, dtype=np.int64, order="F")
+        program = BroadcastProgram(num_channels=channels, cycle_length=cycle)
+        order = sorted(
+            range(instance.h), key=lambda i: frequencies[i], reverse=True
+        )
+        for position in order:
+            ids = [page.page_id for page in instance.groups[position].pages]
+            fast = place_group(grid, ids, frequencies[position])
+            slow = place_group_reference(
+                program, ids, frequencies[position]
+            )
+            assert fast == slow
+            assert grid.tolist() == TestPackedGridMirror._as_packed_rows(
+                program
+            )
+            assert _doubled_copies(grid, ids) == fast[1]
+
+        # Patch: clear one rung, drop some of its pages, add new ones,
+        # and re-place it at a drawn frequency.
+        position = data.draw(st.integers(0, instance.h - 1), label="rung")
+        rung = [page.page_id for page in instance.groups[position].pages]
+        kept = data.draw(
+            st.lists(st.sampled_from(rung), unique=True), label="kept"
+        )
         top = max(page.page_id for page in instance.pages())
-        new_rung.update(top + 1 + i for i in range(extra))
-        new_sizes = tuple(sizes[:-1]) + (len(new_rung),)
-        new_frequencies = pamad_frequencies_for(
-            new_sizes, times, budget
-        ).frequencies
-        copies = new_frequencies[-1]
-        clear = set(rung) | new_rung
-        reference = FastReplanner._patch_reference(
-            program, clear, new_rung, copies, budget
+        extra = data.draw(st.integers(0 if kept else 1, 3), label="extra")
+        new_rung = sorted(kept) + [top + 1 + i for i in range(extra)]
+        copies = data.draw(
+            st.integers(1, 2 * frequencies[position] + 1), label="copies"
         )
-        packed = FastReplanner._patch_packed(
-            program, clear, new_rung, copies
-        )
-        if packed is NotImplemented:
-            return  # overflow regime: dispatch uses the oracle directly
-        if reference is None:
-            assert packed is None
-        else:
-            assert packed.grid_rows() == reference.grid_rows()
+        grid[np.isin(grid, rung)] = FREE
+        for page_id in rung:
+            program.clear_page(page_id)
+        try:
+            fast = place_group(grid, new_rung, copies)
+        except SchedulingError as error:
+            with pytest.raises(SchedulingError) as caught:
+                place_group_reference(program, new_rung, copies)
+            assert str(caught.value) == str(error)
+            assert np.count_nonzero(grid == FREE) < len(new_rung) * copies
+            return
+        assert fast == place_group_reference(program, new_rung, copies)
+        assert grid.tolist() == TestPackedGridMirror._as_packed_rows(program)
+        assert _doubled_copies(grid, new_rung) == fast[1]
+        for page_id in new_rung:
+            assert np.count_nonzero(grid == page_id) == copies
 
     @staticmethod
     def _planned_patch(sizes, times, budget, monkeypatch):
-        """A replanner remembering PAMAD's plan, and a spy recording
-        whether the packed path declined each patch it was offered."""
+        """A replanner remembering PAMAD's plan, and a spy recording the
+        ``(window_misses, shared)`` of each placement a patch ran."""
         instance = instance_from_counts(sizes, times)
         schedule = schedule_pamad(instance, budget)
         catalog = {p.page_id: p.expected_time for p in instance.pages()}
@@ -540,16 +576,15 @@ class TestPackedPatchEquality:
             cycle=schedule.program.cycle_length,
             budget=budget,
         )
-        declined = []
-        packed = FastReplanner._patch_packed
+        outcomes = []
 
         def spy(*args):
-            result = packed(*args)
-            declined.append(result is NotImplemented)
+            result = place_group(*args)
+            outcomes.append(result)
             return result
 
-        monkeypatch.setattr(FastReplanner, "_patch_packed", spy)
-        return schedule.program, catalog, replanner, declined
+        monkeypatch.setattr(replan, "place_group", spy)
+        return schedule.program, catalog, replanner, outcomes
 
     def test_try_patch_serves_a_solid_window_through_cyclic_fallback(
         self, monkeypatch
@@ -560,12 +595,12 @@ class TestPackedPatchEquality:
         S=(6, 6, 2, 1) on a 15-slot cycle.  Dropping page 6 raises the
         t=8 rung (now pages 7 and 8) to three copies while the cycle
         stays 15.  Page 7 takes column 9, which packs the second window
-        (columns 5..9) solid for page 8: the packed path declines, and
-        the reference patcher's cyclic fallback scans on to column 12.
-        The third window (10..14) then skips column 12, which already
-        airs page 8, for column 14.
+        (columns 5..9) solid for page 8: the batch write is out, and the
+        cyclic fallback scans on to column 12 (one window miss).  The
+        third window (10..14) then skips column 12, which already airs
+        page 8, for column 14.
         """
-        program, catalog, replanner, declined = self._planned_patch(
+        program, catalog, replanner, outcomes = self._planned_patch(
             (1, 4, 3, 7), (2, 4, 8, 16), 3, monkeypatch
         )
         assert program.grid_rows() == [
@@ -576,7 +611,7 @@ class TestPackedPatchEquality:
         del catalog[6]
         patched = replanner.try_patch(catalog, program)
 
-        assert declined == [True]
+        assert outcomes == [(1, 0)]
         assert patched is not None
         assert patched.cycle_length == program.cycle_length
         assert patched.num_channels == 3
@@ -622,7 +657,7 @@ class TestPackedPatchEquality:
         free cells sit in three columns (0, 5 and 9).  A fourth copy
         could only double up in one of them, so the patch declines and
         the service re-plans in full."""
-        program, catalog, replanner, declined = self._planned_patch(
+        program, catalog, replanner, outcomes = self._planned_patch(
             (2, 6, 3), (2, 4, 8), 2, monkeypatch
         )
         assert program.grid_rows() == [
@@ -631,7 +666,7 @@ class TestPackedPatchEquality:
         ]
         del catalog[1]
         assert replanner.try_patch(catalog, program) is None
-        assert declined == [True]
+        assert outcomes == [(3, 1)]
         assert replanner.state.catalog != catalog  # nothing committed
 
     def test_empty_rung_patch_just_clears(self):
@@ -642,8 +677,64 @@ class TestPackedPatchEquality:
             for page in instance.pages()
             if page.expected_time == 8
         }
-        patched = FastReplanner._patch_packed(program, rung, set(), 1)
-        assert patched is not NotImplemented
+        grid = program.packed_grid().copy(order="F")
+        grid[np.isin(grid, list(rung))] = FREE
+        assert place_group(grid, [], 1) == (0, 0)
+        patched = BroadcastProgram.from_array(grid)
         assert set(patched.page_counts()) == (
             set(program.page_counts()) - rung
         )
+
+
+    def test_place_group_needs_a_column_major_grid(self):
+        # A row-major grid's transposed flat view would be a copy, and
+        # the placement would be lost.
+        grid = np.full((2, 4), FREE, dtype=np.int64)
+        with pytest.raises(ValueError, match="column-major"):
+            place_group(grid, [1], 2)
+        assert (grid == FREE).all()
+
+
+class TestColumnSharing:
+    """Even spreading assumes distinct columns; a copy shares a column
+    with its page only when no other free column is left."""
+
+    def test_no_page_twice_in_one_column_when_avoidable(self):
+        """Before the skip rule, page 8 aired on channels 1 and 2 of
+        column 2 here, and one copy served nobody."""
+        schedule = schedule_pamad(instance_from_counts((5, 3, 1), (2, 4, 8)), 3)
+        assert schedule.program.grid_rows() == [
+            [1, 4, 7, 1, 4, 1, 4, 1, 4],
+            [2, 5, 8, 2, 5, 2, 5, 2, 5],
+            [3, 6, 9, 3, 8, 3, 6, 3, 7],
+        ]
+        for column in zip(*schedule.program.grid_rows()):
+            aired = [page for page in column if page is not None]
+            assert len(aired) == len(set(aired)), column
+
+    def test_last_resort_share_is_kept_and_its_patch_declines(
+        self, monkeypatch
+    ):
+        """Three channels, rungs t=2/4/8 with 6/1/1 pages: S=(4, 2, 1)
+        fills all 27 cells of the 9-slot cycle.  The t=2 rung leaves
+        only column 2 free, so page 7 airs twice there: fresh placement
+        keeps the shared copy (every page airs S_i times), while a patch
+        that re-places the t=4 rung meets the same wall and declines."""
+        instance = instance_from_counts((6, 1, 1), (2, 4, 8))
+        schedule = schedule_pamad(instance, 3)
+        assert schedule.program.grid_rows() == [
+            [1, 4, 7, 1, 4, 1, 4, 1, 4],
+            [2, 5, 7, 2, 5, 2, 5, 2, 5],
+            [3, 6, 8, 3, 6, 3, 6, 3, 6],
+        ]
+        assert schedule.window_misses == 1
+        assert schedule.program.page_counts()[7] == 2
+        program, catalog, replanner, outcomes = (
+            TestPackedPatchEquality._planned_patch(
+                (6, 1, 1), (2, 4, 8), 3, monkeypatch
+            )
+        )
+        del catalog[7]
+        catalog[9] = 4  # the same rung sizes, so the same plan shape
+        assert replanner.try_patch(catalog, program) is None
+        assert outcomes == [(1, 1)]

@@ -15,7 +15,7 @@ from repro.core.pamad import (
     place_sequential,
     schedule_pamad,
 )
-from repro.workload.generator import random_instance
+from repro.workload.generator import paper_instance, random_instance
 
 
 class TestPlaceByFrequency:
@@ -140,3 +140,48 @@ class TestSchedulePamad:
             fig2_instance, 3, objective=normalized_group_delay
         )
         assert schedule.average_delay >= 0
+
+
+class TestNearSufficiency:
+    """PAMAD's exact AvgD is not monotone in N near N_min.  These pin
+    the literal algorithm's values, so a change to the frequency search
+    or to Algorithm 4 shows up here."""
+
+    AVGD = {
+        "s-skewed": {
+            141: 1.1556687657430724,
+            142: 0.19417893401015204,
+            143: 0.30253076923077016,
+            144: 0.48094573643410865,
+            145: 0.049384015594541995,
+            146: 0.013792873051224966,
+            147: 1.0987042801556401,
+        },
+        "normal": {
+            41: 0.5703583877995624,
+            42: 0.3522901785714274,
+            43: 0.24223112128146504,
+            44: 0.19876252983293402,
+            45: 0.4110170731707317,
+        },
+        "l-skewed": {
+            13: 0.6569999999999975,
+            14: 0.9368537414966036,
+            15: 0.07968323586744443,
+        },
+        "uniform": {
+            59: 0.0625869565217385,
+            60: 0.15101116625310088,
+            61: 0.06902661596958203,
+            62: 0.23959126213592424,
+        },
+    }
+
+    @pytest.mark.parametrize("distribution", sorted(AVGD))
+    def test_exact_avgd_at_the_pinned_points(self, distribution):
+        instance = paper_instance(distribution)
+        got = {
+            channels: schedule_pamad(instance, channels).average_delay
+            for channels in self.AVGD[distribution]
+        }
+        assert got == pytest.approx(self.AVGD[distribution], rel=1e-12)
