@@ -23,11 +23,9 @@ from repro.analysis.store import (
     diff_records,
 )
 from repro.analysis.sweep import (
-    SCHEDULERS,
     SweepPoint,
     channel_sweep,
     default_channel_points,
-    get_scheduler,
     sweep_table,
 )
 
@@ -39,7 +37,6 @@ __all__ = [
     "GroupShare",
     "ProgramProfile",
     "ResultStore",
-    "SCHEDULERS",
     "Summary",
     "SweepPoint",
     "Table",
@@ -48,7 +45,6 @@ __all__ = [
     "diff_records",
     "format_value",
     "geometric_mean",
-    "get_scheduler",
     "jain_fairness",
     "line_chart",
     "profile_program",

@@ -2,17 +2,12 @@
 
 The paper's evaluation sweeps the channel count from 1 up to the minimum
 sufficient number and plots AvgD for PAMAD, m-PB and OPT.  The heavy
-lifting now lives in :mod:`repro.engine`: the scheduler registry is the
-engine's public plugin API (:func:`repro.engine.register_scheduler`),
-the sweep loop is :meth:`repro.engine.BroadcastEngine.sweep` (cached,
-optionally parallel, manifest-emitting), and this module keeps the
-historical entry points stable:
+lifting lives in :mod:`repro.engine`: the scheduler registry is the
+engine's public plugin API (:func:`repro.engine.register_scheduler`,
+:func:`repro.engine.get_scheduler`), the sweep loop is
+:meth:`repro.engine.BroadcastEngine.sweep` (cached, optionally
+parallel, manifest-emitting), and this module keeps two entry points:
 
-* :data:`SCHEDULERS` — **deprecated** read-only view of the engine
-  registry; register new schedulers via
-  :func:`repro.engine.register_scheduler` instead of mutating it.
-* :func:`get_scheduler` — delegates to the registry (alias-aware; the
-  ``"mpb"`` spelling now lives in the registry's alias table).
 * :func:`channel_sweep` — runs on the process-wide default engine and
   returns the classic ``list[SweepPoint]``.
 * :func:`sweep_table` — unchanged pivoting of points into a table.
@@ -21,65 +16,19 @@ historical entry points stable:
 from __future__ import annotations
 
 import math
-from typing import Iterator, Mapping, Sequence
+from typing import Sequence
 
 from repro.analysis.report import Table
 from repro.core.pages import ProblemInstance
 from repro.engine.executor import SweepPoint, default_channel_points
 from repro.engine.facade import BroadcastEngine, default_engine
-from repro.engine.registry import (
-    Scheduler,
-    default_registry,
-)
-from repro.engine.registry import get_scheduler as _registry_get_scheduler
 
 __all__ = [
-    "SCHEDULERS",
-    "get_scheduler",
     "default_channel_points",
     "SweepPoint",
     "channel_sweep",
     "sweep_table",
 ]
-
-
-class _RegistryView(Mapping):
-    """Read-only live view of the engine's scheduler registry.
-
-    Exists so legacy ``SCHEDULERS[...]`` / ``list(SCHEDULERS)`` call
-    sites keep working; mutation goes through
-    :func:`repro.engine.register_scheduler`.
-    """
-
-    def __getitem__(self, name: str) -> Scheduler:
-        return default_registry().get(name)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(default_registry().names())
-
-    def __len__(self) -> int:
-        return len(default_registry())
-
-    def __contains__(self, name: object) -> bool:
-        return isinstance(name, str) and name in default_registry()
-
-    def __repr__(self) -> str:
-        return f"SCHEDULERS({', '.join(default_registry().names())})"
-
-
-#: Deprecated alias — use :func:`repro.engine.register_scheduler` /
-#: :func:`repro.engine.available_schedulers` instead.
-SCHEDULERS: Mapping[str, Scheduler] = _RegistryView()
-
-
-def get_scheduler(name: str) -> Scheduler:
-    """Look up a scheduler by registry name or alias (case-insensitive).
-
-    Deprecated alias of :func:`repro.engine.get_scheduler`; unknown
-    names raise :class:`~repro.core.errors.ReproError` listing the
-    registered schedulers in sorted order.
-    """
-    return _registry_get_scheduler(name)
 
 
 def channel_sweep(

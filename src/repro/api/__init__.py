@@ -46,6 +46,7 @@ from repro.api.types import (
     ErrorBudgetReport,
     FinishService,
     ListServices,
+    MAX_EXPECTED_TIME,
     MAX_QUERY_PAGES,
     MutationBatch,
     MutationBatchResult,
@@ -69,6 +70,7 @@ __all__ = [
     "ErrorBudgetReport",
     "FinishService",
     "ListServices",
+    "MAX_EXPECTED_TIME",
     "MAX_QUERY_PAGES",
     "MutationBatch",
     "MutationBatchResult",

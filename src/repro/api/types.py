@@ -32,6 +32,7 @@ __all__ = [
     "FederationCreate",
     "FinishService",
     "ListServices",
+    "MAX_EXPECTED_TIME",
     "MAX_QUERY_PAGES",
     "MutationBatch",
     "MutationBatchResult",
@@ -59,6 +60,16 @@ def _require(payload: Mapping, key: str):
 
 def _catalog_from(payload: Mapping) -> dict[int, int]:
     return {int(k): int(v) for k, v in dict(payload).items()}
+
+
+def _check_expected_times(what: str, times) -> None:
+    """Refuse an expected time past :data:`MAX_EXPECTED_TIME`."""
+    for expected in times:
+        if expected is not None and expected > MAX_EXPECTED_TIME:
+            raise ReproError(
+                f"{what} expected_time must be <= {MAX_EXPECTED_TIME}, "
+                f"got {expected}"
+            )
 
 
 def _catalog_to(catalog: Mapping[int, int]) -> dict[str, int]:
@@ -324,6 +335,7 @@ class CreateServiceRequest:
             raise ReproError("service name must be non-empty")
         if not self.catalog:
             raise ReproError("service catalog must be non-empty")
+        _check_expected_times("catalog", self.catalog.values())
         if self.horizon < 1:
             raise ReproError(
                 f"horizon must be >= 1, got {self.horizon}"
@@ -393,6 +405,9 @@ class MutationBatch:
             raise ReproError(
                 "MutationBatch events must be ordered by time"
             )
+        _check_expected_times(
+            "event", (event.expected_time for event in self.events)
+        )
 
     def to_dict(self) -> dict:
         payload: dict = {
@@ -421,6 +436,13 @@ class MutationBatch:
 #: x86_64).
 MAX_QUERY_PAGES = 65_536
 
+#: Largest expected time a request may carry, anywhere: a catalog
+#: entry, an event, a query.  The longest expected time sets the length
+#: of the broadcast cycle the plane builds on its one event-loop thread:
+#: ``{1: 2, 2: 2**20}`` takes ~110 ms to plan, and ``2**30`` would ask
+#: for a grid of ~8 GB.
+MAX_EXPECTED_TIME = 65_536
+
 
 @dataclass(frozen=True)
 class SloQuery:
@@ -442,6 +464,7 @@ class SloQuery:
             raise ReproError(
                 f"expected_time must be >= 1, got {self.expected_time}"
             )
+        _check_expected_times("query", (self.expected_time,))
         if not 0 <= self.pages <= MAX_QUERY_PAGES:
             raise ReproError(
                 f"pages must be in 0..{MAX_QUERY_PAGES}, got {self.pages}"
@@ -549,6 +572,7 @@ class FederationCreate:
             raise ReproError("federation name must be non-empty")
         if not self.catalog:
             raise ReproError("federation catalog must be non-empty")
+        _check_expected_times("catalog", self.catalog.values())
         if self.shards < 1:
             raise ReproError(f"shards must be >= 1, got {self.shards}")
 

@@ -380,19 +380,19 @@ def _cmd_federate(args: argparse.Namespace) -> int:
     if args.save_trace:
         trace.save(args.save_trace)
 
-    engine = BroadcastEngine()
-    result = engine.federate(
-        instance,
-        trace,
-        shards=args.shards,
-        budget=args.budget,
-        seed=args.seed,
-        rebalance_threshold=args.rebalance_threshold,
-        max_pages_moved=args.max_moves,
-        admission=not args.no_admission,
-        queue_limit=args.queue_limit,
-        workers=args.workers,
-    )
+    with BroadcastEngine() as engine:
+        result = engine.federate(
+            instance,
+            trace,
+            shards=args.shards,
+            budget=args.budget,
+            seed=args.seed,
+            rebalance_threshold=args.rebalance_threshold,
+            max_pages_moved=args.max_moves,
+            admission=not args.no_admission,
+            queue_limit=args.queue_limit,
+            workers=args.workers,
+        )
     report = result.report
 
     print(

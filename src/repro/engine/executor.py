@@ -1,4 +1,4 @@
-"""Sweep cells and shard tasks on one executor: serial, threads or processes.
+"""Sweep cells and shard tasks on one executor: serial or a process pool.
 
 A sweep is a grid of independent (scheduler, channel-count) *cells*;
 each cell schedules (unless the engine's cache already holds the
@@ -6,31 +6,36 @@ program) and then Monte-Carlo measures the result with
 :func:`repro.sim.clients.measure_program`, the paper's seeded
 3,000-request stream replayed in one vectorised pass.  Cells carry
 their own derived seeds, so the outcome of a cell is a pure function
-of its spec, which is what makes fanning them across a
-:mod:`concurrent.futures` pool safe: results are collected back in
-submission order and are bit-identical to a serial run.  The
-federation's shard replays are the other task family: pure functions
-of one payload each.
+of its spec, which is what makes fanning them across a process pool
+safe: results are collected back in submission order and are
+bit-identical to a serial run.  The federation's shard replays are the
+other task family: pure functions of one payload each.
 
-Both families run on :class:`TaskPool` and share its one attempt loop.
-A task's exception crosses the pool boundary as a value (the worker
-wraps it), so the parent can tell it apart from pool infrastructure
-failures.  A failed task is retried with exponential backoff up to
-:attr:`ExecutionPolicy.retries` times, and a per-task timeout bounds
-how long the parent waits in pool modes.  Cells add one policy on top:
-a per-algorithm circuit breaker stops burning attempts on a scheduler
-that keeps crashing, so later cells of that algorithm short-circuit to
-a structured :class:`CellFailure` instead of executing.  To let an open
-circuit catch cells before they reach the pool, cells are submitted
-lazily, at most ``workers`` in flight; shard tasks submit their whole
-batch at once.  Pool infrastructure failures rebuild the pool once and
-then fall back to a serial rerun of the whole batch.
+:func:`run_cells` and :func:`run_tasks` never open a pool.  Given none
+they run serially; given a :class:`TaskPool` they settle their batch on
+it.  The one pool lifecycle belongs to
+:class:`~repro.engine.facade.BroadcastEngine`, which starts its pool on
+the first fan-out and keeps the workers warm until it is closed.
 
-Process runs of the sweep post the shared ``ProblemInstance`` once
-into a :mod:`multiprocessing.shared_memory` block; each worker attaches
-and unpickles it once, caching by name.  When the block cannot be
-created the run degrades to pickling the instance with every cell, and
-the report records the transport that ran.  Either way the instance
+Both families share one attempt loop.  A task's exception crosses the
+pool boundary as a value (the worker wraps it), so the parent can tell
+it apart from pool infrastructure failures.  A failed task is retried
+with exponential backoff up to :attr:`ExecutionPolicy.retries` times,
+and a per-task timeout bounds how long the parent waits on a pool.
+Cells add one policy on top: a per-algorithm circuit breaker stops
+burning attempts on a scheduler that keeps crashing, so later cells of
+that algorithm short-circuit to a structured :class:`CellFailure`
+instead of executing.  To let an open circuit catch cells before they
+reach the pool, cells are submitted lazily, at most ``workers`` in
+flight; shard tasks submit their whole batch at once.  Pool
+infrastructure failures rebuild the pool once and then fall back to a
+serial rerun of the whole batch.
+
+Pooled sweeps post the shared ``ProblemInstance`` once into a
+:mod:`multiprocessing.shared_memory` block; each worker attaches and
+unpickles it once, caching by name.  When the block cannot be created
+the run degrades to pickling the instance with every cell, and the
+report records the transport that ran.  Either way the instance
 crosses the process boundary in no other pickle: a cell goes out, and
 its :class:`CellResult` comes back, pickled with every reference to the
 instance (its own field, a cache hit's schedule, a fresh schedule)
@@ -50,12 +55,8 @@ import pickle
 import time
 import traceback
 from collections import deque
-from concurrent.futures import (
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from collections.abc import Sized
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, replace
 from multiprocessing import shared_memory
@@ -81,7 +82,7 @@ __all__ = [
     "EXECUTOR_MODES",
 ]
 
-EXECUTOR_MODES = ("serial", "thread", "process")
+EXECUTOR_MODES = ("serial", "process")
 
 
 @dataclass(frozen=True)
@@ -205,23 +206,20 @@ class ExecutionPolicy:
     """Hardening knobs for one executor run (sweep cells or tasks).
 
     Attributes:
-        timeout: Per-task wait bound in seconds for pool modes (``None``
-            = wait forever), counted from when the parent starts
-            waiting for that task.  An expiry fails the attempt with a
-            ``TimeoutError`` (retried per ``retries``).  A process pool
-            holding a timed-out task is torn down with its workers
-            terminated, and the tasks it still held move to a fresh
-            pool.  A thread cannot be preempted: its pool is abandoned
-            without joining the thread, which runs on in the background
-            until its call returns.  Serial execution cannot be
-            preempted either, so the timeout is ignored there.
+        timeout: Per-task wait bound in seconds on a pool (``None`` =
+            wait forever), counted from when the parent starts waiting
+            for that task.  An expiry fails the attempt with a
+            ``TimeoutError`` (retried per ``retries``).  The pool's
+            workers are terminated, and the tasks they still held move
+            to fresh ones.  Serial execution cannot be preempted, so
+            the timeout is ignored there.
         retries: Extra attempts after a failed first execution.
         backoff: Base of the exponential backoff sleep between attempts
             (``backoff * 2**(attempt-1)`` seconds).
         breaker_threshold: Consecutive final failures of one algorithm
             that open its circuit (sweep cells only); further cells of
             that algorithm are failed structurally instead of executed
-            or retried (in pool modes, without even being submitted).
+            or retried (on a pool, without even being submitted).
             ``0`` disables the breaker.
     """
 
@@ -252,13 +250,12 @@ class ExecutionReport:
 
     ``transport`` is how shared data reached the workers: ``"shm"`` (one
     shared-memory post), ``"pickle"`` (a copy with every task) or
-    ``"inline"`` (serial and thread runs pass objects by reference).
-    ``as_dict`` is the manifest's ``executor`` block (minus ``workers``,
-    which the caller adds).
+    ``"inline"`` (serial runs pass objects by reference).  ``as_dict``
+    is the manifest's ``executor`` block (minus ``workers``, which the
+    caller adds).
     """
 
     mode: str
-    requested_mode: str
     fallback: bool = False
     retries: int = 0
     cell_failures: int = 0
@@ -570,54 +567,31 @@ _Settled = tuple[object, int, bool]
 
 
 class TaskPool:
-    """An executor pool that lives across calls.
+    """A process pool that lives across calls.
 
-    :func:`run_tasks` and :func:`run_cells` are one-shot ``TaskPool``
-    runs; callers that fan out repeatedly over the same task family (the
-    federation's warm shard pool, bench repetitions) instead hold one so
-    workers — and whatever warm per-process state they have accumulated
-    (attached shared-memory posts, per-shard engines and their program
-    caches) — survive across calls.  Worker exceptions come back as
-    :class:`TaskFailure` values in payload order, retries follow
-    :attr:`ExecutionPolicy.retries` with exponential backoff, waits
-    honour :attr:`ExecutionPolicy.timeout` (a timed-out process pool is
-    replaced by a fresh one), and pool-infrastructure failures rebuild
-    the pool once, then fall back to a serial rerun of the batch (the
-    report records the fallback).  Results are bit-identical across
-    modes for pure ``fn``.
+    :class:`~repro.engine.facade.BroadcastEngine` holds one, started on
+    its first fan-out, and hands it to :func:`run_cells` and
+    :func:`run_tasks`, so workers — and whatever warm per-process state
+    they have accumulated (attached shared-memory posts, per-shard
+    engines and their program caches) — survive across calls.  The
+    workers themselves start on the first submission.  A timed-out task
+    terminates them, and a pool-infrastructure failure discards them;
+    either way the next submission starts fresh ones.
 
     Usable as a context manager; :meth:`close` shuts the workers down
     and waits for them to exit.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        mode: str = "process",
-        *,
-        policy: ExecutionPolicy | None = None,
-    ) -> None:
-        if mode not in EXECUTOR_MODES:
-            raise ReproError(
-                f"unknown executor mode {mode!r}; choose from "
-                f"{', '.join(EXECUTOR_MODES)}"
-            )
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ReproError(f"workers must be >= 1, got {workers}")
         self.workers = int(workers)
-        self.mode = mode
-        self.policy = policy or ExecutionPolicy()
-        self._pool = None
+        self._pool: ProcessPoolExecutor | None = None
         self._closed = False
 
-    def _ensure_pool(self):
+    def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            pool_cls = (
-                ProcessPoolExecutor
-                if self.mode == "process"
-                else ThreadPoolExecutor
-            )
-            self._pool = pool_cls(max_workers=self.workers)
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
         return self._pool
 
     def _discard_pool(
@@ -635,212 +609,17 @@ class TaskPool:
             pass
 
     def _recycle(self, in_flight: deque, resubmit) -> None:
-        """Replace the pool after a timeout; move its unfinished tasks.
-
-        Process workers are terminated, so every task the old pool had
-        not finished is resubmitted to a fresh one.  Threads cannot be
-        stopped: tasks still queued move to the fresh pool, and tasks
-        already running finish on the abandoned pool's threads.
-        """
-        process = self.mode == "process"
+        """Replace the workers after a timeout; move their unfinished
+        tasks to fresh ones."""
         moved = [
             position
             for position, (_, future) in enumerate(in_flight)
-            if (not future.done() if process else future.cancel())
+            if not future.done()
         ]
-        self._discard_pool(terminate=process)
+        self._discard_pool(terminate=True)
         for position in moved:
             index = in_flight[position][0]
             in_flight[position] = (index, resubmit(index))
-
-    def _settle(
-        self,
-        call,
-        payloads: list,
-        policy: ExecutionPolicy,
-        report: ExecutionReport,
-        telemetry,
-        circuits: list[str] | None,
-    ) -> list[_Settled]:
-        """The attempt loop: run every payload to its final value.
-
-        ``call`` is the worker entry point: it returns a value or a
-        :class:`_CellError`, and whatever it raises is a pool
-        infrastructure failure.  Results are taken head-of-line in
-        payload order, and a failed head is retried before the next one
-        is looked at, so outcomes and accounting match a serial run.
-        ``circuits`` (the cells' algorithm names) turns on the breaker
-        and its lazy submission window; without it the whole batch is
-        submitted at once.
-        """
-        serial = report.mode == "serial"
-        keys = circuits or [None] * len(payloads)
-        breaker = _CircuitBreaker(
-            policy.breaker_threshold if circuits else 0
-        )
-        window = 1 if serial else (
-            self.workers if circuits else len(payloads)
-        )
-        settled: list = [None] * len(payloads)
-        in_flight: deque = deque()  # (index, future), submission order
-        next_index = 0
-
-        def submit(index: int) -> Future:
-            if not serial:
-                return self._ensure_pool().submit(call, payloads[index])
-            future = Future()
-            future.set_result(call(payloads[index]))
-            return future
-
-        def wait(index: int, future: Future):
-            try:
-                return future.result(timeout=policy.timeout)
-            except FuturesTimeoutError:
-                report.timeouts += 1
-                _note(telemetry, "executor.timeouts")
-                self._recycle(in_flight, submit)
-                return _CellError(
-                    "TimeoutError",
-                    f"task {index} exceeded the {policy.timeout}s budget",
-                )
-
-        def fail(index: int, error: _CellError, attempts: int,
-                 circuit_open: bool) -> _Settled:
-            report.cell_failures += 1
-            _note(telemetry, "executor.cell_failures")
-            breaker.record_failure(keys[index])
-            return error, attempts, circuit_open
-
-        def top_up() -> None:
-            # Cells behind an open circuit fail here, before they are
-            # ever submitted.
-            nonlocal next_index
-            while next_index < len(payloads) and len(in_flight) < window:
-                index = next_index
-                next_index += 1
-                if breaker.is_open(keys[index]):
-                    report.short_circuited += 1
-                    skipped = "cell skipped" if serial else (
-                        "cell not submitted"
-                    )
-                    settled[index] = fail(
-                        index,
-                        _CellError(
-                            "CircuitOpen",
-                            f"circuit open for {keys[index]!r}; {skipped}",
-                        ),
-                        0,
-                        True,
-                    )
-                else:
-                    in_flight.append((index, submit(index)))
-
-        top_up()
-        while in_flight:
-            index, future = in_flight.popleft()
-            value = wait(index, future)
-            # A circuit that opened while this task was in flight
-            # disables its retries; a result is still accepted.
-            circuit_open = breaker.is_open(keys[index])
-            attempts = 1
-            while (
-                isinstance(value, _CellError)
-                and not circuit_open
-                and attempts <= policy.retries
-            ):
-                report.retries += 1
-                _note(telemetry, "executor.retries")
-                _backoff_sleep(policy, attempts)
-                value = wait(index, submit(index))
-                attempts += 1
-            if isinstance(value, _CellError):
-                settled[index] = fail(index, value, attempts, circuit_open)
-            else:
-                breaker.record_success(keys[index])
-                settled[index] = (value, attempts, False)
-            top_up()
-        report.breaker_trips = breaker.trips
-        _note(telemetry, "executor.breaker_trips", breaker.trips)
-        return settled
-
-    def _run(
-        self,
-        call,
-        payloads: list,
-        policy: ExecutionPolicy | None,
-        telemetry,
-        circuits: list[str] | None = None,
-        serial_payloads: list | None = None,
-    ) -> tuple[list[_Settled], ExecutionReport]:
-        """Settle a batch on the pool, rebuilding it once if it breaks.
-
-        Serial mode (or one worker, or a single payload) bypasses the
-        pool entirely.  A second pool-infrastructure failure falls back
-        to a serial rerun of the whole batch with fresh accounting.
-        Serial runs take ``serial_payloads`` when given (the cells'
-        plain specs, in place of their shared-memory posts).
-        """
-        if self._closed:
-            raise ReproError("TaskPool is closed")
-        policy = policy or self.policy
-        fallback = False
-        if self.mode != "serial" and self.workers > 1 and len(payloads) > 1:
-            for _ in range(2):
-                report = ExecutionReport(
-                    mode=self.mode,
-                    requested_mode=self.mode,
-                    transport="pickle" if self.mode == "process" else "inline",
-                )
-                try:
-                    return self._settle(
-                        call, payloads, policy, report, telemetry, circuits
-                    ), report
-                except (
-                    pickle.PicklingError,
-                    AttributeError,
-                    TypeError,
-                    BrokenExecutor,
-                    OSError,
-                    RuntimeError,
-                ):
-                    # Unpicklable payloads, killed workers, fork limits,
-                    # a post a worker cannot attach.  Task-level
-                    # exceptions are already values and never land here.
-                    self._discard_pool()
-            fallback = True
-        report = ExecutionReport(
-            mode="serial", requested_mode=self.mode, fallback=fallback
-        )
-        if serial_payloads is not None:
-            payloads = serial_payloads
-        return self._settle(
-            call, payloads, policy, report, telemetry, circuits
-        ), report
-
-    def run(
-        self,
-        fn,
-        payloads,
-        *,
-        policy: ExecutionPolicy | None = None,
-        telemetry=None,
-    ) -> tuple[list, ExecutionReport]:
-        """Fan ``fn`` across ``payloads`` on the persistent pool.
-
-        Same contract and return shape as :func:`run_tasks`.
-        """
-        settled, report = self._run(
-            functools.partial(_guarded_call, fn),
-            list(payloads),
-            policy,
-            telemetry,
-        )
-        return [
-            TaskFailure(index, value.error_type, value.message, attempts)
-            if isinstance(value, _CellError)
-            else value
-            for index, (value, attempts, _) in enumerate(settled)
-        ], report
 
     def close(self) -> None:
         """Shut the workers down; the pool refuses further runs."""
@@ -854,31 +633,189 @@ class TaskPool:
         self.close()
 
 
+def _pooled(pool: TaskPool | None, payloads: Sized) -> bool:
+    """Whether a batch fans out: a pool wider than one worker, and more
+    than one payload to share across it."""
+    return pool is not None and pool.workers > 1 and len(payloads) > 1
+
+
+def _settle(
+    call,
+    payloads: list,
+    pool: TaskPool | None,
+    policy: ExecutionPolicy,
+    report: ExecutionReport,
+    telemetry,
+    circuits: list[str] | None,
+) -> list[_Settled]:
+    """The attempt loop: run every payload to its final value.
+
+    ``call`` is the worker entry point: it returns a value or a
+    :class:`_CellError`, and whatever it raises is a pool
+    infrastructure failure.  Without a ``pool`` each payload runs in
+    this process.  Results are taken head-of-line in payload order, and
+    a failed head is retried before the next one is looked at, so
+    outcomes and accounting match a serial run.  ``circuits`` (the
+    cells' algorithm names) turns on the breaker and its lazy
+    submission window; without it the whole batch is submitted at once.
+    """
+    serial = pool is None
+    keys = circuits or [None] * len(payloads)
+    breaker = _CircuitBreaker(policy.breaker_threshold if circuits else 0)
+    window = 1 if serial else (pool.workers if circuits else len(payloads))
+    settled: list = [None] * len(payloads)
+    in_flight: deque = deque()  # (index, future), submission order
+    next_index = 0
+
+    def submit(index: int) -> Future:
+        if not serial:
+            return pool._ensure_pool().submit(call, payloads[index])
+        future = Future()
+        future.set_result(call(payloads[index]))
+        return future
+
+    def wait(index: int, future: Future):
+        try:
+            return future.result(timeout=policy.timeout)
+        except FuturesTimeoutError:
+            report.timeouts += 1
+            _note(telemetry, "executor.timeouts")
+            pool._recycle(in_flight, submit)
+            return _CellError(
+                "TimeoutError",
+                f"task {index} exceeded the {policy.timeout}s budget",
+            )
+
+    def fail(index: int, error: _CellError, attempts: int,
+             circuit_open: bool) -> _Settled:
+        report.cell_failures += 1
+        _note(telemetry, "executor.cell_failures")
+        breaker.record_failure(keys[index])
+        return error, attempts, circuit_open
+
+    def top_up() -> None:
+        # Cells behind an open circuit fail here, before they are ever
+        # submitted.
+        nonlocal next_index
+        while next_index < len(payloads) and len(in_flight) < window:
+            index = next_index
+            next_index += 1
+            if breaker.is_open(keys[index]):
+                report.short_circuited += 1
+                skipped = "cell skipped" if serial else "cell not submitted"
+                settled[index] = fail(
+                    index,
+                    _CellError(
+                        "CircuitOpen",
+                        f"circuit open for {keys[index]!r}; {skipped}",
+                    ),
+                    0,
+                    True,
+                )
+            else:
+                in_flight.append((index, submit(index)))
+
+    top_up()
+    while in_flight:
+        index, future = in_flight.popleft()
+        value = wait(index, future)
+        # A circuit that opened while this task was in flight disables
+        # its retries; a result is still accepted.
+        circuit_open = breaker.is_open(keys[index])
+        attempts = 1
+        while (
+            isinstance(value, _CellError)
+            and not circuit_open
+            and attempts <= policy.retries
+        ):
+            report.retries += 1
+            _note(telemetry, "executor.retries")
+            _backoff_sleep(policy, attempts)
+            value = wait(index, submit(index))
+            attempts += 1
+        if isinstance(value, _CellError):
+            settled[index] = fail(index, value, attempts, circuit_open)
+        else:
+            breaker.record_success(keys[index])
+            settled[index] = (value, attempts, False)
+        top_up()
+    report.breaker_trips = breaker.trips
+    _note(telemetry, "executor.breaker_trips", breaker.trips)
+    return settled
+
+
+def _run(
+    call,
+    payloads: list,
+    pool: TaskPool | None,
+    policy: ExecutionPolicy | None,
+    telemetry,
+    circuits: list[str] | None = None,
+    serial_payloads: list | None = None,
+) -> tuple[list[_Settled], ExecutionReport]:
+    """Settle a batch on ``pool``, rebuilding its workers once if they
+    break.
+
+    A batch that does not fan out (see :func:`_pooled`) runs serially.
+    A second pool-infrastructure failure falls back to a serial rerun
+    of the whole batch with fresh accounting.  Serial runs take
+    ``serial_payloads`` when given (the cells' plain specs, in place of
+    their shared-memory posts).
+    """
+    if pool is not None and pool._closed:
+        raise ReproError("TaskPool is closed")
+    policy = policy or ExecutionPolicy()
+    fallback = False
+    if _pooled(pool, payloads):
+        for _ in range(2):
+            report = ExecutionReport(mode="process", transport="pickle")
+            try:
+                return _settle(
+                    call, payloads, pool, policy, report, telemetry, circuits
+                ), report
+            except (
+                pickle.PicklingError,
+                AttributeError,
+                TypeError,
+                BrokenExecutor,
+                OSError,
+                RuntimeError,
+            ):
+                # Unpicklable payloads, killed workers, fork limits, a
+                # post a worker cannot attach.  Task-level exceptions
+                # are already values and never land here.
+                pool._discard_pool()
+        fallback = True
+    report = ExecutionReport(mode="serial", fallback=fallback)
+    if serial_payloads is not None:
+        payloads = serial_payloads
+    return _settle(
+        call, payloads, None, policy, report, telemetry, circuits
+    ), report
+
+
 def run_tasks(
     fn,
     payloads,
     *,
-    workers: int = 1,
-    mode: str = "serial",
+    pool: TaskPool | None = None,
     policy: ExecutionPolicy | None = None,
     telemetry=None,
 ) -> tuple[list, ExecutionReport]:
-    """Fan a pure function across payloads on a one-shot :class:`TaskPool`.
+    """Fan a pure function across payloads, serially or on ``pool``.
 
-    The federation layer uses it to replay station shards in parallel.
-    The pool is sized ``min(workers, len(payloads))``, runs the batch
-    once and is shut down before this returns; everything else
-    (failures as :class:`TaskFailure` values in payload order, retries,
-    timeouts, rebuild-then-serial fallback on pool-infrastructure
-    failures such as unpicklable ``fn``/payloads or fork limits) is
-    :meth:`TaskPool.run`.  Results are bit-identical across modes
-    whenever ``fn`` is pure.
+    The federation layer uses it to replay station shards.  Failures
+    come back as :class:`TaskFailure` values in payload order; retries
+    and timeouts follow ``policy``; pool-infrastructure failures such
+    as unpicklable ``fn``/payloads, killed workers or fork limits
+    rebuild the pool's workers once, then rerun the batch serially.
+    Results are bit-identical to a serial run whenever ``fn`` is pure.
 
     Args:
         fn: A picklable pure function of one payload.
         payloads: The inputs, in the order results must come back.
-        workers: Pool width; ``<= 1`` runs serially.
-        mode: ``"serial"`` (default), ``"thread"``, or ``"process"``.
+        pool: The pool to fan out on; ``None`` (or a one-worker pool,
+            or a single payload) runs serially.
         policy: Timeout, retry and backoff knobs (the breaker applies
             to sweep cells only).
         telemetry: Optional counter sink (``executor.*`` names).
@@ -887,33 +824,41 @@ def run_tasks(
         ``(outcomes, report)`` — outcomes mix ``fn`` return values and
         :class:`TaskFailure` entries in payload order.
     """
-    payloads = list(payloads)
-    with TaskPool(
-        max(1, min(workers, len(payloads))), mode, policy=policy
-    ) as pool:
-        return pool.run(fn, payloads, telemetry=telemetry)
+    settled, report = _run(
+        functools.partial(_guarded_call, fn),
+        list(payloads),
+        pool,
+        policy,
+        telemetry,
+    )
+    return [
+        TaskFailure(index, value.error_type, value.message, attempts)
+        if isinstance(value, _CellError)
+        else value
+        for index, (value, attempts, _) in enumerate(settled)
+    ], report
 
 
 def run_cells(
     specs: list[CellSpec],
-    workers: int = 1,
-    mode: str = "process",
+    *,
+    pool: TaskPool | None = None,
     policy: ExecutionPolicy | None = None,
     telemetry=None,
 ) -> tuple[list[CellResult | CellFailure], ExecutionReport]:
     """Execute every cell, preserving spec order in the results.
 
-    A one-shot :class:`TaskPool` run of the cell family: the breaker
-    and the lazy submission window are on, and process runs post each
-    shared instance to shared memory (degrading to pickled payloads if
-    the block cannot be made).  No process cell or result pickles the
+    The cell family of :func:`run_tasks`: the breaker and the lazy
+    submission window are on, and a pooled run posts each shared
+    instance to shared memory (degrading to pickled payloads if the
+    block cannot be made).  No pooled cell or result pickles the
     instance itself; a fresh schedule comes back holding the spec's own
     instance object.
 
     Args:
         specs: The grid, in the order results must come back.
-        workers: Pool width; ``<= 1`` runs serially.
-        mode: ``"process"`` (default), ``"thread"``, or ``"serial"``.
+        pool: The pool to fan out on; ``None`` (or a one-worker pool,
+            or a single cell) runs serially.
         policy: Hardening knobs (timeout / retries / breaker); defaults
             to :class:`ExecutionPolicy`'s defaults.
         telemetry: Optional object with an ``incr(name, amount)`` method
@@ -928,38 +873,37 @@ def run_cells(
         accounting.
 
     Raises:
-        ReproError: For unknown modes.  Cell-level exceptions (a raising
+        ReproError: For a closed pool.  Cell-level exceptions (a raising
             scheduler, a measurement error) never propagate — they come
             back as :class:`CellFailure` entries.  Pool-infrastructure
             failures (unpicklable specs, broken pools, fork limits)
-            rebuild the pool once, then rerun the full grid serially.
+            rebuild the pool's workers once, then rerun the full grid
+            serially.
     """
     specs = list(specs)
     posts: dict[int, _ShmPost] = {}
-    with TaskPool(
-        max(1, min(workers, len(specs))), mode, policy=policy
-    ) as pool:
-        payloads: list = specs
-        shared = False
-        try:
-            if mode == "process" and pool.workers > 1:
-                try:
-                    payloads, shared = _ship_cells(specs, posts)
-                except (pickle.PicklingError, AttributeError, TypeError):
-                    # An unpicklable cell: the pool fails on it too and
-                    # the grid ends on its serial rerun.
-                    pass
-            settled, report = pool._run(
-                _guarded_execute_chunk,
-                payloads,
-                None,
-                telemetry,
-                circuits=[spec.algorithm for spec in specs],
-                serial_payloads=specs,
-            )
-        finally:
-            for post in posts.values():
-                post.close()
+    payloads: list = specs
+    shared = False
+    try:
+        if _pooled(pool, specs):
+            try:
+                payloads, shared = _ship_cells(specs, posts)
+            except (pickle.PicklingError, AttributeError, TypeError):
+                # An unpicklable cell: the pool fails on it too and the
+                # grid ends on its serial rerun.
+                pass
+        settled, report = _run(
+            _guarded_execute_chunk,
+            payloads,
+            pool,
+            policy,
+            telemetry,
+            circuits=[spec.algorithm for spec in specs],
+            serial_payloads=specs,
+        )
+    finally:
+        for post in posts.values():
+            post.close()
     if report.mode == "process" and shared:
         report.transport = "shm"
     return [

@@ -12,17 +12,19 @@ the three engine services:
   counters, stage timers, and a structured JSON run manifest emitted by
   every call.
 
-Sweeps additionally fan their (scheduler × channel-count) grid across a
-:mod:`concurrent.futures` pool (:mod:`repro.engine.executor`) with
-deterministic result ordering and automatic serial fallback.
+Sweeps and federations additionally fan their cells or shards across
+the engine's one process pool (:mod:`repro.engine.executor`) with
+deterministic result ordering and automatic serial fallback.  The pool
+starts on the first fan-out, stays warm between calls and ends with
+:meth:`BroadcastEngine.close`, a ``with`` block, or the engine itself.
 
 Typical use::
 
     from repro.engine import BroadcastEngine
 
-    engine = BroadcastEngine(workers=4)
-    schedule = engine.schedule(instance, "pamad", channels=13)
-    result = engine.sweep(instance, algorithms=("pamad", "m-pb", "opt"))
+    with BroadcastEngine(workers=4) as engine:
+        schedule = engine.schedule(instance, "pamad", channels=13)
+        result = engine.sweep(instance, algorithms=("pamad", "m-pb", "opt"))
     print(result.manifest.to_json())
 """
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -50,6 +53,7 @@ from repro.engine.executor import (
     ExecutionPolicy,
     ExecutionReport,
     SweepPoint,
+    TaskPool,
     default_channel_points,
     run_cells,
 )
@@ -191,17 +195,25 @@ class SweepResult:
 class BroadcastEngine:
     """The cached, parallel, observable scheduling facade.
 
+    The engine owns at most one :class:`~repro.engine.executor.TaskPool`.
+    It starts on the first sweep or federation that fans out, is shared
+    by every later one at the same width, and is replaced when a call
+    asks for another width.  :meth:`close` (or leaving a ``with`` block)
+    shuts it down; so does dropping the engine, and interpreter exit
+    for engines still alive then, such as :func:`default_engine`.
+
     Attributes:
         registry: Scheduler name → callable registry (defaults to the
             process-wide registry, so plugins registered via
             :func:`repro.engine.register_scheduler` are visible).
         cache: Program cache shared by every call on this engine.
         telemetry: Counter/timer accumulator snapshotted into manifests.
-        workers: Default pool width for sweeps (1 = serial).
-        executor: Default pool flavour: ``"process"``, ``"thread"`` or
-            ``"serial"``.
-        execution: Hardening knobs applied to every sweep — per-cell
-            timeout (pool modes), bounded retries with exponential
+        workers: Default pool width for sweeps and federations
+            (1 = serial).
+        executor: ``"process"`` fans out on the engine's pool;
+            ``"serial"`` never starts one.
+        execution: Hardening knobs applied to every fan-out — per-task
+            timeout (on a pool), bounded retries with exponential
             backoff, and the per-algorithm circuit breaker (see
             :class:`~repro.engine.executor.ExecutionPolicy`).
         manifest_dir: When set, every manifest is additionally written to
@@ -226,7 +238,43 @@ class BroadcastEngine:
             )
         self._manifests: list[RunManifest] = []
         self._run_counter = 0
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
+        self._pool: TaskPool | None = None
+        self._pool_finalizer: weakref.finalize | None = None
+
+    # ------------------------------------------------------------------
+    # The pool
+    # ------------------------------------------------------------------
+
+    def _task_pool(self, workers: int) -> TaskPool | None:
+        """The pool a fan-out ``workers`` wide runs on, or ``None`` for
+        a serial run."""
+        if workers <= 1 or self.executor != "process":
+            return None
+        with self._lock:
+            if self._pool is not None and self._pool.workers != workers:
+                self.close()
+            if self._pool is None:
+                self._pool = TaskPool(workers)
+                # Holds the pool, not the engine, so a dropped engine
+                # can be collected and its workers shut down.
+                self._pool_finalizer = weakref.finalize(
+                    self, self._pool.close
+                )
+            return self._pool
+
+    def close(self) -> None:
+        """Shut the pool's workers down; a later fan-out starts anew."""
+        with self._lock:
+            if self._pool_finalizer is not None:
+                self._pool_finalizer()
+            self._pool = self._pool_finalizer = None
+
+    def __enter__(self) -> "BroadcastEngine":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # Manifest plumbing
@@ -269,9 +317,7 @@ class BroadcastEngine:
     ) -> RunManifest:
         if executor is None:  # the operation never pools
             executor = {
-                **ExecutionReport(
-                    mode="serial", requested_mode="serial"
-                ).as_dict(),
+                **ExecutionReport(mode="serial").as_dict(),
                 "workers": 1,
             }
         cache_total = self.cache.stats()
@@ -477,13 +523,12 @@ class BroadcastEngine:
         num_requests: int = 3000,
         seed: int = 0,
         workers: int | None = None,
-        executor: str | None = None,
         policy: ExecutionPolicy | None = None,
         manifest_path: str | Path | None = None,
     ) -> SweepResult:
         """Measure AvgD over a (scheduler × channel-count) grid.
 
-        The grid fans across a worker pool when ``workers > 1``; cells
+        The grid fans across the engine's pool when ``workers > 1``; cells
         are seeded individually (``seed * 1_000_003 + channels * 101 +
         column``, the historical formula), so parallel, serial and
         repeated runs all produce bit-identical points.
@@ -497,7 +542,7 @@ class BroadcastEngine:
             num_requests: Monte-Carlo stream length per cell.
             seed: Base RNG seed.
             workers: Pool width for this call (default: the engine's).
-            executor: Pool flavour for this call (default: the engine's).
+                A width other than the running pool's replaces it.
             policy: Hardening policy for this call (default: the
                 engine's ``execution`` attribute).
             manifest_path: When set, also write this call's manifest
@@ -512,7 +557,6 @@ class BroadcastEngine:
                 minimum_channels(instance)
             )
         pool_width = self.workers if workers is None else workers
-        pool_mode = self.executor if executor is None else executor
         names = [self.registry.resolve(name) for name in algorithms]
         schedulers = [(name, self.registry.get(name)) for name in names]
         cache_before = self.cache.stats()
@@ -544,8 +588,7 @@ class BroadcastEngine:
         with self.telemetry.timer("sweep.execute"):
             outcomes, report = run_cells(
                 specs,
-                workers=pool_width,
-                mode=pool_mode,
+                pool=self._task_pool(pool_width),
                 policy=self.execution if policy is None else policy,
                 telemetry=self.telemetry,
             )
@@ -873,8 +916,6 @@ class BroadcastEngine:
         target_miss_rate: float = 0.05,
         replan_cooldown: int = 8,
         workers: int | None = None,
-        mode: str | None = None,
-        pool=None,
         manifest_path: str | Path | None = None,
     ) -> "FederationResult":
         """Replay a trace across N station shards (manifested, v9).
@@ -883,9 +924,9 @@ class BroadcastEngine:
         :class:`~repro.federation.service.FederatedBroadcastService` —
         group-aware consistent-hash placement, federation-wide
         Theorem-3.1 admission, bounded drift rebalancing — and replays
-        every shard, fanning across the engine's executor when
+        every shard, fanning across the engine's pool when
         ``workers > 1``.  Shard replays are pure, so the report is
-        identical for every worker count and mode.
+        identical for every worker count.
 
         The manifest (operation ``"federate"``, schema v9 with the
         ``federation`` block and its ``transport`` field) is emitted
@@ -913,12 +954,7 @@ class BroadcastEngine:
             slo_window / target_miss_rate / replan_cooldown: Forwarded to
                 every shard's live service.
             workers: Fan-out width; defaults to the engine's
-                ``workers`` attribute.
-            mode: Executor mode; defaults to the engine's ``executor``
-                when pooling, ``"serial"`` otherwise.
-            pool: Optional persistent
-                :class:`~repro.engine.executor.TaskPool` whose warm
-                workers replay the shards (overrides workers/mode).
+                ``workers`` attribute.  The pool is the one sweeps use.
             manifest_path: When set, also write this call's manifest
                 JSON to the path.
 
@@ -936,8 +972,6 @@ class BroadcastEngine:
         cache_before = self.cache.stats()
         telemetry_before = self.telemetry.snapshot()
         workers = self.workers if workers is None else workers
-        if mode is None:
-            mode = self.executor if workers > 1 else "serial"
         service = FederatedBroadcastService(
             initial,
             trace,
@@ -954,11 +988,9 @@ class BroadcastEngine:
         )
         with self.telemetry.timer("federate.replay"):
             report = service.run(
-                workers=workers,
-                mode=mode,
+                pool=self._task_pool(workers),
                 policy=self.execution,
                 telemetry=self.telemetry,
-                pool=pool,
             )
         federation_block = report.as_dict()
         manifest = self._emit_manifest(
@@ -1011,7 +1043,8 @@ def default_engine() -> BroadcastEngine:
 
     Lazily constructed; shares the process-wide scheduler registry, so
     plugins registered via :func:`repro.engine.register_scheduler` are
-    immediately sweepable.
+    immediately sweepable.  Its pool, once started, ends at interpreter
+    exit.
     """
     global _DEFAULT_ENGINE
     with _DEFAULT_ENGINE_LOCK:

@@ -258,9 +258,7 @@ def register_scheduler(
 ) -> Scheduler:
     """Register a scheduler in the (default) registry — the plugin API.
 
-    This replaces the old pattern of mutating
-    ``repro.analysis.sweep.SCHEDULERS`` directly; see the module
-    docstring for an example.
+    See the module docstring for an example.
     """
     return (registry or _DEFAULT_REGISTRY).register(
         name, fn, aliases=aliases, replace=replace

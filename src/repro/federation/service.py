@@ -52,20 +52,22 @@ deterministic phases:
    Fan-out transports (recorded as ``federation.transport``, manifest
    schema v9):
 
-   * ``inline`` — serial/thread replay: each plan's column slices pass
-     by reference.
-   * ``shm`` — process pools: the shard-grouped listener columns are
+   * ``inline`` — serial replay: each plan's column slices pass by
+     reference.
+   * ``shm`` — pooled replay: the shard-grouped listener columns are
      posted once into ``multiprocessing.shared_memory``; each worker
      attaches and slices its shard's rows.  Falls back to ``pickle``
      when shared memory is unavailable.
    * ``pickle`` — each plan's column slices and catalog events are
      pickled with it.
 
-   Pass a persistent :class:`~repro.engine.executor.TaskPool` to
-   :meth:`FederatedBroadcastService.run` to keep pool workers (and the
-   warm engines and shared-memory attachments they hold) alive across
-   runs.  Fan-out never changes results: outcomes are collected in
-   shard order and are bit-identical to a serial replay.
+   :meth:`FederatedBroadcastService.run` replays serially unless it is
+   handed a :class:`~repro.engine.executor.TaskPool`, normally the one
+   :meth:`~repro.engine.facade.BroadcastEngine.federate` holds, whose
+   workers (and the warm engines and shared-memory attachments they
+   hold) stay alive across runs.  Fan-out never changes results:
+   outcomes are collected in shard order and are bit-identical to a
+   serial replay.
 
 Every phase draws randomness from nothing but the ring seed and the
 trace, so two runs of the same inputs produce byte-identical reports —
@@ -87,6 +89,7 @@ from repro.engine.executor import (
     ExecutionPolicy,
     TaskPool,
     _from_shm,
+    _pooled,
     _ShmPost,
     run_tasks,
 )
@@ -162,9 +165,9 @@ class ShardPlan:
 
     The shard's listener rows ride either inline as ``columns`` (its
     ``(times, page_ids, expected)`` slices, passed by reference on
-    serial/thread replay and pickled at about their bytes on process
-    pools) or in a shared-memory post ``shm = (name, size)`` holding the
-    whole federation's shard-grouped columns.  ``catalog_events`` (a few
+    serial replay and pickled at about their bytes on a pool) or in a
+    shared-memory post ``shm = (name, size)`` holding the whole
+    federation's shard-grouped columns.  ``catalog_events`` (a few
     hundred at most) are sorted by ``(time, kind, page_id)``.  The
     worker builds the columnar sub-trace with
     :func:`_subtrace_from_plan`.
@@ -264,7 +267,7 @@ def _subtrace_from_plan(plan: ShardPlan) -> MutationTrace:
 # ----------------------------------------------------------------------
 
 #: Per-shard engines kept warm for the life of the process (parent for
-#: serial/thread replay, each pool worker for process replay).  Reuse
+#: serial replay, each pool worker for pooled replay).  Reuse
 #: is a pure wall-clock win: program-cache keys are content fingerprints
 #: and cached programs are copied before the live service edits them,
 #: so a warm engine returns exactly what a cold one would compute.
@@ -935,61 +938,42 @@ class FederatedBroadcastService:
     def run(
         self,
         *,
-        workers: int = 1,
-        mode: str = "serial",
+        pool: TaskPool | None = None,
         policy: ExecutionPolicy | None = None,
         telemetry=None,
-        pool: TaskPool | None = None,
     ) -> FederationReport:
         """Route, then replay every shard (once per service instance)."""
         return self._replay(
-            self.route(),
-            workers=workers,
-            mode=mode,
-            policy=policy,
-            telemetry=telemetry,
-            pool=pool,
+            self.route(), pool=pool, policy=policy, telemetry=telemetry
         )
 
     def _replay(
         self,
         routed: RoutedTrace,
         *,
-        workers: int = 1,
-        mode: str = "serial",
+        pool: TaskPool | None = None,
         policy: ExecutionPolicy | None = None,
         telemetry=None,
-        pool: TaskPool | None = None,
     ) -> FederationReport:
         """Phase 2: replay every shard of ``routed``.
 
-        ``workers``/``mode``/``policy`` drive the executor fan-out; a
-        persistent :class:`~repro.engine.executor.TaskPool` may be
-        passed instead (its mode/width/policy then apply, and its
-        workers stay warm across runs).  The report is identical for
-        every combination (shard replays are pure), so ``mode="serial"``
-        is the reference and pools are a pure wall-clock optimisation.
+        Without a ``pool`` the shards replay serially; with one they
+        fan out across its warm workers under ``policy``.  The report
+        is identical either way (shard replays are pure), so the serial
+        replay is the reference and the pool is a pure wall-clock
+        optimisation.
 
-        Transport: process fan-out ships listeners through one
+        Transport: pooled fan-out ships listeners through one
         shared-memory post, or per-plan pickles when the block cannot be
-        made; serial and thread replay pass each shard's column slices
-        inline.  The transport that actually ran is recorded in the
-        report.
+        made; serial replay passes each shard's column slices inline.
+        The transport that actually ran is recorded in the report.
         """
         if self._report is not None:
             raise SimulationError(
                 "this federation already ran; build a fresh service "
                 "to replay again"
             )
-        effective_mode = pool.mode if pool is not None else mode
-        effective_workers = (
-            pool.workers if pool is not None else workers
-        )
-        pooled = (
-            effective_mode == "process"
-            and effective_workers > 1
-            and len(self.ring.shards) > 1
-        )
+        pooled = _pooled(pool, self.ring.shards)
         transport = "shm" if pooled else "inline"
         post: _ShmPost | None = None
         try:
@@ -998,22 +982,13 @@ class FederatedBroadcastService:
             except (OSError, pickle.PicklingError):
                 transport = "pickle"
                 plans, post = self._shard_plans(routed)
-            if pool is not None:
-                outcomes, report = pool.run(
-                    replay_shard_task,
-                    plans,
-                    policy=policy,
-                    telemetry=telemetry,
-                )
-            else:
-                outcomes, report = run_tasks(
-                    replay_shard_task,
-                    plans,
-                    workers=workers,
-                    mode=mode,
-                    policy=policy,
-                    telemetry=telemetry,
-                )
+            outcomes, report = run_tasks(
+                replay_shard_task,
+                plans,
+                pool=pool,
+                policy=policy,
+                telemetry=telemetry,
+            )
         finally:
             if post is not None:
                 post.close()
@@ -1031,7 +1006,7 @@ class FederatedBroadcastService:
             for name in _AGGREGATED_COUNTERS:
                 counters[name] += int(summary["counters"][name])
         executor_block = report.as_dict()
-        executor_block["workers"] = max(1, int(effective_workers))
+        executor_block["workers"] = 1 if pool is None else pool.workers
         executor_block["transport"] = transport
         self._report = FederationReport(
             shards=self.shards,

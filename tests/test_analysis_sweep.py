@@ -7,26 +7,25 @@ import math
 import pytest
 
 from repro.analysis.sweep import (
-    SCHEDULERS,
     channel_sweep,
     default_channel_points,
-    get_scheduler,
     sweep_table,
 )
 from repro.core.errors import ReproError
+from repro.engine import available_schedulers, get_scheduler
 
 
 class TestSchedulerRegistry:
     def test_known_names(self):
-        assert set(SCHEDULERS) == {
+        assert set(available_schedulers()) == {
             "pamad", "m-pb", "opt", "flat", "disks", "online", "susc",
         }
 
     def test_lookup_case_insensitive(self):
-        assert get_scheduler("PAMAD") is SCHEDULERS["pamad"]
+        assert get_scheduler("PAMAD") is get_scheduler("pamad")
 
     def test_mpb_alias(self):
-        assert get_scheduler("mpb") is SCHEDULERS["m-pb"]
+        assert get_scheduler("mpb") is get_scheduler("m-pb")
 
     def test_unknown_name(self):
         with pytest.raises(ReproError, match="unknown scheduler"):
@@ -37,9 +36,6 @@ class TestSchedulerRegistry:
             get_scheduler("magic")
         listed = str(excinfo.value).split("choose from ")[1].split(", ")
         assert listed == sorted(listed)
-
-    def test_registry_view_is_sorted(self):
-        assert list(SCHEDULERS) == sorted(SCHEDULERS)
 
 
 class TestDefaultChannelPoints:

@@ -25,6 +25,7 @@ from repro.api import (
     ErrorBudgetReport,
     FinishService,
     ListServices,
+    MAX_EXPECTED_TIME,
     MAX_QUERY_PAGES,
     MutationBatch,
     MutationBatchResult,
@@ -43,6 +44,7 @@ from repro.api import (
     encode_line,
     message_types,
 )
+from repro.api.types import FederationCreate
 from repro.core.errors import ReproError
 from repro.live.mutations import MutationEvent
 
@@ -212,6 +214,34 @@ class TestValidation:
             SloQuery(
                 service="svc", expected_time=2, pages=MAX_QUERY_PAGES + 1
             )
+
+    def test_expected_time_capped(self):
+        at_cap = MAX_EXPECTED_TIME
+        past = MAX_EXPECTED_TIME + 1
+
+        def batch(expected):
+            return MutationBatch(
+                service="svc",
+                events=(
+                    MutationEvent(
+                        time=0.0,
+                        kind="page_insert",
+                        page_id=1,
+                        expected_time=expected,
+                    ),
+                ),
+            )
+
+        for build in (
+            lambda t: CreateServiceRequest(name="svc", catalog={1: t}),
+            lambda t: FederationCreate(name="fed", catalog={1: 2, 2: t}),
+            batch,
+            lambda t: SloQuery(service="svc", expected_time=t),
+        ):
+            message = build(at_cap)
+            assert decode(encode(message)) == message
+            with pytest.raises(ReproError, match="expected_time must be <="):
+                build(past)
 
     def test_remediation_policy_bounds(self):
         with pytest.raises(ReproError, match="miss_streak"):

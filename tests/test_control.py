@@ -29,6 +29,7 @@ from repro.api import (
     ErrorBudgetReport,
     FinishService,
     ListServices,
+    MAX_EXPECTED_TIME,
     MAX_QUERY_PAGES,
     MutationBatch,
     MutationBatchResult,
@@ -42,6 +43,7 @@ from repro.api import (
     decode_line,
     encode_line,
 )
+from repro.api.types import FederationCreate, ShardReport
 from repro.baselines.opt import brute_force_frequencies
 from repro.cli import main
 from repro.control import (
@@ -618,6 +620,82 @@ class TestSloVerdicts:
             assert isinstance(response, ApiError)
             assert response.code == "bad-request"
             assert "pages must be in" in response.message
+
+    @pytest.mark.parametrize(
+        "request_at_cap, path, reply",
+        [
+            (
+                CreateServiceRequest(
+                    name="wide", catalog={1: 2, 2: MAX_EXPECTED_TIME}
+                ),
+                ("catalog", "2"),
+                ServiceCreated,
+            ),
+            (
+                FederationCreate(
+                    name="fed", catalog={1: 2, 2: MAX_EXPECTED_TIME}
+                ),
+                ("catalog", "2"),
+                ShardReport,
+            ),
+            (
+                MutationBatch(
+                    service="svc",
+                    events=(
+                        MutationEvent(
+                            time=1.0,
+                            kind="page_insert",
+                            page_id=9,
+                            expected_time=MAX_EXPECTED_TIME,
+                        ),
+                    ),
+                ),
+                ("events", 0, "expected_time"),
+                MutationBatchResult,
+            ),
+            (
+                MutationBatch(
+                    service="svc",
+                    events=(
+                        MutationEvent(
+                            time=1.0,
+                            kind="page_retune",
+                            page_id=1,
+                            expected_time=MAX_EXPECTED_TIME,
+                        ),
+                    ),
+                ),
+                ("events", 0, "expected_time"),
+                MutationBatchResult,
+            ),
+            (
+                SloQuery(service="svc", expected_time=MAX_EXPECTED_TIME),
+                ("expected_time",),
+                SloVerdict,
+            ),
+        ],
+        ids=["create", "federation", "insert", "retune", "query"],
+    )
+    def test_expected_time_capped_on_the_wire(
+        self, request_at_cap, path, reply
+    ):
+        """An expected time at ``MAX_EXPECTED_TIME`` gets a reply; one
+        past it is a ``bad-request`` before any cycle is built."""
+        plane, _ = make_plane_with_service(budget=2)
+        line = encode_line(request_at_cap)
+        assert isinstance(decode_line(plane.handle_line(line)), reply)
+        message = json.loads(line)
+        *parents, field = path
+        body = message["body"]
+        for key in parents:
+            body = body[key]
+        body[field] = MAX_EXPECTED_TIME + 1
+        response = decode_line(plane.handle_line(json.dumps(message)))
+        assert isinstance(response, ApiError)
+        assert response.code == "bad-request"
+        assert f"expected_time must be <= {MAX_EXPECTED_TIME}" in (
+            response.message
+        )
 
     def test_error_budget_report(self):
         plane, _ = make_plane_with_service()

@@ -280,9 +280,8 @@ class TestEngineSweep:
         serial = BroadcastEngine().sweep(
             fig2_instance, workers=1, **SWEEP_KWARGS
         )
-        shm = BroadcastEngine().sweep(
-            fig2_instance, workers=2, executor="process", **SWEEP_KWARGS
-        )
+        with BroadcastEngine() as engine:
+            shm = engine.sweep(fig2_instance, workers=2, **SWEEP_KWARGS)
         assert self._measured(shm.points) == self._measured(serial.points)
         assert shm.manifest.executor["transport"] == "shm"
 
@@ -293,9 +292,9 @@ class TestEngineSweep:
         serial = BroadcastEngine().sweep(
             fig2_instance, workers=1, **SWEEP_KWARGS
         )
-        engine = BroadcastEngine(workers=2, executor="process")
-        first = engine.sweep(fig2_instance, **SWEEP_KWARGS)
-        second = engine.sweep(fig2_instance, **SWEEP_KWARGS)
+        with BroadcastEngine(workers=2) as engine:
+            first = engine.sweep(fig2_instance, **SWEEP_KWARGS)
+            second = engine.sweep(fig2_instance, **SWEEP_KWARGS)
         assert first.manifest.executor["mode"] == "process"
         assert second.manifest.executor["mode"] == "process"
         assert second.manifest.cache_run.hits == len(second.points)

@@ -1,11 +1,12 @@
 """The executor's one attempt loop, for both task families.
 
 Sweep cells (:func:`run_cells`) and shard-style tasks
-(:func:`run_tasks`) share :class:`TaskPool`'s attempt loop, so retry,
-timeout and failure accounting must read the same in every mode: a
-task that fails once is retried and recovers, a task that always fails
-burns ``retries + 1`` attempts and is counted once, and a timed-out
-task fails its attempt without holding the call for its full run time.
+(:func:`run_tasks`) share one attempt loop, so retry, timeout and
+failure accounting must read the same serially and on a
+:class:`TaskPool`: a task that fails once is retried and recovers, a
+task that always fails burns ``retries + 1`` attempts and is counted
+once, and a timed-out task fails its attempt without holding the call
+for its full run time.
 """
 
 from __future__ import annotations
@@ -30,12 +31,13 @@ from repro.engine.executor import (
     CellSpec,
     ExecutionPolicy,
     TaskFailure,
+    TaskPool,
     run_cells,
     run_tasks,
 )
 
 FAMILIES = ("cells", "tasks")
-MODES = ("serial", "thread", "process")
+MODES = ("serial", "process")
 SLOW_SECONDS = 3.0
 
 
@@ -72,23 +74,26 @@ def _run(family, mode, kinds, policy, tmp_path):
         _Script(kind, tmp_path / f"marker-{index}")
         for index, kind in enumerate(kinds)
     ]
-    if family == "tasks":
-        return run_tasks(
-            _call, scripts, workers=2, mode=mode, policy=policy
-        )
-    instance = instance_from_counts([3, 5, 3], [2, 4, 8])
-    specs = [
-        CellSpec(
-            algorithm=script.kind,
-            scheduler=script,
-            channels=3,
-            instance=instance,
-            num_requests=50,
-            seed=index,
-        )
-        for index, script in enumerate(scripts)
-    ]
-    return run_cells(specs, workers=2, mode=mode, policy=policy)
+    pool = TaskPool(2) if mode == "process" else None
+    try:
+        if family == "tasks":
+            return run_tasks(_call, scripts, pool=pool, policy=policy)
+        instance = instance_from_counts([3, 5, 3], [2, 4, 8])
+        specs = [
+            CellSpec(
+                algorithm=script.kind,
+                scheduler=script,
+                channels=3,
+                instance=instance,
+                num_requests=50,
+                seed=index,
+            )
+            for index, script in enumerate(scripts)
+        ]
+        return run_cells(specs, pool=pool, policy=policy)
+    finally:
+        if pool is not None:
+            pool.close()
 
 
 def _summary(outcome):
@@ -125,14 +130,13 @@ def _children() -> set:
     return {child.pid for child in multiprocessing.active_children()}
 
 
-@pytest.mark.parametrize("mode", ("thread", "process"))
+@pytest.mark.parametrize("mode", ("process",))
 @pytest.mark.parametrize("family", FAMILIES)
 def test_timeout_bounds_the_call(family, mode, tmp_path, shm_posts):
     """A stuck task costs its timeout, not its run time.
 
-    A process pool holding it is torn down and the retry runs on a
-    fresh one; a stuck thread is abandoned (it cannot be preempted) and
-    finishes in the background.
+    The workers holding it are terminated and the retry runs on fresh
+    ones, which the pool's close then joins.
     """
     children_before = _children()
     policy = ExecutionPolicy(timeout=0.5, retries=1, backoff=0.0)
@@ -149,9 +153,8 @@ def test_timeout_bounds_the_call(family, mode, tmp_path, shm_posts):
     assert report.retries == 1
     assert report.cell_failures == 1
     assert elapsed < 2.0
-    if mode == "process":
-        assert _children() <= children_before
-    if family == "cells" and mode == "process":
+    assert _children() <= children_before
+    if family == "cells":
         assert report.transport == "shm"
         assert len(shm_posts) == 1
         for name in shm_posts:  # the run's own post is unlinked
@@ -162,7 +165,7 @@ def test_timeout_bounds_the_call(family, mode, tmp_path, shm_posts):
 _BIG_PAYLOAD_PROBE = textwrap.dedent(
     """
     import json, sys, time
-    from repro.engine.executor import ExecutionPolicy, run_tasks
+    from repro.engine.executor import ExecutionPolicy, TaskPool, run_tasks
 
     def body(payload):
         if payload == "slow":
@@ -173,9 +176,10 @@ _BIG_PAYLOAD_PROBE = textwrap.dedent(
         payloads = ["slow", "slow"] + [b"x" * (1 << 20)] * 4
         policy = ExecutionPolicy(timeout=0.5, retries=0, backoff=0.0)
         started = time.perf_counter()
-        outcomes, report = run_tasks(
-            body, payloads, workers=2, mode="process", policy=policy
-        )
+        with TaskPool(2) as pool:
+            outcomes, report = run_tasks(
+                body, payloads, pool=pool, policy=policy
+            )
         json.dump({
             "elapsed": time.perf_counter() - started,
             "outcomes": [

@@ -72,6 +72,11 @@ def _report(**kwargs):
     return _service(**kwargs).run()
 
 
+def _pooled_report(**kwargs):
+    with TaskPool(2) as pool:
+        return _service(**kwargs).run(pool=pool)
+
+
 def _dumps(report):
     return json.dumps(report.as_dict(), sort_keys=True)
 
@@ -278,9 +283,7 @@ class TestBatchListenersKeyword:
 class TestTransports:
     def test_shm_matches_inline(self):
         inline = _report()
-        shm = FederatedBroadcastService(
-            _instance(), _trace(_instance()), shards=2, seed=0
-        ).run(workers=2, mode="process")
+        shm = _pooled_report()
         assert inline.transport == "inline"
         assert shm.transport == "shm"
         a, b = inline.as_dict(), shm.as_dict()
@@ -293,9 +296,7 @@ class TestTransports:
 
     def test_pickle_matches_inline(self, no_shared_memory):
         inline = _report()
-        pickled = FederatedBroadcastService(
-            _instance(), _trace(_instance()), shards=2, seed=0
-        ).run(workers=2, mode="process")
+        pickled = _pooled_report()
         assert pickled.transport == "pickle"
         a, b = inline.as_dict(), pickled.as_dict()
         for block in (a, b):
@@ -305,17 +306,9 @@ class TestTransports:
             b, sort_keys=True
         )
 
-    def test_thread_mode_stays_inline(self):
-        report = FederatedBroadcastService(
-            _instance(), _trace(_instance()), shards=2, seed=0
-        ).run(workers=2, mode="thread")
-        assert report.transport == "inline"
-
     def test_subtrace_fingerprints_stable_across_transports(self):
         inline = _report()
-        shm = FederatedBroadcastService(
-            _instance(), _trace(_instance()), shards=2, seed=0
-        ).run(workers=2, mode="process")
+        shm = _pooled_report()
         assert [r["trace_fingerprint"] for r in inline.shard_reports] == [
             r["trace_fingerprint"] for r in shm.shard_reports
         ]
@@ -323,7 +316,7 @@ class TestTransports:
 
 class TestWarmPool:
     def test_pool_runs_are_deterministic(self):
-        with TaskPool(2, mode="process") as pool:
+        with TaskPool(2) as pool:
             first = FederatedBroadcastService(
                 _instance(), _trace(_instance()), shards=2, seed=0
             ).run(pool=pool)
@@ -339,7 +332,7 @@ class TestWarmPool:
 
     def test_pool_matches_serial_reference(self):
         serial = _report()
-        with TaskPool(2, mode="process") as pool:
+        with TaskPool(2) as pool:
             pooled = FederatedBroadcastService(
                 _instance(), _trace(_instance()), shards=2, seed=0
             ).run(pool=pool)
@@ -354,7 +347,7 @@ class TestWarmPool:
     def test_closed_pool_refuses_runs(self):
         from repro.core.errors import ReproError
 
-        pool = TaskPool(2, mode="process")
+        pool = TaskPool(2)
         pool.close()
         with pytest.raises(ReproError, match="closed"):
             FederatedBroadcastService(

@@ -27,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import ReproError, SimulationError
 from repro.core.pages import instance_from_counts
+from repro.engine import TaskPool
 from repro.federation import FederatedBroadcastService
 from repro.live.catalog import LiveCatalog
 from repro.live.mutations import MutationEvent, MutationTrace
@@ -67,10 +68,11 @@ class TestDeterminism:
     def test_pool_fanout_matches_serial(self):
         serial = FederatedBroadcastService(
             _instance(), _trace(), shards=2, seed=0
-        ).run(workers=1, mode="serial")
-        pooled = FederatedBroadcastService(
-            _instance(), _trace(), shards=2, seed=0
-        ).run(workers=2, mode="process")
+        ).run()
+        with TaskPool(2) as pool:
+            pooled = FederatedBroadcastService(
+                _instance(), _trace(), shards=2, seed=0
+            ).run(pool=pool)
         a = serial.as_dict()
         b = pooled.as_dict()
         # The executor block and fan-out transport legitimately differ

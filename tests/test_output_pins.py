@@ -4,7 +4,9 @@ Two families of runs are pinned:
 
 * ``fed_churn``-shaped federations: the 320-page, 8-rung ladder catalog
   on 4 shards, a 250-mutation, 1,000-listener churn trace per seed, for
-  three seeds, replayed serially and on a 2-thread pool.  Each run pins
+  three seeds, replayed serially and on a 2-worker process pool over
+  each fan-out transport: the shared-memory post, and the pickled plans
+  that replace it when a post cannot be made.  Each run pins
   ``FederationReport.as_dict()`` (as the manifest writes it, key order
   kept) and the router's admission decisions as tuples, ``shard``,
   ``home`` and ``required_channels`` included.
@@ -33,23 +35,26 @@ Re-record after a deliberate output change with::
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import pathlib
 import sys
+from unittest import mock
 
 import pytest
 
 from repro.core.pages import instance_from_counts
-from repro.engine import BroadcastEngine
+from repro.engine import BroadcastEngine, TaskPool
 from repro.federation import FederatedBroadcastService
+from repro.federation import service as federation_service
 from repro.workload.mutations import generate_mutation_trace
 
 PINS = pathlib.Path(__file__).parent / "fixtures" / "output_pins.json"
 
 LADDER = (4, 8, 16, 32, 64, 128, 256, 512)
 FED_SEEDS = (1, 2, 3)
-FED_MODES = ("serial", "thread")
+FED_MODES = ("serial", "shm", "pickle")
 LIVE_WINDOWS = (0, 1, 3, 8)
 
 
@@ -78,7 +83,20 @@ def federation_artifacts(
         max_pages_moved=4,
         **kwargs,
     )
-    report = service.run(workers=2 if mode == "thread" else 1, mode=mode)
+    if mode == "serial":
+        report = service.run()
+    else:
+        forced_pickle = (
+            mock.patch.object(
+                federation_service, "_ShmPost", side_effect=OSError
+            )
+            if mode == "pickle"
+            else contextlib.nullcontext()
+        )
+        with forced_pickle, TaskPool(2) as pool:
+            report = service.run(pool=pool)
+        assert report.transport == mode
+        assert report.executor["mode"] == "process"
     decisions = [
         [
             d.time, d.kind, d.page_id, d.verdict, d.shard, d.home,

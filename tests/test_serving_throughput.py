@@ -42,6 +42,7 @@ from repro.engine.executor import (
     CellResult,
     CellSpec,
     ExecutionPolicy,
+    TaskPool,
     run_cells,
 )
 from repro.engine.registry import get_scheduler
@@ -618,6 +619,10 @@ def _outcome_key(outcome):
     )
 
 
+def _explode(instance, channels):
+    raise ValueError("scheduler crash")
+
+
 def _grid_specs(count=8, num_requests=120):
     instance = _initial_instance()
     specs = []
@@ -640,8 +645,9 @@ class TestChunkedSweepExecution:
         """The pool and its lazy submission window never change which
         outcomes come back, for every pool width."""
         specs = _grid_specs()
-        serial, _ = run_cells(specs, workers=1, mode="serial")
-        pooled, report = run_cells(specs, workers=workers, mode="thread")
+        serial, _ = run_cells(specs)
+        with TaskPool(workers) as pool:
+            pooled, report = run_cells(specs, pool=pool)
         assert [_outcome_key(o) for o in pooled] == [
             _outcome_key(o) for o in serial
         ]
@@ -651,8 +657,9 @@ class TestChunkedSweepExecution:
         # The run must really use the pool and the shm post: a silent
         # serial fallback would make both sides the same code.
         specs = _grid_specs()
-        serial, _ = run_cells(specs, workers=1, mode="serial")
-        pooled, report = run_cells(specs, workers=3, mode="process")
+        serial, _ = run_cells(specs)
+        with TaskPool(3) as pool:
+            pooled, report = run_cells(specs, pool=pool)
         assert [_outcome_key(o) for o in pooled] == [
             _outcome_key(o) for o in serial
         ]
@@ -660,19 +667,16 @@ class TestChunkedSweepExecution:
         assert report.fallback is False
         assert report.transport == "shm"
 
-    @pytest.mark.parametrize("mode", ["serial", "thread"])
+    @pytest.mark.parametrize("mode", ["serial", "process"])
     def test_open_breaker_short_circuits_unsubmitted_cells(self, mode):
-        """Cells behind an open circuit are never executed (in pool
-        modes, never submitted) — they fail structurally with zero
-        attempts instead of burning pool work."""
-        def explode(instance, channels):
-            raise ValueError("scheduler crash")
-
+        """Cells behind an open circuit are never executed (on a pool,
+        never submitted) — they fail structurally with zero attempts
+        instead of burning pool work."""
         instance = _initial_instance()
         specs = [
             CellSpec(
                 algorithm="explode",
-                scheduler=explode,
+                scheduler=_explode,
                 channels=1 + index % 3,
                 instance=instance,
                 num_requests=50,
@@ -685,9 +689,11 @@ class TestChunkedSweepExecution:
             backoff=0.0,
             breaker_threshold=3,
         )
-        outcomes, report = run_cells(
-            specs, workers=2, mode=mode, policy=policy
-        )
+        with TaskPool(2) as pool:
+            outcomes, report = run_cells(
+                specs, pool=pool if mode == "process" else None,
+                policy=policy,
+            )
         assert report.mode == mode
         assert all(isinstance(o, CellFailure) for o in outcomes)
         skipped = [o for o in outcomes if o.attempts == 0]

@@ -24,6 +24,7 @@ from repro.engine import (
     BroadcastEngine,
     ExecutionPolicy,
     SchedulerRegistry,
+    TaskPool,
     get_scheduler,
     program_key,
 )
@@ -39,9 +40,8 @@ SWEEP_KWARGS = dict(
 )
 
 def _sweep(instance, workers):
-    return BroadcastEngine().sweep(
-        instance, workers=workers, executor="process", **SWEEP_KWARGS
-    )
+    with BroadcastEngine() as engine:
+        return engine.sweep(instance, workers=workers, **SWEEP_KWARGS)
 
 
 def _measured(points):
@@ -49,14 +49,16 @@ def _measured(points):
     return [replace(p, elapsed_seconds=0.0) for p in points]
 
 
-def _federation(**run_kwargs):
+def _federation(workers):
     instance = instance_from_counts((4, 4, 4, 4), (4, 8, 16, 32))
     trace = generate_mutation_trace(
         instance, seed=2, horizon=96, mutations=24, listeners=120
     )
-    return FederatedBroadcastService(
-        instance, trace, shards=2, seed=0
-    ).run(**run_kwargs)
+    service = FederatedBroadcastService(instance, trace, shards=2, seed=0)
+    if workers == 1:
+        return service.run()
+    with TaskPool(workers) as pool:
+        return service.run(pool=pool)
 
 
 def _assert_unlinked(names):
@@ -86,22 +88,22 @@ class TestForcedShmFailure:
     def test_federation_degrades_to_pickle_with_serial_report(
         self, no_shared_memory
     ):
-        serial = _federation(workers=1, mode="serial")
-        pooled = _federation(workers=2, mode="process")
+        serial = _federation(workers=1)
+        pooled = _federation(workers=2)
         assert pooled.transport == "pickle"
         assert pooled.executor["transport"] == "pickle"
         assert pooled.executor["mode"] == "process"
         assert _without_transport(pooled) == _without_transport(serial)
 
     def test_federation_fallback_matches_shm_run(self, monkeypatch):
-        shm = _federation(workers=2, mode="process")
+        shm = _federation(workers=2)
         assert shm.transport == "shm"
 
         def refuse(*args, create=False, **kwargs):
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
-        pickled = _federation(workers=2, mode="process")
+        pickled = _federation(workers=2)
         assert pickled.transport == "pickle"
         assert _without_transport(pickled) == _without_transport(shm)
         assert {**shm.executor, "transport": "pickle"} == pickled.executor
@@ -135,7 +137,7 @@ class TestNoLeakedBlocks:
         _assert_unlinked(shm_posts)
 
     def test_shm_federation_unlinks_its_post(self, shm_posts):
-        report = _federation(workers=2, mode="process")
+        report = _federation(workers=2)
         assert report.transport == "shm"
         _assert_unlinked(shm_posts)
 
@@ -149,7 +151,6 @@ def _crashing_scheduler(instance, num_channels):
 #: shared memory allowed)``.
 FLAVOURS = {
     "serial": (1, "serial", True),
-    "thread": (2, "thread", True),
     "shm": (2, "process", True),
     "pickle": (2, "process", False),
 }
@@ -180,7 +181,7 @@ class TestPoolMatchesSerial:
             ),
         )
         grid = {**SWEEP_KWARGS, "algorithms": self.ALGORITHMS}
-        with monkeypatch.context() as patch:
+        with monkeypatch.context() as patch, engine:
             if not shared:
                 def refuse(*args, **kwargs):
                     raise OSError(28, "No space left on device")
@@ -210,7 +211,7 @@ class TestPoolMatchesSerial:
             for key, schedule in entries.items()
         }
 
-    @pytest.mark.parametrize("flavour", ["thread", "shm", "pickle"])
+    @pytest.mark.parametrize("flavour", ["shm", "pickle"])
     def test_flavour_matches_serial(
         self, fig2_instance, flavour, monkeypatch
     ):
@@ -230,8 +231,7 @@ class TestPoolMatchesSerial:
                 schedule.instance is fig2_instance
                 for schedule in entries.values()
             )
-        if flavour in ("shm", "pickle"):
-            assert pooled[0].manifest.executor["transport"] == flavour
+        assert pooled[0].manifest.executor["transport"] == flavour
         assert _measured(pooled[0].points) == _measured(serial[0].points)
         assert pooled[0].failures == serial[0].failures
         assert len(pooled[0].failures) == len(SWEEP_KWARGS["channel_points"])
